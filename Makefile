@@ -22,20 +22,14 @@
 #                      screen must simulate >=3x fewer candidates, its
 #                      journal entries must be a byte-identical subset
 #                      of the grid's, and the frontiers must match
-#   make bench       - Go benchmarks + serial-vs-parallel engine timing
-#                      and server hot/cold throughput (writes BENCH_platform.json)
-#                      + the hot-path harness below
-#   make bench-sim   - hot-path perf harness: cycle-loop, solver,
-#                      quick-sweep and batched-sweep numbers (writes
-#                      BENCH_sim.json; see DESIGN.md "Performance").
-#                      BATCH=N forces N lanes per lockstep batch
-#                      (default 0 = auto).
+#   make bench-module - vet and race-test the benchmark harness module
+#                      in bench/ (its own go.mod) against this tree
+#   make bench       - Go micro-benchmarks; the end-to-end benchmark is
+#                      `bash bench/run.sh run -all` (see bench/README.md)
 
 GO ?= go
-# Lanes per lockstep batch for the bench-sim batch sweep (0 = auto).
-BATCH ?= 0
 
-.PHONY: all build test vet staticcheck race check chaos bench bench-sim serve-smoke shard-smoke surrogate-smoke
+.PHONY: all build test vet staticcheck race check chaos bench bench-module serve-smoke shard-smoke surrogate-smoke
 
 all: check
 
@@ -60,6 +54,11 @@ staticcheck:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# bench/ is a separate module, so ./... above does not reach it; this
+# keeps it compiling (and its own tests passing) against the library.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
+
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
@@ -74,11 +73,8 @@ surrogate-smoke: build
 chaos:
 	$(GO) test -tags chaos -run TestChaos -v ./internal/jobs/
 
-check: vet staticcheck build race serve-smoke
+check: vet staticcheck build race bench-module serve-smoke
 
-bench: bench-sim
+bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/benchplatform -quick -o BENCH_platform.json
-
-bench-sim:
-	$(GO) run ./cmd/benchsim -o BENCH_sim.json -batch $(BATCH)
+	@echo "end-to-end benchmark: bash bench/run.sh run -all (see bench/README.md)"

@@ -319,7 +319,7 @@ func DefaultStageAssignments() []StageAssignment { return stage.DefaultAssignmen
 
 // StageSweep simulates each assignment and prices it through its
 // staged cooling chain. nil assignments run the defaults. Deterministic:
-// equal inputs produce byte-identical JSON at any worker/lane count
+// equal inputs produce byte-identical JSON at any worker count
 // (the `cryowire stage -json` ↔ POST /v1/stage contract).
 func StageSweep(ctx context.Context, assigns []StageAssignment, opt StageSweepOptions) (*StageSweepResult, error) {
 	return stage.Sweep(ctx, assigns, opt)

@@ -16,6 +16,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -23,9 +24,9 @@ import (
 // file pins: the default three assignments (all-300K, 77K CryoSP,
 // 77K+4K split) at quick run lengths — what `cryowire stage -quick
 // -json` prints, minus the trailing newline fmt.Println adds.
-func goldenStageBytes(t *testing.T, workers, lanes int) []byte {
+func goldenStageBytes(t *testing.T, workers int) []byte {
 	t.Helper()
-	opt := StageSweepOptions{Sim: QuickOptions().Sim, Workers: workers, Lanes: lanes}
+	opt := StageSweepOptions{Sim: QuickOptions().Sim, Workers: workers}
 	res, err := StageSweep(context.Background(), nil, opt)
 	if err != nil {
 		t.Fatalf("stage sweep: %v", err)
@@ -38,12 +39,12 @@ func goldenStageBytes(t *testing.T, workers, lanes int) []byte {
 }
 
 // TestGoldenStageSweep gates the staged sweep against the pinned
-// bytes, then re-runs it at a different worker and lane count: the
-// sweep's determinism contract says scheduling knobs never change the
-// bytes, so all variants must match the one golden file.
+// bytes, then re-runs it at one worker per CPU: the sweep's
+// determinism contract says the worker count never changes the bytes,
+// so both runs must match the one golden file.
 func TestGoldenStageSweep(t *testing.T) {
 	path := filepath.Join("testdata", "golden_stage.json")
-	got := goldenStageBytes(t, 1, 0)
+	got := goldenStageBytes(t, 1)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -61,7 +62,7 @@ func TestGoldenStageSweep(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("staged sweep diverged from %s:\n got: %s\nwant: %s", path, got, want)
 	}
-	if batched := goldenStageBytes(t, 2, 1); !bytes.Equal(batched, want) {
-		t.Fatal("staged sweep bytes changed with worker/lane count")
+	if parallel := goldenStageBytes(t, runtime.NumCPU()); !bytes.Equal(parallel, want) {
+		t.Fatal("staged sweep bytes changed with worker count")
 	}
 }

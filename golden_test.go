@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -33,17 +34,14 @@ var goldenExperiments = []string{"fig3", "fig10", "fig17", "fig21", "fig23"}
 
 // goldenBytes renders the canonical quick-mode output the golden file
 // pins: the JSON reports of the subset experiments followed by the JSON
-// of a quick grid DSE run (seed 1, serial). batch selects the engine
-// path for the experiments (see Options.Batch: 0 auto-batched, >0
-// forced lane count, <0 legacy per-run) and lanes the DSE batch width
-// (see DSEConfig.BatchLanes) — every combination must produce the same
-// bytes, which is exactly what the golden variants below gate.
-func goldenBytes(t *testing.T, batch, lanes int) []byte {
+// of a quick grid DSE run (seed 1). workers sets the experiment and DSE
+// fan-out; worker count is a scheduling knob, so every count must
+// produce the same bytes, which is what the golden variants below gate.
+func goldenBytes(t *testing.T, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	opt := QuickOptions()
-	opt.Workers = 1
-	opt.Batch = batch
+	opt.Workers = workers
 	for _, id := range goldenExperiments {
 		r, err := RunExperiment(id, opt)
 		if err != nil {
@@ -58,12 +56,11 @@ func goldenBytes(t *testing.T, batch, lanes int) []byte {
 		buf.WriteByte('\n')
 	}
 	res, err := RunDSE(context.Background(), DSEConfig{
-		Space:      DefaultDSESpace(true),
-		Strategy:   "grid",
-		Seed:       1,
-		Sim:        QuickOptions().Sim,
-		Workers:    1,
-		BatchLanes: lanes,
+		Space:    DefaultDSESpace(true),
+		Strategy: "grid",
+		Seed:     1,
+		Sim:      QuickOptions().Sim,
+		Workers:  workers,
 	})
 	if err != nil {
 		t.Fatalf("dse grid: %v", err)
@@ -102,14 +99,12 @@ func TestQuickOutputsDeterministic(t *testing.T) {
 	}
 }
 
-// TestGoldenQuickOutputs gates the default engine path (auto-batched
-// experiments, auto-lane DSE) against the golden bytes. The PerRun and
-// BatchOfOne variants below gate the legacy path and the degenerate
-// batch against the same file, so all three engines are pinned to one
-// set of bytes.
+// TestGoldenQuickOutputs gates the serial run (one worker) against the
+// golden bytes; TestGoldenQuickOutputsParallel gates the same output at
+// one worker per CPU against the same file.
 func TestGoldenQuickOutputs(t *testing.T) {
 	path := filepath.Join("testdata", "golden_quick.json")
-	got := goldenBytes(t, 0, 0)
+	got := goldenBytes(t, 1)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -123,24 +118,15 @@ func TestGoldenQuickOutputs(t *testing.T) {
 	compareGolden(t, got)
 }
 
-// TestGoldenQuickOutputsPerRun gates the legacy per-run engine path
-// (Batch = -1, single-lane DSE batches) against the same golden file:
-// the batching refactor must leave the original path byte-exact.
-func TestGoldenQuickOutputsPerRun(t *testing.T) {
+// TestGoldenQuickOutputsParallel runs the golden subset with one worker
+// per CPU: experiment grids and DSE candidates then simulate
+// concurrently and complete out of order, and the bytes must still
+// match the serial golden file.
+func TestGoldenQuickOutputsParallel(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is written by TestGoldenQuickOutputs")
 	}
-	compareGolden(t, goldenBytes(t, -1, -1))
-}
-
-// TestGoldenQuickOutputsBatchOfOne gates the degenerate batch — one
-// lane per batch — against the same golden file: a batch of one must
-// equal a plain run bit for bit.
-func TestGoldenQuickOutputsBatchOfOne(t *testing.T) {
-	if *updateGolden {
-		t.Skip("golden file is written by TestGoldenQuickOutputs")
-	}
-	compareGolden(t, goldenBytes(t, 1, 1))
+	compareGolden(t, goldenBytes(t, runtime.NumCPU()))
 }
 
 // compareGolden diffs got against testdata/golden_quick.json, failing

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"cryowire/internal/noc"
-	"cryowire/internal/par"
 	"cryowire/internal/phys"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/platform"
@@ -124,16 +123,20 @@ func (c *CryoWire) Evaluate(designs []sim.Design, profiles []workload.Profile, r
 	return c.EvaluateWith(nil, designs, profiles, ref, cfg)
 }
 
-// EvaluateWith is Evaluate with a pluggable simulation runner: run
-// receives the whole design × workload grid as LaneSpecs (row-major,
-// wi*len(designs)+di) and returns index-aligned results and per-spec
-// errors. The experiment layer passes its batched, dedup-aware runner
-// here; nil falls back to the per-cell engine. Both paths produce
-// byte-identical evaluations — each cell is a pure function of its
-// spec.
+// EvaluateWith is Evaluate with a caller-supplied simulation runner:
+// run receives the whole design × workload grid as LaneSpecs
+// (row-major, wi*len(designs)+di) and returns index-aligned results and
+// per-spec errors. The experiment layer passes its dedup-aware runner
+// here; nil runs the grid through a sim.BatchRunner with cfg's worker
+// bound and context. Each cell is a pure function of its spec, so any
+// runner produces the same evaluation.
 func (c *CryoWire) EvaluateWith(run func([]sim.LaneSpec) ([]sim.Result, []error), designs []sim.Design, profiles []workload.Profile, ref int, cfg sim.Config) (Evaluation, error) {
 	if ref < 0 || ref >= len(designs) {
 		return Evaluation{}, fmt.Errorf("core: reference index %d out of range", ref)
+	}
+	if run == nil {
+		r := &sim.BatchRunner{Workers: cfg.Workers}
+		run = func(specs []sim.LaneSpec) ([]sim.Result, []error) { return r.RunCtx(cfg.Context(), specs) }
 	}
 	ev := Evaluation{RefIndex: ref}
 	for _, d := range designs {
@@ -147,47 +150,20 @@ func (c *CryoWire) EvaluateWith(run func([]sim.LaneSpec) ([]sim.Result, []error)
 	for wi := range ev.Perf {
 		ev.Perf[wi] = make([]float64, nd)
 	}
-	errs := make([]error, nw*nd)
-	if run != nil {
-		specs := make([]sim.LaneSpec, nw*nd)
-		for i := range specs {
-			specs[i] = sim.LaneSpec{Design: designs[i%nd], Profile: profiles[i/nd], Config: cfg}
-		}
-		results, rerrs := run(specs)
-		for i := range specs {
-			if rerrs[i] != nil {
-				errs[i] = rerrs[i]
-				continue
-			}
-			ev.Perf[i/nd][i%nd] = results[i].Performance
-		}
-	} else {
-		// The grid honors the config's context twice over: ForCtx stops
-		// handing out cells once it is done, and each in-flight simulation
-		// aborts between cycles (sim.Config carries the same context).
-		if err := par.ForCtx(cfg.Context(), nw*nd, cfg.Workers, func(i int) {
-			wi, di := i/nd, i%nd
-			s, err := sim.New(designs[di], profiles[wi], cfg)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := s.Run()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ev.Perf[wi][di] = res.Performance
-		}); err != nil {
-			return Evaluation{}, fmt.Errorf("core: evaluation canceled: %w", err)
-		}
+	specs := make([]sim.LaneSpec, nw*nd)
+	for i := range specs {
+		specs[i] = sim.LaneSpec{Design: designs[i%nd], Profile: profiles[i/nd], Config: cfg}
 	}
-	// Report the first error in grid order — the same one the serial
-	// loop would have stopped on.
+	results, errs := run(specs)
+	// Report the first error in grid order — the same one a serial loop
+	// would have stopped on.
 	for _, err := range errs {
 		if err != nil {
 			return Evaluation{}, err
 		}
+	}
+	for i, res := range results {
+		ev.Perf[i/nd][i%nd] = res.Performance
 	}
 	geo := make([]float64, nd)
 	for di := range designs {

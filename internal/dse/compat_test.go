@@ -11,7 +11,6 @@ import (
 
 	"cryowire/internal/platform"
 	"cryowire/internal/sim"
-	"cryowire/internal/workload"
 )
 
 // prestageConfig is the exact search the testdata/dse_prestage_*
@@ -63,14 +62,11 @@ func TestPreStageJournalCompat(t *testing.T) {
 	}
 
 	// Any attempt to actually evaluate is a compatibility failure: the
-	// journal holds the complete search.
-	prev := evalOverride
-	evalOverride = func(ctx context.Context, pf *platform.Platform, pt Point, prof workload.Profile, c sim.Config) (Eval, error) {
-		t.Errorf("candidate %s re-evaluated despite a complete pre-stage journal", pt)
-		return evaluate(ctx, pf, pt, prof, c)
-	}
-	t.Cleanup(func() { evalOverride = prev })
-
+	// journal holds the complete search. Every evaluation starts by
+	// deriving its core on the platform, so a fresh platform that
+	// records no derivation proves nothing was re-simulated.
+	pf := platform.New()
+	cfg.Platform = pf
 	got, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +78,9 @@ func TestPreStageJournalCompat(t *testing.T) {
 	gb = append(gb, '\n')
 	if !bytes.Equal(gb, wantResult) {
 		t.Fatalf("resumed result diverged from the pre-stage fixture:\n--- want ---\n%s\n--- got ---\n%s", wantResult, gb)
+	}
+	if st := pf.Stats(); st.Misses != 0 {
+		t.Errorf("%d platform derivations during a complete pre-stage journal replay: candidates were re-evaluated", st.Misses)
 	}
 
 	// A fully-replayed journal must not grow.

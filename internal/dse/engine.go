@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"cryowire/internal/par"
 	"cryowire/internal/platform"
@@ -44,18 +43,11 @@ type Config struct {
 	// the strategy per batch; the journal (and Progress) checkpoint when
 	// a batch lands, so this bounds how much work a killed run loses to
 	// the unjournaled tail. 0 means defaultCheckpointEvery (64) —
-	// enough lanes to keep the lockstep batch runner occupied. Purely a
-	// scheduling knob: like BatchLanes it is excluded from the journal
-	// key and can never change result bytes, because history order is
+	// enough candidates to keep the worker pool occupied. Purely a
+	// scheduling knob: like Workers it is excluded from the journal key
+	// and can never change result bytes, because history order is
 	// proposal order at any batch size.
 	CheckpointEvery int
-	// BatchLanes is the lane count per lockstep simulation batch
-	// (sim.BatchRunner); 0 picks an automatic size from Workers,
-	// negative forces single-lane batches. Never part of the journal
-	// key: batching is a scheduling choice that cannot change result
-	// bytes, so journals written at any lane count replay into any
-	// other.
-	BatchLanes int
 	// Platform supplies the shared derivation cache; nil means
 	// platform.Default().
 	Platform *platform.Platform
@@ -91,20 +83,6 @@ type Config struct {
 	// resolved budget. It must not block for long — the search stalls
 	// while it runs — and it never influences the result bytes.
 	Progress func(evaluated, budget int)
-	// RetryAttempts bounds total evaluation attempts per candidate:
-	// transient failures are retried with exponential backoff until the
-	// bound. 0 or 1 means a single attempt. Retrying is safe because
-	// evaluation is a pure function of (point, sim config) — a retried
-	// success is bit-equal to a first-try success.
-	RetryAttempts int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt (default 100ms when retries are enabled). The wait is
-	// context-aware: cancellation aborts it.
-	RetryBackoff time.Duration
-	// RetryNotify, when non-nil, observes each failure that is about to
-	// be retried (a metrics hook; errors that exhaust the attempt bound
-	// surface through Run instead).
-	RetryNotify func(error)
 }
 
 // Result is the outcome of one search.
@@ -124,18 +102,17 @@ type Result struct {
 
 // Run executes one design-space search: it validates the space, replays
 // any resumed journal, drives the strategy until the budget or the
-// space is exhausted, evaluates each proposed batch through the
-// lockstep simulation engine (sim.BatchRunner) on the shared platform
-// cache, and extracts the Pareto frontier. Evaluations are journaled
-// (and reported via cfg.Progress) in proposal order when their
-// strategy batch lands, so a kill mid-batch re-simulates only that
-// batch on resume. A lane that fails inside a batch retries alone
-// under the config's retry policy — its batch is never re-run. Cancel
-// ctx to stop between evaluations; a journaled run resumed after
-// cancellation continues where it stopped and, with the same seed,
-// produces byte-identical output to an uninterrupted run — at any
-// BatchLanes or Workers setting, since batching never changes result
-// bytes.
+// space is exhausted, evaluates each proposed batch on a pool of
+// Workers goroutines over the shared platform cache, and extracts the
+// Pareto frontier. Evaluations are journaled (and reported via
+// cfg.Progress) in proposal order when their strategy batch lands, so
+// a kill mid-batch re-simulates only that batch on resume. A failed
+// evaluation fails the search: the simulator is deterministic (its
+// watchdog counts cycles, not wall time), so trying again could only
+// reproduce the error. Cancel ctx to stop between evaluations; a
+// journaled run resumed after cancellation continues where it stopped
+// and, with the same seed, produces byte-identical output to an
+// uninterrupted run — at any Workers setting.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Space.Validate(); err != nil {
 		return nil, err
@@ -244,11 +221,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if len(fresh) == 0 {
 			break
 		}
-		// Evaluate the batch through the lockstep simulation engine;
-		// journaled candidates are served from the checkpoint without
-		// re-simulating. Results land in index-addressed slots, so
-		// history order is proposal order — the order the strategy's
-		// determinism contract depends on — not completion order.
+		// Evaluate the batch on the worker pool; journaled candidates
+		// are served from the checkpoint without re-simulating. Results
+		// land in index-addressed slots, so history order is proposal
+		// order — the order the strategy's determinism contract depends
+		// on — not completion order.
 		evals := make([]Eval, len(fresh))
 		errs := make([]error, len(fresh))
 		served := make([]bool, len(fresh))
@@ -265,11 +242,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		// Journal and report in proposal order once the batch lands.
 		// Checkpoint granularity is one strategy batch: a kill mid-batch
-		// re-simulates the in-flight batch on resume (the per-point
-		// engine checkpointed each completion; lockstep batching trades
-		// that for sweep throughput). Served candidates are already on
-		// disk and are not re-appended; journal replay is keyed by
-		// index, so the line sequence does not affect resume.
+		// re-simulates the in-flight batch on resume. Served candidates
+		// are already on disk and are not re-appended; journal replay is
+		// keyed by index, so the line sequence does not affect resume.
 		completed := len(hist)
 		for k := range fresh {
 			if errs[k] != nil {

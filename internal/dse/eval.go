@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"cryowire/internal/mem"
+	"cryowire/internal/par"
 	"cryowire/internal/phys"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/platform"
@@ -97,27 +98,26 @@ func nocPowerKind(pt Point) power.NoCKind {
 // evalCores is the evaluated system size (the paper's 64-core target).
 const evalCores = 64
 
-// candidateSpec derives the simulation a candidate needs: the core at
+// candidateDesign derives the system a candidate simulates: the core at
 // the point's depth/voltage and the design on the shared platform's
-// memoized NoC timings, packaged as a sim.LaneSpec so the engine can
-// batch candidates through the lockstep runner. The returned CoreSpec
-// feeds finishEval's power metrics.
-func candidateSpec(pf *platform.Platform, pt Point, prof workload.Profile, cfg sim.Config) (sim.LaneSpec, pipeline.CoreSpec, error) {
+// memoized NoC timings. The returned CoreSpec feeds finishEval's power
+// metrics.
+func candidateDesign(pf *platform.Platform, pt Point) (sim.Design, pipeline.CoreSpec, error) {
 	nomOp, err := pf.OpAt(pt.TempK)
 	if err != nil {
-		return sim.LaneSpec{}, pipeline.CoreSpec{}, fmt.Errorf("dse: point %s: %w", pt, err)
+		return sim.Design{}, pipeline.CoreSpec{}, fmt.Errorf("dse: point %s: %w", pt, err)
 	}
 	op, sizing, err := modeOp(pt.Mode, pt.TempK)
 	if err != nil {
-		return sim.LaneSpec{}, pipeline.CoreSpec{}, err
+		return sim.Design{}, pipeline.CoreSpec{}, err
 	}
 	core, err := pf.DerivedCore(pt.Depth-pipeline.BaseDepth(), nomOp, op, sizing)
 	if err != nil {
-		return sim.LaneSpec{}, pipeline.CoreSpec{}, fmt.Errorf("dse: point %s: %w", pt, err)
+		return sim.Design{}, pipeline.CoreSpec{}, fmt.Errorf("dse: point %s: %w", pt, err)
 	}
 	kind, err := netKindByName(pt.Net)
 	if err != nil {
-		return sim.LaneSpec{}, pipeline.CoreSpec{}, err
+		return sim.Design{}, pipeline.CoreSpec{}, err
 	}
 	var timing = pf.BusTiming(nomOp)
 	if kind == sim.Mesh {
@@ -137,7 +137,7 @@ func candidateSpec(pf *platform.Platform, pt Point, prof workload.Profile, cfg s
 		Memory: mem.ForTemp(phys.Kelvin(memT)),
 		Cores:  evalCores,
 	}
-	return sim.LaneSpec{Design: d, Profile: prof, Config: cfg}, core, nil
+	return d, core, nil
 }
 
 // finishEval attaches the cooling-inclusive power metrics to a
@@ -172,21 +172,18 @@ func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim
 	return e
 }
 
-// evaluate runs one candidate end to end through the single-run
-// engine: candidateSpec → sim.Run → finishEval. Deterministic: the
-// simulator seeds from cfg alone, so equal (point, cfg) pairs produce
-// bit-equal Evals at any worker count — and bit-equal to the same
-// candidate evaluated inside a batch, which drives the identical
-// spec through the identical lane code.
+// evaluate runs one candidate end to end: candidateDesign → System.Run
+// → finishEval. Deterministic: the simulator seeds from cfg alone, so
+// equal (point, cfg) pairs produce bit-equal Evals at any worker count.
 func evaluate(ctx context.Context, pf *platform.Platform, pt Point, prof workload.Profile, cfg sim.Config) (Eval, error) {
-	sp, core, err := candidateSpec(pf, pt, prof, cfg)
+	d, core, err := candidateDesign(pf, pt)
 	if err != nil {
 		return Eval{}, err
 	}
 	if ctx != nil {
-		sp.Config = sp.Config.WithContext(ctx)
+		cfg = cfg.WithContext(ctx)
 	}
-	s, err := sim.New(sp.Design, sp.Profile, sp.Config)
+	s, err := sim.New(d, prof, cfg)
 	if err != nil {
 		return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
 	}
@@ -195,4 +192,24 @@ func evaluate(ctx context.Context, pf *platform.Platform, pt Point, prof workloa
 		return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
 	}
 	return finishEval(pf, pt, core, res), nil
+}
+
+// evaluateFresh evaluates the non-served candidates of one strategy
+// batch into evals/errs (index-aligned with fresh) on a pool of
+// cfg.Workers goroutines, each pulling the next candidate as it frees
+// up. It returns ctx's error when the search was canceled, in which
+// case unstarted slots are left empty.
+func evaluateFresh(ctx context.Context, cfg Config, fresh []int, served []bool, evals []Eval, errs []error) error {
+	return par.ForCtx(ctx, len(fresh), cfg.Workers, func(k int) {
+		if served[k] {
+			return
+		}
+		pt := cfg.Space.At(fresh[k])
+		prof, err := cfg.Space.profileByName(pt.Workload)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		evals[k], errs[k] = evaluate(ctx, cfg.Platform, pt, prof, cfg.Sim)
+	})
 }

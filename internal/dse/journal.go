@@ -58,9 +58,21 @@ func journalKey(s Space, cfg sim.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// checkEntryIndex rejects a journal entry whose point index lies
+// outside a space of the given size: no search of that space can have
+// recorded it, and downstream consumers (replay, merges, the surrogate
+// fit) index the space with it.
+func checkEntryIndex(i, size int) error {
+	if i < 0 || i >= size {
+		return fmt.Errorf("dse: journal entry index %d outside the space [0, %d)", i, size)
+	}
+	return nil
+}
+
 // journal is an append-only evaluation log with its in-memory cache.
 type journal struct {
 	f     *os.File
+	size  int // the space's point count, for validating replayed lines
 	cache map[int]Eval
 }
 
@@ -76,7 +88,7 @@ func openJournal(path string, s Space, cfg sim.Config, resume bool, stratKey str
 	if err != nil {
 		return nil, fmt.Errorf("dse: open journal: %w", err)
 	}
-	j := &journal{f: f, cache: make(map[int]Eval)}
+	j := &journal{f: f, size: s.Size(), cache: make(map[int]Eval)}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -202,6 +214,9 @@ func (j *journal) addLine(line []byte) error {
 	var l journalLine
 	if err := json.Unmarshal(line, &l); err != nil {
 		return fmt.Errorf("dse: corrupt journal line: %w", err)
+	}
+	if err := checkEntryIndex(l.Index, j.size); err != nil {
+		return err
 	}
 	j.cache[l.Index] = l.Eval
 	return nil

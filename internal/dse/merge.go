@@ -31,8 +31,9 @@ type JournalEntry struct {
 // returns the entries sorted by index. Empty input is an empty
 // journal; a torn unterminated tail is dropped exactly as resume does
 // (readers may race an appender — the tail shows up whole on the next
-// read); a journal recorded under a different key is an error. Equal
-// duplicate entries collapse silently, conflicting ones are an error.
+// read); a journal recorded under a different key, or an entry whose
+// index lies outside the space, is an error. Equal duplicate entries
+// collapse silently, conflicting ones are an error.
 func ParseJournal(data []byte, s Space, cfg sim.Config) ([]JournalEntry, error) {
 	lines, _ := splitJournal(data)
 	if len(lines) == 0 {
@@ -48,11 +49,15 @@ func ParseJournal(data []byte, s Space, cfg sim.Config) ([]JournalEntry, error) 
 	if hdr.Key != journalKey(s, cfg) {
 		return nil, fmt.Errorf("dse: journal was recorded for a different space or simulation config; remove it to start over")
 	}
+	size := s.Size()
 	entries := make([]JournalEntry, 0, len(lines)-1)
 	for _, line := range lines[1:] {
 		var e JournalEntry
 		if err := json.Unmarshal(line, &e); err != nil {
 			return nil, fmt.Errorf("dse: corrupt journal line: %w", err)
+		}
+		if err := checkEntryIndex(e.Index, size); err != nil {
+			return nil, err
 		}
 		entries = append(entries, e)
 	}

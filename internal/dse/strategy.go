@@ -70,9 +70,9 @@ func NewStrategy(name string, seed int64) (Strategy, error) {
 // --- exhaustive grid --------------------------------------------------------
 
 // defaultCheckpointEvery is the engine's strategy-batch cap when
-// Config.CheckpointEvery is zero: large enough to fill the lockstep
-// batch runner's lanes, small enough that a killed run loses at most
-// this many evaluations to the unjournaled tail.
+// Config.CheckpointEvery is zero: large enough to keep every worker
+// busy, small enough that a killed run loses at most this many
+// evaluations to the unjournaled tail.
 const defaultCheckpointEvery = 64
 
 // gridStrategy enumerates the space in index order — the exhaustive

@@ -95,66 +95,35 @@ type Options struct {
 	// serially. Every task derives its seed from Sim.Seed and its own
 	// grid position, so reports are byte-identical at any worker count.
 	Workers int
-	// Batch selects how simulation grids run. 0 (the default) batches
-	// them through sim.BatchRunner with an automatic lane count; > 0
-	// forces that many lanes per batch; < 0 runs the legacy per-point
-	// path (one System.Run per grid cell). All three modes produce
-	// byte-identical reports — batching is a scheduling choice, never a
-	// semantic one.
-	Batch int
 	// SpecObserver, when non-nil, is called once per simulation the
-	// experiments submit (before it runs). Used by benchsim to record
-	// the sweep's workload; it must be safe for concurrent calls when
-	// Workers > 1 and must not mutate the spec.
+	// experiments submit (before it runs). Used by the bench harness to
+	// record the sweep's workload; it must be safe for concurrent calls
+	// when Workers > 1 and must not mutate the spec.
 	SpecObserver func(sim.LaneSpec)
 	// ctx carries the caller's cancellation signal into every runner's
 	// fan-out and every simulation; nil never cancels. Set with
 	// WithContext (RunCtx and RunAllCtx do it for you).
 	ctx context.Context
 	// cache dedups identical simulations across the experiments of one
-	// RunAll (figures share grid rows); installed by RunAllCtx in
-	// batched mode.
+	// RunAll (figures share grid rows); installed by RunAllCtx.
 	cache *sim.ResultCache
 }
 
-// runSims executes one experiment's simulation grid and returns
-// results index-aligned with specs, plus the first error in grid order
-// (per-lane failures surface as *sim.LaneError). Batched and per-point
-// modes return identical bytes; see Options.Batch.
+// runSims executes one experiment's simulation grid through
+// sim.BatchRunner and returns results and per-spec *sim.LaneErrors
+// index-aligned with specs.
 func (o Options) runSims(specs []sim.LaneSpec) ([]sim.Result, []error) {
 	if o.SpecObserver != nil {
 		for _, sp := range specs {
 			o.SpecObserver(sp)
 		}
 	}
-	if o.Batch < 0 {
-		results := make([]sim.Result, len(specs))
-		errs := make([]error, len(specs))
-		ran := make([]bool, len(specs))
-		perr := par.ForCtx(o.Context(), len(specs), o.Workers, func(i int) {
-			ran[i] = true
-			s, err := sim.New(specs[i].Design, specs[i].Profile, specs[i].Config)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i], errs[i] = s.Run()
-		})
-		if perr != nil {
-			for i := range specs {
-				if !ran[i] {
-					errs[i] = perr
-				}
-			}
-		}
-		return results, errs
-	}
-	r := &sim.BatchRunner{Lanes: o.Batch, Workers: o.Workers, Cache: o.cache}
+	r := &sim.BatchRunner{Workers: o.Workers, Cache: o.cache}
 	return r.RunCtx(o.Context(), specs)
 }
 
-// firstErr returns the first non-nil error in grid order — the one the
-// serial legacy loop would have stopped on.
+// firstErr returns the first non-nil error in grid order — the one a
+// serial loop would have stopped on.
 func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -284,10 +253,10 @@ func RunAllCtx(ctx context.Context, opt Options) []Outcome {
 	if ctx != nil {
 		opt = opt.WithContext(ctx)
 	}
-	if opt.Batch >= 0 && opt.cache == nil {
+	if opt.cache == nil {
 		// One shared result cache for the whole sweep: experiments share
 		// grid rows (Fig 3's baselines reappear in Fig 23, the fault
-		// sweep's healthy rows are Fig 23 rows), and batched mode dedups
+		// sweep's healthy rows are Fig 23 rows), and the runner dedups
 		// them instead of re-simulating.
 		opt.cache = sim.NewResultCache()
 	}

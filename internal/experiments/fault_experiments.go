@@ -37,9 +37,9 @@ func FaultSweep(opt Options) (*Report, error) {
 		return nil, err
 	}
 	designs := evaluationDesigns(opt)
-	// The design×rate grid runs through the batched runner; each cell
-	// builds its own lane from the same seeds, so the rows match a
-	// serial sweep exactly. The rel. IPC column needs each design's
+	// The design×rate grid runs through the simulation runner; each
+	// cell seeds its own System, so the rows match a serial sweep
+	// exactly. The rel. IPC column needs each design's
 	// rate-0 result, so rows are assembled after the grid completes.
 	nr := len(rates)
 	specs := make([]sim.LaneSpec, len(designs)*nr)

@@ -95,7 +95,7 @@ func Fig17(opt Options) (*Report, error) {
 	f := sim.NewFactoryWith(opt.platform())
 	designs := []sim.Design{f.IdealNoC77(), f.CHPMesh(), f.SharedBus77()}
 	profiles := parsecSubset(opt)
-	// Flatten the profile×design grid so every simulation batches.
+	// Flatten the profile×design grid into one runner call.
 	specs := make([]sim.LaneSpec, len(profiles)*len(designs))
 	for i := range specs {
 		specs[i] = sim.LaneSpec{Design: designs[i%len(designs)], Profile: profiles[i/len(designs)], Config: opt.simCfg()}

@@ -196,11 +196,12 @@ func TestChaosKillMidJobResumesByteIdentical(t *testing.T) {
 	jobsDir := filepath.Join(t.TempDir(), "jobs")
 
 	p1 := startServe(t, bin, jobsDir)
-	// 16 quick-space candidates on one worker. Progress is journaled
-	// per evaluation, so the 25ms poll below sees the first completed
+	// 16 quick-space candidates on one worker, checkpointed after every
+	// evaluation (the engine default of 64 per checkpoint would land all
+	// sixteen at once), so the 25ms poll below sees the first completed
 	// candidate (~0.4s in) long before the remaining fifteen finish —
 	// the kill reliably lands mid-job.
-	body := `{"quick": true, "workers": 1,
+	body := `{"quick": true, "workers": 1, "checkpoint_every": 1,
 		"config": {"warmup_cycles": 20000, "measure_cycles": 100000}}`
 	var st State
 	if code := httpJSON(t, "POST", p1.base+"/v1/dse/jobs", body, &st); code != http.StatusAccepted {

@@ -8,31 +8,22 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cryowire/internal/dse"
 	"cryowire/internal/platform"
 	"cryowire/internal/shard"
 )
 
-// Options tunes the manager. The zero value runs one job at a time
-// with three evaluation attempts per point.
+// Options tunes the manager. The zero value runs one job at a time.
 type Options struct {
 	// MaxConcurrent bounds jobs running simultaneously (default 1 —
 	// each job already fans its evaluations out over the CPUs).
 	MaxConcurrent int
-	// RetryAttempts / RetryBackoff are the per-point transient-error
-	// retry policy threaded into every job's engine config (defaults 3
-	// attempts, 100ms first backoff).
-	RetryAttempts int
-	RetryBackoff  time.Duration
 	// Platform supplies the shared derivation cache; nil means
 	// platform.Default().
 	Platform *platform.Platform
 	// Logger receives job lifecycle lines; nil uses slog.Default.
 	Logger *slog.Logger
-	// OnRetry observes every retried evaluation failure (metrics hook).
-	OnRetry func(error)
 }
 
 // Manager owns the store and drives jobs to completion: Submit
@@ -66,7 +57,7 @@ type Manager struct {
 	runSharded func(ctx context.Context, cfg dse.Config, opt shard.Options) (*dse.Result, error)
 
 	// Counters for /metrics.
-	submitted, completed, failed, canceled, resumed, retries atomic.Uint64
+	submitted, completed, failed, canceled, resumed atomic.Uint64
 }
 
 // tracked is the in-memory view of one job.
@@ -93,12 +84,6 @@ type tracked struct {
 func Open(dir string, opts Options) (*Manager, error) {
 	if opts.MaxConcurrent <= 0 {
 		opts.MaxConcurrent = 1
-	}
-	if opts.RetryAttempts <= 0 {
-		opts.RetryAttempts = 3
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 100 * time.Millisecond
 	}
 	if opts.Platform == nil {
 		opts.Platform = platform.Default()
@@ -369,8 +354,8 @@ func (m *Manager) QueueDepth() int {
 
 // Stats snapshots the manager for /metrics.
 type Stats struct {
-	ByStatus                                                 map[Status]int
-	Submitted, Completed, Failed, Canceled, Resumed, Retries uint64
+	ByStatus                                        map[Status]int
+	Submitted, Completed, Failed, Canceled, Resumed uint64
 }
 
 // Snapshot returns current counters and per-status job counts.
@@ -386,7 +371,6 @@ func (m *Manager) Snapshot() Stats {
 	st.Failed = m.failed.Load()
 	st.Canceled = m.canceled.Load()
 	st.Resumed = m.resumed.Load()
-	st.Retries = m.retries.Load()
 	return st
 }
 
@@ -473,15 +457,6 @@ func (m *Manager) runJob(t *tracked) {
 	cfg.Journal = m.store.JournalPath(id)
 	if fi, err := os.Stat(cfg.Journal); err == nil && fi.Size() > 0 {
 		cfg.Resume = true
-	}
-	cfg.RetryAttempts = m.opts.RetryAttempts
-	cfg.RetryBackoff = m.opts.RetryBackoff
-	cfg.RetryNotify = func(err error) {
-		m.retries.Add(1)
-		if m.opts.OnRetry != nil {
-			m.opts.OnRetry(err)
-		}
-		m.log.Warn("jobs: retrying evaluation", "id", id, "err", err)
 	}
 	cfg.Progress = func(evaluated, total int) {
 		m.mu.Lock()

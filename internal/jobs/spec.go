@@ -37,13 +37,8 @@ type Spec struct {
 	// Workers bounds the job's parallel evaluation fan-out (0 = all
 	// CPUs). Worker count never changes the result bytes.
 	Workers int `json:"workers"`
-	// BatchLanes is the lockstep batch width (0 = auto from Workers,
-	// negative = single-lane). Like Workers it is a scheduling knob:
-	// it never changes the result bytes, so recovered jobs may resume
-	// at a different width than they started.
-	BatchLanes int `json:"batch_lanes,omitempty"`
 	// CheckpointEvery caps evaluations per journal checkpoint (0 = the
-	// engine default). A scheduling knob like BatchLanes.
+	// engine default). A scheduling knob like Workers.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// RangeStart / RangeEnd restrict a grid job to the half-open
 	// point-index interval [RangeStart, RangeEnd) — the shape a shard
@@ -112,7 +107,6 @@ func SpecFromConfig(cfg dse.Config) Spec {
 		MeasureCycles: cfg.Sim.MeasureCycles,
 		SimSeed:       cfg.Sim.Seed,
 		Workers:       cfg.Workers,
-		BatchLanes:    cfg.BatchLanes,
 	}
 	if cfg.Range != nil {
 		sp.RangeStart, sp.RangeEnd = cfg.Range.Start, cfg.Range.End
@@ -150,7 +144,6 @@ func (sp Spec) Config() (dse.Config, error) {
 		Seed:            sp.Seed,
 		Sim:             sim.Config{WarmupCycles: sp.WarmupCycles, MeasureCycles: sp.MeasureCycles, Seed: sp.SimSeed},
 		Workers:         sp.Workers,
-		BatchLanes:      sp.BatchLanes,
 		CheckpointEvery: sp.CheckpointEvery,
 		Priors:          sp.Prior,
 		ScreenMargin:    sp.ScreenMargin,

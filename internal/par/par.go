@@ -93,6 +93,12 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		}
 	dispatch:
 		for i := 0; i < n; i++ {
+			// With ctx already done and a worker parked, select would
+			// pick between the two ready cases at random; check first so
+			// nothing is handed out after cancellation.
+			if ctx.Err() != nil {
+				break
+			}
 			select {
 			case next <- i:
 			case <-ctx.Done():

@@ -120,6 +120,24 @@ func TestForCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// TestForCtxPreCanceledParallelNeverDispatches repeats the parallel
+// pre-canceled case: with a worker parked on the dispatch channel, a
+// bare select between sending and ctx.Done() picks the send about half
+// the time, so a single iteration would be a coin flip.
+func TestForCtxPreCanceledParallelNeverDispatches(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for rep := 0; rep < 2000; rep++ {
+		var ran int32
+		if err := ForCtx(ctx, 4, 4, func(int) { atomic.AddInt32(&ran, 1) }); err == nil {
+			t.Fatal("ForCtx returned nil on canceled context")
+		}
+		if got := atomic.LoadInt32(&ran); got != 0 {
+			t.Fatalf("rep %d: %d tasks ran on a pre-canceled context", rep, got)
+		}
+	}
+}
+
 // Canceling mid-flight must stop dispatching: well under n tasks run,
 // in-flight tasks complete, and the context error is returned.
 func TestForCtxCancelStopsDispatch(t *testing.T) {

@@ -28,10 +28,6 @@ type dseDTO struct {
 	Quick bool `json:"quick"`
 	// Workers bounds the parallel evaluation fan-out.
 	Workers int `json:"workers"`
-	// BatchLanes sets the lockstep batch width (0 = auto from workers).
-	// A scheduling knob like workers: excluded from the cache key
-	// because batching never changes the result bytes.
-	BatchLanes int `json:"batch_lanes"`
 	// TempsK, Modes, Depths, Nets and Workloads override one axis each.
 	TempsK    []float64 `json:"temps_k"`
 	Modes     []string  `json:"modes"`
@@ -50,7 +46,7 @@ type dseDTO struct {
 	RangeStart int `json:"range_start"`
 	RangeEnd   int `json:"range_end"`
 	// CheckpointEvery caps evaluations per journal checkpoint (async
-	// jobs; 0 = engine default). A scheduling knob like batch_lanes:
+	// jobs; 0 = engine default). A scheduling knob like workers:
 	// excluded from the cache key because it never changes the result
 	// bytes.
 	CheckpointEvery int `json:"checkpoint_every"`
@@ -88,9 +84,6 @@ func (d dseDTO) dseConfig() (dse.Config, error) {
 func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 	if d.Budget < 0 || d.Workers < 0 {
 		return dse.Config{}, badRequest("budget and workers must be >= 0")
-	}
-	if d.BatchLanes < 0 {
-		return dse.Config{}, badRequest("batch_lanes must be >= 0")
 	}
 	if d.CheckpointEvery < 0 {
 		return dse.Config{}, badRequest("checkpoint_every must be >= 0")
@@ -190,7 +183,6 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 		Seed:            d.Seed,
 		Sim:             cfg,
 		Workers:         d.Workers,
-		BatchLanes:      d.BatchLanes,
 		Range:           rng,
 		CheckpointEvery: d.CheckpointEvery,
 		Priors:          d.Prior,
@@ -200,8 +192,8 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 
 // canonicalDSE renders the resolved search canonically for the cache
 // key. Everything Result depends on is included — notably the point
-// range, which changes which candidates are evaluated; workers,
-// batch_lanes and checkpoint_every are not (scheduling knobs never
+// range, which changes which candidates are evaluated; workers and
+// checkpoint_every are not (scheduling knobs never
 // change the output, by the engine's determinism contract).
 func canonicalDSE(cfg dse.Config) string {
 	s := cfg.Space

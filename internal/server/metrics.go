@@ -135,17 +135,10 @@ func (m *metrics) renderProm(lru lruStats, pf platformStats, js *jobs.Stats) str
 	counter("cryowire_platform_cache_misses_total", "Model artifacts actually derived by the shared platform cache.", pf.Misses)
 
 	bs := sim.ReadBatchStats()
-	counter("cryowire_sim_batches_total", "Lockstep simulation batches run.", bs.Batches)
-	counter("cryowire_sim_batch_lanes_total", "Simulation lanes carried by lockstep batches.", bs.Lanes)
-	counter("cryowire_sim_batch_cache_hits_total", "Lane specs served by batch dedup instead of simulating.", bs.CacheHits)
-	counter("cryowire_sim_batch_cache_misses_total", "Lane specs actually simulated by the batch runner.", bs.CacheMisses)
-	counter("cryowire_sim_batch_lane_failures_total", "Lanes that ended in a per-lane error.", bs.LaneFailures)
-	gauge("cryowire_sim_batch_lanes", "Simulation lanes currently running in lockstep batches.", float64(bs.ActiveLanes))
-	occupancy := 0.0
-	if bs.Batches > 0 {
-		occupancy = float64(bs.Lanes) / float64(bs.Batches)
-	}
-	gauge("cryowire_sim_batch_occupancy", "Mean lanes per batch over the process lifetime.", occupancy)
+	counter("cryowire_sim_batches_total", "Simulation runner calls that simulated at least one spec.", bs.Batches)
+	counter("cryowire_sim_batch_cache_hits_total", "Simulation specs served by dedup instead of simulating.", bs.CacheHits)
+	counter("cryowire_sim_batch_cache_misses_total", "Simulation specs actually simulated.", bs.CacheMisses)
+	counter("cryowire_sim_batch_lane_failures_total", "Simulation specs that ended in a per-spec error.", bs.LaneFailures)
 
 	sur := surrogate.ReadStats()
 	counter("cryowire_surrogate_fits_total", "Surrogate models fitted from journals or in-run history.", sur.Fits)
@@ -185,7 +178,6 @@ func (m *metrics) renderProm(lru lruStats, pf platformStats, js *jobs.Stats) str
 		counter("cryowire_jobs_failed_total", "Async DSE jobs that ended in an error.", js.Failed)
 		counter("cryowire_jobs_canceled_total", "Async DSE jobs canceled by clients.", js.Canceled)
 		counter("cryowire_jobs_resumed_total", "Interrupted jobs resumed from their journals at startup.", js.Resumed)
-		counter("cryowire_jobs_eval_retries_total", "Transient evaluation failures retried with backoff.", js.Retries)
 		statuses := make([]string, 0, len(js.ByStatus))
 		for st := range js.ByStatus {
 			statuses = append(statuses, string(st))

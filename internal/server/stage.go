@@ -92,9 +92,8 @@ func (d stageDTO) resolve() ([]stage.Assignment, stage.SweepOptions, error) {
 }
 
 // canonicalStage renders the resolved sweep canonically for the cache
-// key. Workers (and the runner's lane width) are scheduling knobs and
-// excluded: the sweep's determinism contract says they never change
-// the bytes.
+// key. Workers is a scheduling knob and excluded: the sweep's
+// determinism contract says it never changes the bytes.
 func canonicalStage(assigns []stage.Assignment, opt stage.SweepOptions) string {
 	fields := []string{
 		opt.Workload, canonFloat(opt.WattsPerUnit),

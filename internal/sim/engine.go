@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -56,7 +55,7 @@ const (
 
 // l3CyclesDerive computes the L3 array service time in NoC cycles; it
 // is design-constant, so New caches it in s.l3Cyc for the cycle loop.
-func (s *lane) l3CyclesDerive() int64 {
+func (s *System) l3CyclesDerive() int64 {
 	c := int64(math.Round(s.design.Memory.L3.LatencyNS() * s.design.NoC.FreqGHz))
 	if c < 1 {
 		c = 1
@@ -67,7 +66,7 @@ func (s *lane) l3CyclesDerive() int64 {
 // dramCycles returns the DRAM service time in NoC cycles for the given
 // address, issued now: the banked DRAM model resolves row-buffer state
 // and per-bank queueing.
-func (s *lane) dramCycles(addr uint64, now int64) int64 {
+func (s *System) dramCycles(addr uint64, now int64) int64 {
 	nowNS := float64(now) / s.design.NoC.FreqGHz
 	doneNS := s.dram.Access(addr, nowNS)
 	c := int64(math.Round((doneNS - nowNS) * s.design.NoC.FreqGHz))
@@ -82,7 +81,7 @@ func (s *lane) dramCycles(addr uint64, now int64) int64 {
 // much higher write fraction than private data — this is what keeps
 // them Modified-owned and makes every access a costly 3-hop transfer on
 // the directory mesh.
-func (s *lane) genAddr(core int) (addr uint64, write bool) {
+func (s *System) genAddr(core int) (addr uint64, write bool) {
 	if s.rng.Float64() < s.prof.SharedFraction {
 		return 0x5000_0000 + uint64(s.rng.Intn(sharedLines))*64, s.rng.Float64() < 0.45
 	}
@@ -90,14 +89,14 @@ func (s *lane) genAddr(core int) (addr uint64, write bool) {
 }
 
 // home maps an address to its L3 home slice.
-func (s *lane) home(addr uint64) int {
+func (s *System) home(addr uint64) int {
 	return int((addr / 64) % uint64(s.design.Cores))
 }
 
 // startTxn launches one coherence transaction for core. Barrier
 // transactions use the shared lock line; prefetches are reads that
 // do not hold commit tokens.
-func (s *lane) startTxn(core int, barrier, write, prefetch bool) *txn {
+func (s *System) startTxn(core int, barrier, write, prefetch bool) *txn {
 	addr, wr := s.genAddr(core)
 	if !barrier {
 		write = wr
@@ -153,7 +152,7 @@ func (s *lane) startTxn(core int, barrier, write, prefetch bool) *txn {
 // acquiring core cannot run ahead of its critical section, so the
 // transaction always blocks commit; hand-offs on the same line
 // serialize, which is where slow NoCs destroy lock throughput.
-func (s *lane) startLockTxn(core int) {
+func (s *System) startLockTxn(core int) {
 	line := s.rng.Intn(lockLineCount)
 	t := s.newTxn()
 	s.proto.AccessInto(&t.ctx, lockAddr(line), core, s.home(lockAddr(line)), true, true)
@@ -180,7 +179,7 @@ func (s *lane) startLockTxn(core int) {
 }
 
 // legNetwork picks the network a leg travels on.
-func (s *lane) legNetwork(kind coherence.LegKind) noc.Network {
+func (s *System) legNetwork(kind coherence.LegKind) noc.Network {
 	if s.dataNet != nil && kind == coherence.Data {
 		return s.dataNet
 	}
@@ -189,7 +188,7 @@ func (s *lane) legNetwork(kind coherence.LegKind) noc.Network {
 
 // injectLeg offers the transaction's current leg to the network,
 // retrying next cycle under back-pressure.
-func (s *lane) injectLeg(t *txn) {
+func (s *System) injectLeg(t *txn) {
 	leg := t.legs[t.leg]
 	flits := 1
 	if leg.Kind == coherence.Data && s.dataNet == nil && !s.ideal {
@@ -220,7 +219,7 @@ func (s *lane) injectLeg(t *txn) {
 // injectInvalidations launches the parallel fan-out stage: one message
 // per sharer, all racing through the network; the last ack releases the
 // data leg.
-func (s *lane) injectInvalidations(t *txn) {
+func (s *System) injectInvalidations(t *txn) {
 	t.invRemaining = len(t.invLegs)
 	for _, leg := range t.invLegs {
 		p := s.newPacket()
@@ -245,7 +244,7 @@ func (s *lane) injectInvalidations(t *txn) {
 
 // schedule queues a future injection retry or service completion on the
 // timing wheel.
-func (s *lane) schedule(at int64, ev *injEvent) {
+func (s *System) schedule(at int64, ev *injEvent) {
 	s.wheel.schedule(at, s.now, ev)
 }
 
@@ -254,7 +253,7 @@ func (s *lane) schedule(at int64, ev *injEvent) {
 // resolving the owning transaction is one bounds-checked load; the
 // packet itself returns to the pool here, the unique point where no
 // network holds a reference anymore.
-func (s *lane) onDeliver(p *noc.Packet, now int64) {
+func (s *System) onDeliver(p *noc.Packet, now int64) {
 	idx := p.Slot - 1
 	if idx < 0 || int(idx) >= len(s.slots) || s.slots[idx].pkt != p {
 		return
@@ -290,7 +289,7 @@ func (s *lane) onDeliver(p *noc.Packet, now int64) {
 }
 
 // advanceLeg injects the current leg after any home-side service time.
-func (s *lane) advanceLeg(t *txn) {
+func (s *System) advanceLeg(t *txn) {
 	next := t.legs[t.leg]
 	delay := int64(0)
 	if next.Kind == coherence.Data && t.l3Access {
@@ -314,7 +313,7 @@ func (s *lane) advanceLeg(t *txn) {
 }
 
 // completeTxn retires a transaction.
-func (s *lane) completeTxn(t *txn) {
+func (s *System) completeTxn(t *txn) {
 	s.completed++
 	c := &s.cores[t.core]
 	if !t.prefetch {
@@ -434,7 +433,7 @@ func (s *lane) completeTxn(t *txn) {
 // evaluation — so the schedule is a timing wheel (no map traffic), the
 // measuring-path float work is hoisted behind one flag read, and every
 // object it touches comes from a pool.
-func (s *lane) Step() {
+func (s *System) Step() {
 	// Pending retries / service completions, in schedule order.
 	for _, ev := range s.wheel.drain(s.now) {
 		if ev.pkt != nil {
@@ -506,7 +505,7 @@ func (s *lane) Step() {
 // measureCore charges this cycle's core activity to the CPI-stack
 // buckets. Kept out of Step's inline path so the warmup loop carries no
 // dead float work.
-func (s *lane) measureCore(c *coreState, stalled bool) {
+func (s *System) measureCore(c *coreState, stalled bool) {
 	if !stalled {
 		// allowed == rate: the whole cycle is base time (frac == 1).
 		s.stackCycl[BucketBase]++
@@ -523,7 +522,7 @@ func (s *lane) measureCore(c *coreState, stalled bool) {
 }
 
 // totalCommitted sums committed instructions over all cores.
-func (s *lane) totalCommitted() float64 {
+func (s *System) totalCommitted() float64 {
 	t := 0.0
 	for i := range s.cores {
 		t += s.cores[i].committed
@@ -537,73 +536,43 @@ func (s *lane) totalCommitted() float64 {
 // cycle loop's profile.
 const cancelCheckCycles = 1024
 
-// runControl is the loop bookkeeping of one lane's run — the state
-// the monolithic Run loop used to keep in locals, extracted so Batch
-// can interleave many lanes through one shared loop one slice of
-// cycles at a time.
-type runControl struct {
-	ctx  context.Context
-	done <-chan struct{}
-	wd   watchdogState
-	// warmup and total are the cycle counts at which measurement starts
-	// and the run ends; cycle counts Steps taken so far.
-	warmup, total, cycle int
-	measureStarted       bool
-	completedBase        int64
-	finished             bool
-	err                  error
-}
-
-// beginRun primes the loop bookkeeping from the lane's config.
-func (s *lane) beginRun(rc *runControl) {
-	rc.ctx = s.cfg.Context()
-	rc.done = rc.ctx.Done()
-	rc.wd = watchdogState{cfg: s.cfg.Watchdog.withDefaults()}
-	rc.warmup = s.cfg.WarmupCycles
-	rc.total = s.cfg.WarmupCycles + s.cfg.MeasureCycles
-}
-
-// runCycle advances the lane by one cycle (or performs the
-// warmup→measure transition / marks the run finished). It is a no-op
-// once the lane has finished or failed, so a lockstep batch can keep
-// calling it unconditionally. The context poll and watchdog cadence
-// are bit-identical to the former monolithic loop: both fire on the
-// post-Step cycle count, so a lane inside a batch sees exactly the
-// checks it would see running alone.
-func (s *lane) runCycle(rc *runControl) {
-	if rc.finished || rc.err != nil {
-		return
-	}
-	if !rc.measureStarted && rc.cycle == rc.warmup {
-		s.measuring = true
-		s.instrBase = s.totalCommitted()
-		rc.completedBase = s.completed
-		rc.measureStarted = true
-	}
-	if rc.cycle >= rc.total {
-		rc.finished = true
-		return
-	}
-	s.Step()
-	rc.cycle++
-	if rc.done != nil && rc.cycle%cancelCheckCycles == 0 {
-		select {
-		case <-rc.done:
-			rc.err = fmt.Errorf("sim: %s/%s canceled at cycle %d: %w",
-				s.design.Name, s.prof.Name, s.now, rc.ctx.Err())
-			return
-		default:
+// Run executes warmup + measurement and returns the result. The
+// watchdog samples the run every CheckInterval cycles; a deadlocked or
+// livelocked system returns a cycle-stamped *StallError instead of
+// spinning forever. If the config carries a context (Config.WithContext)
+// the run aborts between cycles once that context is done, so canceled
+// callers stop burning CPU mid-simulation rather than at the end.
+func (s *System) Run() (Result, error) {
+	ctx := s.cfg.Context()
+	done := ctx.Done()
+	wd := watchdogState{cfg: s.cfg.Watchdog.withDefaults()}
+	total := s.cfg.WarmupCycles + s.cfg.MeasureCycles
+	var completedBase int64
+	for cycle := 0; ; {
+		if cycle == s.cfg.WarmupCycles {
+			s.measuring = true
+			s.instrBase = s.totalCommitted()
+			completedBase = s.completed
+		}
+		if cycle >= total {
+			break
+		}
+		s.Step()
+		cycle++
+		if done != nil && cycle%cancelCheckCycles == 0 {
+			select {
+			case <-done:
+				return Result{}, fmt.Errorf("sim: %s/%s canceled at cycle %d: %w",
+					s.design.Name, s.prof.Name, s.now, ctx.Err())
+			default:
+			}
+		}
+		if !s.cfg.Watchdog.Disabled && cycle%wd.cfg.CheckInterval == 0 {
+			if serr := s.checkWatchdog(&wd); serr != nil {
+				return Result{}, serr
+			}
 		}
 	}
-	if !s.cfg.Watchdog.Disabled && rc.cycle%rc.wd.cfg.CheckInterval == 0 {
-		if serr := s.checkWatchdog(&rc.wd); serr != nil {
-			rc.err = serr
-		}
-	}
-}
-
-// buildResult assembles the Result after the loop has finished.
-func (s *lane) buildResult(rc *runControl) Result {
 	instr := s.totalCommitted() - s.instrBase
 	ns := float64(s.cfg.MeasureCycles) / s.design.NoC.FreqGHz
 	res := Result{
@@ -612,7 +581,7 @@ func (s *lane) buildResult(rc *runControl) Result {
 		Instructions: instr,
 		NS:           ns,
 		Performance:  instr / ns,
-		Transactions: s.completed - rc.completedBase,
+		Transactions: s.completed - completedBase,
 	}
 	coreCyc := ns * s.design.Core.FreqGHz * float64(s.design.Cores)
 	res.IPC = instr / coreCyc
@@ -631,33 +600,11 @@ func (s *lane) buildResult(rc *runControl) Result {
 	}
 	res.Retransmits = s.netRetransmits()
 	res.DegradedBroadcastCycles = s.broadcastCycles()
-	return res
-}
-
-// Run executes warmup + measurement and returns the result. The
-// watchdog samples the run every CheckInterval cycles; a deadlocked or
-// livelocked system returns a cycle-stamped *StallError instead of
-// spinning forever. If the config carries a context (Config.WithContext)
-// the run aborts between cycles once that context is done, so canceled
-// callers stop burning CPU mid-simulation rather than at the end.
-//
-// Run is the batch-of-one view of the engine: it drives the same
-// beginRun/runCycle/buildResult sequence a Batch lane goes through, so
-// its output is bit-identical to the same spec run inside any batch.
-func (s *lane) Run() (Result, error) {
-	var rc runControl
-	s.beginRun(&rc)
-	for !rc.finished && rc.err == nil {
-		s.runCycle(&rc)
-	}
-	if rc.err != nil {
-		return Result{}, rc.err
-	}
-	return s.buildResult(&rc), nil
+	return res, nil
 }
 
 // netRetransmits totals NACK-forced retransmits across both networks.
-func (s *lane) netRetransmits() int64 {
+func (s *System) netRetransmits() int64 {
 	total := s.net.Stats().Retransmits
 	if s.dataNet != nil {
 		total += s.dataNet.Stats().Retransmits
@@ -667,7 +614,7 @@ func (s *lane) netRetransmits() int64 {
 
 // broadcastCycles reports the data-path broadcast span in NoC cycles
 // over the (possibly fault-degraded) bus layout; 0 for non-bus designs.
-func (s *lane) broadcastCycles() float64 {
+func (s *System) broadcastCycles() float64 {
 	n := s.dataNet
 	if n == nil {
 		n = s.net
@@ -685,7 +632,7 @@ func (s *lane) broadcastCycles() float64 {
 
 // latMsgs estimates the number of measured messages (legs ≈ 2.2 per
 // transaction on average); tracked exactly via a counter.
-func (s *lane) latMsgs() int64 {
+func (s *System) latMsgs() int64 {
 	if s.msgCount == 0 {
 		return 1
 	}

@@ -8,7 +8,41 @@ import (
 
 	"cryowire/internal/fault"
 	"cryowire/internal/par"
+	"cryowire/internal/workload"
 )
+
+// LaneSpec names one simulation to run: the design × workload × config
+// triple a System is built from. It is the unit the BatchRunner dedups
+// and schedules.
+type LaneSpec struct {
+	Design  Design
+	Profile workload.Profile
+	Config  Config
+}
+
+// LaneError is the typed per-spec failure of a BatchRunner call: it
+// names which spec (position in the submitted slice) failed and on what
+// design × workload, and wraps the underlying cause so errors.Is/As see
+// through it (context cancellation, *StallError, validation errors).
+// One failed spec never aborts the others.
+type LaneError struct {
+	// Lane is the index of the failed spec in the slice the caller
+	// submitted to BatchRunner.RunCtx.
+	Lane int
+	// Design and Workload echo the failed spec.
+	Design   string
+	Workload string
+	// Err is the underlying failure.
+	Err error
+}
+
+// Error implements error.
+func (e *LaneError) Error() string {
+	return fmt.Sprintf("sim: lane %d (%s/%s): %v", e.Lane, e.Design, e.Workload, e.Err)
+}
+
+// Unwrap exposes the cause to errors.Is/As.
+func (e *LaneError) Unwrap() error { return e.Err }
 
 // fingerprint canonicalizes the spec for dedup. Evaluation is a pure
 // function of (Design, Profile, Config) — the determinism contract the
@@ -32,225 +66,218 @@ func (sp LaneSpec) fingerprint() string {
 	return fmt.Sprintf("%#v|%#v|%#v|%v|%#v", sp.Design, sp.Profile, cfg, hasFault, fc)
 }
 
+// run simulates the spec alone through System.Run.
+func (sp LaneSpec) run() (Result, error) {
+	s, err := New(sp.Design, sp.Profile, sp.Config)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Run()
+}
+
 // ResultCache memoizes completed simulations by spec fingerprint, so a
 // sweep that revisits a configuration (experiments share rows; DSE
 // strategies re-propose grid corners) serves it without re-simulating.
-// Safe for concurrent use. Only successful Results are cached — errors
-// always re-run.
+// It computes each fingerprint once: a caller asking for a spec that is
+// already being simulated waits for that run instead of starting its
+// own. Only successful Results are kept — if the owning run fails (its
+// caller's context was canceled, say), the entry is dropped and a
+// waiter runs the spec itself. Safe for concurrent use.
 type ResultCache struct {
 	mu sync.Mutex
-	m  map[string]Result
+	m  map[string]*cacheEntry
+}
+
+// cacheEntry is one fingerprint's in-flight or finished simulation;
+// done closes when the owning run ends, and ok reports whether it
+// produced res.
+type cacheEntry struct {
+	done chan struct{}
+	res  Result
+	ok   bool
 }
 
 // NewResultCache returns an empty cache.
 func NewResultCache() *ResultCache {
-	return &ResultCache{m: make(map[string]Result)}
+	return &ResultCache{m: make(map[string]*cacheEntry)}
 }
 
-func (c *ResultCache) get(key string) (Result, bool) {
-	c.mu.Lock()
-	r, ok := c.m[key]
-	c.mu.Unlock()
-	return r, ok
+// do returns the spec's result: from a finished entry, by waiting on an
+// in-flight one, or by running it. simulated reports whether this call
+// ran the simulation. A nil cache always runs. A waiter whose ctx ends
+// first returns ctx's error.
+func (c *ResultCache) do(ctx context.Context, key string, sp LaneSpec) (res Result, simulated bool, err error) {
+	if c == nil {
+		res, err = sp.run()
+		return res, true, err
+	}
+	for {
+		c.mu.Lock()
+		e, ok := c.m[key]
+		if !ok {
+			e = &cacheEntry{done: make(chan struct{})}
+			c.m[key] = e
+			c.mu.Unlock()
+			res, err = c.own(key, e, sp)
+			return res, true, err
+		}
+		c.mu.Unlock()
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return Result{}, false, ctx.Err()
+		}
+		if e.ok {
+			return e.res, false, nil
+		}
+		// The owner failed and dropped the entry: claim it afresh.
+	}
 }
 
-func (c *ResultCache) put(key string, r Result) {
-	c.mu.Lock()
-	c.m[key] = r
-	c.mu.Unlock()
+// own runs the spec for the entry this caller installed. A failed (or
+// panicking) run drops the entry before waking the waiters, so one of
+// them claims the fingerprint afresh instead of finding it failed.
+func (c *ResultCache) own(key string, e *cacheEntry, sp LaneSpec) (Result, error) {
+	defer func() {
+		if !e.ok {
+			c.mu.Lock()
+			delete(c.m, key)
+			c.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	res, err := sp.run()
+	if err == nil {
+		e.res, e.ok = res, true
+	}
+	return res, err
 }
 
-// DefaultMaxBatchLanes caps auto-sized batches: past this lane count
-// the combined working sets thrash the cache and lockstep stops paying.
-const DefaultMaxBatchLanes = 16
-
-// BatchRunner runs a slice of LaneSpecs through the lockstep Batch
-// engine: it dedups identical specs (within the call and, with Cache,
-// across calls), partitions the remainder into batches, and runs the
-// batches — in parallel when Workers > 1. Results are index-aligned
+// BatchRunner runs a slice of LaneSpecs: it dedups identical specs
+// (within the call and, with Cache, across calls), then runs each
+// unique spec alone through System.Run on a pool of Workers goroutines
+// that pull the next spec as they free up. Results are index-aligned
 // with the submitted specs and bit-identical to running each spec
-// alone through System.Run.
+// alone, at any worker count.
 type BatchRunner struct {
-	// Lanes is the lane count per batch; 0 or negative picks an
-	// automatic size (pending specs split evenly across Workers, capped
-	// at DefaultMaxBatchLanes).
+	// Lanes is ignored.
+	//
+	// Deprecated: specs no longer share a lockstep cycle loop, so
+	// there is no batch width to set. The field stays only so callers
+	// written against the lockstep engine (the bench harness sets it)
+	// still compile.
 	Lanes int
-	// Workers bounds concurrent batches; 0 or 1 runs batches serially.
+	// Workers bounds concurrent simulations; 0 or 1 runs them serially.
 	Workers int
 	// Cache, when non-nil, serves previously completed specs without
-	// re-simulating and records new completions.
+	// re-simulating, shares in-flight runs with concurrent callers, and
+	// records new completions.
 	Cache *ResultCache
 }
 
-// LanesFor reports the batch size the runner would use for n pending
-// specs (after dedup) — the value benchsim records as batch_lanes.
-func (r *BatchRunner) LanesFor(n int) int {
-	if r.Lanes > 0 {
-		return r.Lanes
-	}
-	w := r.Workers
-	if w < 1 {
-		w = 1
-	}
-	l := (n + w - 1) / w
-	if l > DefaultMaxBatchLanes {
-		l = DefaultMaxBatchLanes
-	}
-	if l < 1 {
-		l = 1
-	}
-	return l
-}
-
 // RunCtx runs every spec and returns results and errors index-aligned
-// with specs. Failures are per-lane *LaneErrors (Lane = index into
+// with specs. Failures are per-spec *LaneErrors (Lane = index into
 // specs); one failed spec never aborts the others. ctx cancels the
-// whole call: lanes already running stop at their next cancellation
-// poll, batches not yet started are skipped, and every unfinished spec
-// reports a *LaneError wrapping ctx's error. Specs whose Config
-// already carries a context keep it; the rest inherit ctx.
+// whole call: simulations already running stop at their next
+// cancellation poll, specs not yet started are skipped, and every
+// unfinished spec reports a *LaneError wrapping ctx's error. Specs
+// whose Config already carries a context keep it; the rest inherit ctx.
 func (r *BatchRunner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Group the specs by fingerprint, in order of first occurrence.
+	var keys []string
+	slots := make(map[string][]int, len(specs))
+	for i, sp := range specs {
+		k := sp.fingerprint()
+		if _, ok := slots[k]; !ok {
+			keys = append(keys, k)
+		}
+		slots[k] = append(slots[k], i)
+	}
+
+	ures := make([]Result, len(keys))
+	uerrs := make([]error, len(keys))
+	ran := make([]bool, len(keys))
+	var simulated atomic.Bool
+	// Specs the pool never started are found through ran below.
+	par.ForCtx(ctx, len(keys), r.Workers, func(u int) {
+		ran[u] = true
+		sp := specs[slots[keys[u]][0]]
+		if sp.Config.ctx == nil {
+			sp.Config = sp.Config.WithContext(ctx)
+		}
+		res, fresh, err := r.Cache.do(ctx, keys[u], sp)
+		switch {
+		case fresh:
+			simulated.Store(true)
+			bstats.cacheMisses.Add(1)
+		case err == nil:
+			bstats.cacheHits.Add(1)
+		}
+		ures[u], uerrs[u] = res, err
+	})
+	if simulated.Load() {
+		bstats.batches.Add(1)
+	}
+
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
-	run := make([]LaneSpec, len(specs))
-	copy(run, specs)
-	for i := range run {
-		if run[i].Config.ctx == nil {
-			run[i].Config = run[i].Config.WithContext(ctx)
+	for u, k := range keys {
+		idxs := slots[k]
+		err := uerrs[u]
+		if !ran[u] {
+			// Skipped by cancellation.
+			err = ctx.Err()
 		}
-	}
-
-	// Dedup: cache hits resolve immediately; within the call the first
-	// occurrence of a fingerprint runs and later ones share its slot.
-	keys := make([]string, len(run))
-	primary := make(map[string]int, len(run))
-	dups := make(map[int]int)
-	pending := make([]int, 0, len(run))
-	for i := range run {
-		keys[i] = run[i].fingerprint()
-		if r.Cache != nil {
-			if res, ok := r.Cache.get(keys[i]); ok {
-				results[i] = res
-				bstats.cacheHits.Add(1)
+		if err == nil {
+			// In-call duplicates share the first occurrence's result.
+			bstats.cacheHits.Add(uint64(len(idxs) - 1))
+		}
+		for _, i := range idxs {
+			if err != nil {
+				errs[i] = &LaneError{Lane: i, Design: specs[i].Design.Name, Workload: specs[i].Profile.Name, Err: err}
+				bstats.laneFailures.Add(1)
 				continue
 			}
+			results[i] = ures[u]
 		}
-		if j, ok := primary[keys[i]]; ok {
-			dups[i] = j
-			bstats.cacheHits.Add(1)
-			continue
-		}
-		primary[keys[i]] = i
-		pending = append(pending, i)
-	}
-	bstats.cacheMisses.Add(uint64(len(pending)))
-
-	// Partition into batches and run them.
-	lanes := r.LanesFor(len(pending))
-	var batches [][]int
-	for start := 0; start < len(pending); start += lanes {
-		end := start + lanes
-		if end > len(pending) {
-			end = len(pending)
-		}
-		batches = append(batches, pending[start:end])
-	}
-	ran := make([]bool, len(batches))
-	runBatch := func(bi int) {
-		ran[bi] = true
-		idxs := batches[bi]
-		bs := make([]LaneSpec, len(idxs))
-		for k, si := range idxs {
-			bs[k] = run[si]
-		}
-		res, es := NewBatch(bs).Run()
-		for k, si := range idxs {
-			if le, ok := es[k].(*LaneError); ok {
-				errs[si] = &LaneError{Lane: si, Design: le.Design, Workload: le.Workload, Err: le.Err}
-				continue
-			}
-			results[si] = res[k]
-			if r.Cache != nil {
-				r.Cache.put(keys[si], res[k])
-			}
-		}
-	}
-	perr := error(nil)
-	if r.Workers > 1 && len(batches) > 1 {
-		perr = par.ForCtx(ctx, len(batches), r.Workers, runBatch)
-	} else {
-		for bi := range batches {
-			if err := ctx.Err(); err != nil {
-				break
-			}
-			runBatch(bi)
-		}
-	}
-	// Batches skipped by cancellation: stamp their specs.
-	for bi, ok := range ran {
-		if ok {
-			continue
-		}
-		cause := ctx.Err()
-		if cause == nil {
-			cause = perr
-		}
-		if cause == nil {
-			cause = context.Canceled
-		}
-		for _, si := range batches[bi] {
-			errs[si] = &LaneError{Lane: si, Design: run[si].Design.Name, Workload: run[si].Profile.Name, Err: cause}
-		}
-	}
-	// Resolve in-call duplicates against their primaries.
-	for i, j := range dups {
-		if errs[j] != nil {
-			le := errs[j].(*LaneError)
-			errs[i] = &LaneError{Lane: i, Design: le.Design, Workload: le.Workload, Err: le.Err}
-			continue
-		}
-		results[i] = results[j]
 	}
 	return results, errs
 }
 
-// BatchStats is the package-wide batching telemetry snapshot exposed
-// on /metrics.
+// BatchStats is the package-wide runner telemetry snapshot exposed on
+// /metrics.
 type BatchStats struct {
-	// Batches and Lanes count completed-or-started batch runs and the
-	// lanes they carried (occupancy = Lanes / Batches).
+	// Batches counts RunCtx calls that simulated at least one spec.
 	Batches uint64
-	Lanes   uint64
-	// CacheHits counts specs served by dedup (result cache or in-call
-	// duplicate); CacheMisses counts specs actually simulated.
+	// Lanes counts specs simulated; Lanes / Batches is the mean number
+	// of simulations per call. It always equals CacheMisses.
+	Lanes uint64
+	// CacheHits counts specs served by dedup (result cache, a
+	// concurrent caller's in-flight run, or an in-call duplicate);
+	// CacheMisses counts specs actually simulated.
 	CacheHits   uint64
 	CacheMisses uint64
-	// LaneFailures counts lanes that ended in a LaneError.
+	// LaneFailures counts specs that ended in a LaneError.
 	LaneFailures uint64
-	// ActiveBatches and ActiveLanes are the currently running gauges.
-	ActiveBatches int64
-	ActiveLanes   int64
 }
 
 var bstats struct {
-	batches, lanes             atomic.Uint64
-	cacheHits, cacheMisses     atomic.Uint64
-	laneFailures               atomic.Uint64
-	activeBatches, activeLanes atomic.Int64
+	batches                atomic.Uint64
+	cacheHits, cacheMisses atomic.Uint64
+	laneFailures           atomic.Uint64
 }
 
-// ReadBatchStats snapshots the batching counters.
+// ReadBatchStats snapshots the runner counters.
 func ReadBatchStats() BatchStats {
+	misses := bstats.cacheMisses.Load()
 	return BatchStats{
-		Batches:       bstats.batches.Load(),
-		Lanes:         bstats.lanes.Load(),
-		CacheHits:     bstats.cacheHits.Load(),
-		CacheMisses:   bstats.cacheMisses.Load(),
-		LaneFailures:  bstats.laneFailures.Load(),
-		ActiveBatches: bstats.activeBatches.Load(),
-		ActiveLanes:   bstats.activeLanes.Load(),
+		Batches:      bstats.batches.Load(),
+		Lanes:        misses,
+		CacheHits:    bstats.cacheHits.Load(),
+		CacheMisses:  misses,
+		LaneFailures: bstats.laneFailures.Load(),
 	}
 }

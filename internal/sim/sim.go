@@ -254,16 +254,14 @@ type txn struct {
 	phase StallBucket
 }
 
-// lane is the complete per-run mutable state of one simulation: the
-// design × profile × config triple plus every pool, queue, timing
-// wheel, RNG and counter the cycle loop touches. A System owns exactly
-// one lane; a Batch owns N of them in structure-of-arrays form
-// ([]lane) and drives them through one shared cycle loop. Lanes never
-// share mutable state — each has its own seeded RNG, wheel and free
-// lists — so a lane inside a batch is bit-identical to the same
-// simulation run alone. A lane must not be copied after init: the
+// System is a constructed simulation ready to run: the design ×
+// profile × config triple plus every pool, queue, timing wheel, RNG
+// and counter the cycle loop touches. Systems never share mutable
+// state — each has its own seeded RNG, wheel and free lists — so runs
+// on different goroutines are independent and every Result is a pure
+// function of its spec. A System must not be copied after New: the
 // network delivery hooks capture its address.
-type lane struct {
+type System struct {
 	design Design
 	prof   workload.Profile
 	cfg    Config
@@ -325,14 +323,6 @@ type lane struct {
 	stackCycl [bucketCount]float64
 }
 
-// System is a constructed simulation ready to run — the single-lane
-// view of the engine. Every engine method lives on the embedded lane,
-// so the public API (Step, Run) is unchanged while Batch drives the
-// same code over many lanes.
-type System struct {
-	lane
-}
-
 type injEvent struct {
 	pkt *noc.Packet
 	t   *txn
@@ -370,37 +360,22 @@ type coreState struct {
 
 // New builds a system for the design × workload pair.
 func New(d Design, p workload.Profile, cfg Config) (*System, error) {
-	s := &System{}
-	if err := s.lane.init(d, p, cfg); err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// init builds the lane in place for the design × workload pair. It is
-// the whole of the former System constructor; NewBatch calls it on
-// preallocated []lane slots so the delivery hooks capture stable
-// addresses.
-func (s *lane) init(d Design, p workload.Profile, cfg Config) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
 	if err := p.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	s.design = d
-	s.prof = p
-	s.cfg = cfg
-	s.rng = rand.New(rand.NewSource(cfg.Seed))
+	s := &System{design: d, prof: p, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	if cfg.Fault != nil && cfg.Fault.Active() {
 		inj, err := fault.New(*cfg.Fault)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.inj = inj
 	}
 	if err := s.buildNetwork(); err != nil {
-		return err
+		return nil, err
 	}
 	if d.Memory.Temp < phys.T300 {
 		s.dram = dram.NewMemory(dram.CLLDRAM(), dramChannels, dramBanks)
@@ -428,7 +403,7 @@ func (s *lane) init(d Design, p workload.Profile, cfg Config) error {
 	s.lockIntv = s.lockInterval()
 	s.barrierIntv = s.barrierInterval()
 	s.l3Cyc = s.l3CyclesDerive()
-	return nil
+	return s, nil
 }
 
 // --- hot-path allocation pools ---------------------------------------------
@@ -443,7 +418,7 @@ func (s *lane) init(d Design, p workload.Profile, cfg Config) error {
 // coherence.Transaction keeps its slice capacity across recycles (the
 // protocol's AccessInto resets and refills it), so a warmed pool makes
 // coherence accesses allocation-free.
-func (s *lane) newTxn() *txn {
+func (s *System) newTxn() *txn {
 	if n := len(s.txnFree); n > 0 {
 		t := s.txnFree[n-1]
 		s.txnFree = s.txnFree[:n-1]
@@ -456,10 +431,10 @@ func (s *lane) newTxn() *txn {
 }
 
 // freeTxn recycles a retired transaction.
-func (s *lane) freeTxn(t *txn) { s.txnFree = append(s.txnFree, t) }
+func (s *System) freeTxn(t *txn) { s.txnFree = append(s.txnFree, t) }
 
 // newPacket returns a zeroed packet from the pool.
-func (s *lane) newPacket() *noc.Packet {
+func (s *System) newPacket() *noc.Packet {
 	if n := len(s.pktFree); n > 0 {
 		p := s.pktFree[n-1]
 		s.pktFree = s.pktFree[:n-1]
@@ -472,10 +447,10 @@ func (s *lane) newPacket() *noc.Packet {
 // freePacket recycles a delivered packet. Networks drop their reference
 // the moment the delivery hook returns, so the hook is the unique safe
 // recycling point.
-func (s *lane) freePacket(p *noc.Packet) { s.pktFree = append(s.pktFree, p) }
+func (s *System) freePacket(p *noc.Packet) { s.pktFree = append(s.pktFree, p) }
 
 // newEvent returns a zeroed schedule event from the pool.
-func (s *lane) newEvent() *injEvent {
+func (s *System) newEvent() *injEvent {
 	if n := len(s.evFree); n > 0 {
 		ev := s.evFree[n-1]
 		s.evFree = s.evFree[:n-1]
@@ -486,11 +461,11 @@ func (s *lane) newEvent() *injEvent {
 }
 
 // freeEvent recycles a fired schedule event.
-func (s *lane) freeEvent(ev *injEvent) { s.evFree = append(s.evFree, ev) }
+func (s *System) freeEvent(ev *injEvent) { s.evFree = append(s.evFree, ev) }
 
 // trackInflight registers a successfully injected packet: it takes a
 // slot, stamps the intrusive reference into the packet, and counts it.
-func (s *lane) trackInflight(p *noc.Packet, t *txn, inv bool) {
+func (s *System) trackInflight(p *noc.Packet, t *txn, inv bool) {
 	var idx int32
 	if n := len(s.freeSlots); n > 0 {
 		idx = s.freeSlots[n-1]
@@ -505,14 +480,14 @@ func (s *lane) trackInflight(p *noc.Packet, t *txn, inv bool) {
 }
 
 // releaseSlot frees a delivered packet's slot.
-func (s *lane) releaseSlot(idx int32) {
+func (s *System) releaseSlot(idx int32) {
 	s.slots[idx] = inflightSlot{}
 	s.freeSlots = append(s.freeSlots, idx)
 	s.inflightN--
 }
 
 // lockInterval is committed instructions between contended lock ops.
-func (s *lane) lockInterval() float64 {
+func (s *System) lockInterval() float64 {
 	if s.prof.LockMPKI <= 0 {
 		return math.Inf(1)
 	}
@@ -524,7 +499,7 @@ func (s *lane) lockInterval() float64 {
 // every invalid shape is an error, not a panic. The request network
 // degrades under the "req" fault domain and the data network under
 // "data": physically distinct wire sets fail independently.
-func (s *lane) buildNetwork() error {
+func (s *System) buildNetwork() error {
 	d := s.design
 	mkShared := func() *noc.Bus {
 		return noc.NewBus(noc.BusConfig{
@@ -591,7 +566,7 @@ func (s *lane) buildNetwork() error {
 // --- per-core rate derivations -------------------------------------------
 
 // freqRatio is core cycles per NoC cycle.
-func (s *lane) freqRatio() float64 {
+func (s *System) freqRatio() float64 {
 	return s.design.Core.FreqGHz / s.design.NoC.FreqGHz
 }
 
@@ -599,7 +574,7 @@ func (s *lane) freqRatio() float64 {
 // L2-miss-free memory system: issue-width/ILP limit, branch cost at the
 // design's pipeline depth, and the (mostly overlapped) L1-miss/L2-hit
 // component.
-func (s *lane) unstalledRate() float64 {
+func (s *System) unstalledRate() float64 {
 	p := s.prof
 	c := s.design.Core
 	effILP := p.ILP * structureFactor(c.ROB)
@@ -623,7 +598,7 @@ func structureFactor(rob int) float64 {
 
 // instrPerMiss is the mean committed-instruction gap between L2 misses,
 // after prefetch coverage.
-func (s *lane) instrPerMiss() float64 {
+func (s *System) instrPerMiss() float64 {
 	mpki := s.prof.L2MPKI
 	if s.design.Prefetch.Enabled {
 		mpki *= 1 - s.design.Prefetch.Coverage
@@ -636,7 +611,7 @@ func (s *lane) instrPerMiss() float64 {
 
 // mlpCap is the hard in-flight miss window set by the load queue; the
 // softer dependence-driven limit comes from blocking misses (1/MLP).
-func (s *lane) mlpCap() int {
+func (s *System) mlpCap() int {
 	cap := s.design.Core.LoadQ / 4
 	if cap < 2 {
 		cap = 2
@@ -645,7 +620,7 @@ func (s *lane) mlpCap() int {
 }
 
 // blockProb is the probability a miss is a dependent (blocking) one.
-func (s *lane) blockProb() float64 {
+func (s *System) blockProb() float64 {
 	mlp := s.prof.MLP
 	// Smaller backends extract less MLP (CryoCore halves the LQ/ROB).
 	mlp *= math.Pow(float64(s.design.Core.LoadQ)/72.0, 0.15)
@@ -656,7 +631,7 @@ func (s *lane) blockProb() float64 {
 }
 
 // barrierInterval is committed instructions between barriers.
-func (s *lane) barrierInterval() float64 {
+func (s *System) barrierInterval() float64 {
 	if s.prof.BarriersPerMI <= 0 {
 		return math.Inf(1)
 	}
@@ -664,6 +639,6 @@ func (s *lane) barrierInterval() float64 {
 }
 
 // expRand draws a unit-mean exponential jitter.
-func (s *lane) expRand() float64 {
+func (s *System) expRand() float64 {
 	return s.rng.ExpFloat64()
 }

@@ -77,7 +77,7 @@ type watchdogState struct {
 
 // stallError assembles the diagnosis. In-flight packets live in the
 // slot table (free slots have a nil pkt), so the scan skips holes.
-func (s *lane) stallError(reason string) *StallError {
+func (s *System) stallError(reason string) *StallError {
 	oldest := int64(0)
 	for i := range s.slots {
 		p := s.slots[i].pkt
@@ -105,7 +105,7 @@ func (s *lane) stallError(reason string) *StallError {
 
 // checkWatchdog runs the detector's three checks. Call every
 // CheckInterval cycles; returns nil while the system is live.
-func (s *lane) checkWatchdog(w *watchdogState) *StallError {
+func (s *System) checkWatchdog(w *watchdogState) *StallError {
 	committed := s.totalCommitted()
 	// Progress: either commits or transaction completions count —
 	// during a barrier storm no core commits, but transactions keep

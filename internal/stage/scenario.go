@@ -199,9 +199,8 @@ type SweepOptions struct {
 	// Workload names the profile to evaluate on; "" picks x264 (the
 	// quick-space canonical workload).
 	Workload string
-	// Workers bounds concurrent batches; Lanes forces the batch width
-	// (0 = auto).
-	Workers, Lanes int
+	// Workers bounds concurrent simulations.
+	Workers int
 	// WattsPerUnit converts relative device power to watts; 0 uses
 	// DefaultWattsPerUnit.
 	WattsPerUnit float64
@@ -302,10 +301,10 @@ func tierDesign(pf *platform.Platform, a Assignment, prof workload.Profile, cfg 
 	return sim.LaneSpec{Design: d, Profile: prof, Config: cfg}, core, nil
 }
 
-// Sweep evaluates the assignments with full simulation — all lanes
-// batched through one BatchRunner call — and prices each through its
-// staged cooling chain. Deterministic: equal (assignments, options)
-// produce byte-identical JSON at any worker/lane count.
+// Sweep evaluates the assignments with full simulation — all specs
+// through one BatchRunner call — and prices each through its staged
+// cooling chain. Deterministic: equal (assignments, options) produce
+// byte-identical JSON at any worker count.
 func Sweep(ctx context.Context, assigns []Assignment, opt SweepOptions) (*SweepResult, error) {
 	if len(assigns) == 0 {
 		assigns = DefaultAssignments()
@@ -342,7 +341,7 @@ func Sweep(ctx context.Context, assigns []Assignment, opt SweepOptions) (*SweepR
 			return nil, err
 		}
 	}
-	runner := &sim.BatchRunner{Lanes: opt.Lanes, Workers: opt.Workers}
+	runner := &sim.BatchRunner{Workers: opt.Workers}
 	results, errs := runner.RunCtx(ctx, specs)
 	for _, e := range errs {
 		if e != nil {

@@ -267,7 +267,7 @@ func TestSweepQuick(t *testing.T) {
 	res2, err := Sweep(context.Background(), nil, SweepOptions{
 		Platform: platform.New(),
 		Sim:      sim.Config{WarmupCycles: 1200, MeasureCycles: 5000, Seed: 1},
-		Workers:  1, Lanes: 1,
+		Workers:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
