@@ -28,9 +28,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_qu
 // goldenExperiments is the subset of the registry that exercises every
 // rewritten hot path: fig3/fig17/fig23 drive sim.System.Step (mesh,
 // bus, ideal and both coherence engines), fig10 drives the circuit
-// solver's Delay50/SimulateLinkDelay, and fig21 drives the raw NoC
-// cycle loops.
-var goldenExperiments = []string{"fig3", "fig10", "fig17", "fig21", "fig23"}
+// solver's Delay50/SimulateLinkDelay, and fig21, fig25 and fig26 drive
+// the raw NoC cycle loops (the 64- and 256-node saturation walks over
+// Mesh, CMesh, FB, CryoBus and the hybrid's global mesh).
+var goldenExperiments = []string{"fig3", "fig10", "fig17", "fig21", "fig23", "fig25", "fig26"}
 
 // goldenBytes renders the canonical quick-mode output the golden file
 // pins: the JSON reports of the subset experiments followed by the JSON
