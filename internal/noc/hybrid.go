@@ -74,7 +74,7 @@ func NewHybridCryoBus(busTiming, meshTiming Timing) *HybridCryoBus {
 		}
 		panic("hybrid: route called with cur == dst")
 	}
-	g.computeZeroLoad()
+	g.finish()
 	h.global = g
 
 	// Phase hand-offs.

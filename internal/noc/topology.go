@@ -49,7 +49,7 @@ func NewMesh(nodes int, timing Timing) *RouterNet {
 			return linkIndex[cur][3]
 		}
 	}
-	rn.computeZeroLoad()
+	rn.finish()
 	return rn
 }
 
@@ -105,7 +105,7 @@ func NewCMesh(nodes int, timing Timing) *RouterNet {
 			return linkIndex[cur][3]
 		}
 	}
-	rn.computeZeroLoad()
+	rn.finish()
 	return rn
 }
 
@@ -130,7 +130,7 @@ func NewRing(nodes int, timing Timing) *RouterNet {
 		}
 		return ccw[cur]
 	}
-	rn.computeZeroLoad()
+	rn.finish()
 	return rn
 }
 
@@ -191,6 +191,6 @@ func NewFlattenedButterfly(nodes int, timing Timing) *RouterNet {
 		mid := cy*side + dx
 		return links[cur][mid]
 	}
-	rn.computeZeroLoad()
+	rn.finish()
 	return rn
 }

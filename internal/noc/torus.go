@@ -49,6 +49,6 @@ func NewTorus(nodes int, timing Timing) *RouterNet {
 		}
 		return links[cur].s
 	}
-	rn.computeZeroLoad()
+	rn.finish()
 	return rn
 }
