@@ -125,10 +125,10 @@ func NewByName(name string, nodes int, mesh, bus Timing) (Network, error) {
 // (roughly triple the flight time plus the mux turns on and off the
 // spare), and the zero-load latency is recomputed over the degraded
 // link set. Routing is unchanged — the spare follows the same path —
-// so connectivity and deadlock-freedom are preserved. The domain string
-// namespaces this network's fault pattern (defaults to the network
-// name). Call before traffic starts; a nil or inactive injector is a
-// no-op.
+// so connectivity, deadlock-freedom and the next-hop table hold. The
+// domain string namespaces this network's fault pattern (defaults to
+// the network name). Call before traffic starts; a nil or inactive
+// injector is a no-op.
 func (rn *RouterNet) ApplyFaults(inj *fault.Injector, domain string) {
 	if inj == nil || !inj.Config().Active() {
 		return
