@@ -202,8 +202,9 @@ func NoCLoadLatency(design, pattern string, tempK float64, rates []float64) ([]L
 	return NoCLoadLatencyCtx(context.Background(), design, pattern, tempK, rates)
 }
 
-// NoCLoadLatencyCtx is NoCLoadLatency with cancellation: the sweep
-// stops between rates once ctx is done and returns ctx's error.
+// NoCLoadLatencyCtx is NoCLoadLatency with cancellation: once ctx is
+// done no further rate starts, the rate in progress stops within 64
+// cycles, and the call returns ctx's error.
 func NoCLoadLatencyCtx(ctx context.Context, design, pattern string, tempK float64, rates []float64) ([]LoadLatencyPoint, error) {
 	pf := platform.Default()
 	op, err := pf.OpAt(tempK)

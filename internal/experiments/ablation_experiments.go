@@ -56,7 +56,7 @@ func AblTopology(opt Options) (*Report, error) {
 	pf := opt.platform()
 	b300 := pf.BusTiming(phys.Nominal45)
 	b77 := pf.BusTiming(noc.Op77())
-	cfg := noc.SweepConfig{Pattern: noc.Uniform{}, Seed: 1}
+	cfg := noc.SweepConfig{Pattern: noc.Uniform{}, Seed: 1, Workers: opt.Workers}
 	if opt.Quick {
 		cfg.WarmupCycles, cfg.MeasureCycles = 600, 2000
 	} else {
@@ -105,7 +105,7 @@ func AblDynamicLinks(opt Options) (*Report, error) {
 			})
 		}
 	}
-	cfg := noc.SweepConfig{Pattern: noc.Uniform{}, Seed: 1, DataFlits: 2, DataFraction: 0.5}
+	cfg := noc.SweepConfig{Pattern: noc.Uniform{}, Seed: 1, DataFlits: 2, DataFraction: 0.5, Workers: opt.Workers}
 	if opt.Quick {
 		cfg.WarmupCycles, cfg.MeasureCycles = 600, 2000
 	} else {
@@ -212,7 +212,7 @@ func AblInterleave(opt Options) (*Report, error) {
 		Notes:  []string{"§7.1: prior snooping buses shipped 2- to 8-way interleaving"},
 	}
 	b77 := opt.platform().BusTiming(noc.Op77())
-	cfg := noc.SweepConfig{Pattern: noc.Uniform{}, Seed: 1}
+	cfg := noc.SweepConfig{Pattern: noc.Uniform{}, Seed: 1, Workers: opt.Workers}
 	if opt.Quick {
 		cfg.WarmupCycles, cfg.MeasureCycles = 600, 2000
 	} else {

@@ -31,12 +31,13 @@ func runWorkers(t *testing.T, id string, workers int) string {
 // identical at any worker count, because every task seeds from its own
 // grid position and results land by index. The IDs below cover every
 // fan-out shape — the design×rate fault grid, the profile×design
-// simulation grid, the NoC load-latency sweep, the activity-measurement
-// cases and the flattened core×profile IPC grid of Table 3.
+// simulation grid, the NoC saturation walks (whose rungs fan out too),
+// the activity-measurement cases and the flattened core×profile IPC
+// grid of Table 3.
 func TestSerialParallelByteIdentical(t *testing.T) {
 	ids := []string{"faultsweep", "fig17", "fig22-activity", "table3"}
 	if !testing.Short() {
-		ids = append(ids, "fig21", "abl-snoop")
+		ids = append(ids, "fig21", "fig25", "fig26", "abl-topology", "abl-dynlinks", "abl-interleave", "abl-snoop")
 	}
 	for _, id := range ids {
 		id := id

@@ -175,8 +175,9 @@ func Fig20(opt Options) (*Report, error) {
 }
 
 // loadLatencyReport sweeps a NoC list under one traffic pattern. The
-// per-design saturation searches fan out over opt.Workers; rows land by
-// design index, so the report is identical at any worker count.
+// designs, and each design's saturation walk, fan out over opt.Workers;
+// rows land by design index and every rung seeds from (Seed, rate), so
+// the report is identical at any worker count.
 func loadLatencyReport(id, title string, nets []nocUnderTest, pattern noc.Pattern, opt Options, notes ...string) (*Report, error) {
 	r := &Report{
 		ID:     id,
@@ -184,7 +185,7 @@ func loadLatencyReport(id, title string, nets []nocUnderTest, pattern noc.Patter
 		Header: []string{"design", "zero-load (cycles)", "saturation (pkts/node/cycle)"},
 		Notes:  notes,
 	}
-	cfg := noc.SweepConfig{Pattern: pattern, Seed: 1}
+	cfg := noc.SweepConfig{Pattern: pattern, Seed: 1, Workers: opt.Workers}
 	if opt.Quick {
 		cfg.WarmupCycles, cfg.MeasureCycles = 600, 2000
 	} else {
@@ -235,7 +236,7 @@ func Fig25(opt Options) (*Report, error) {
 	if opt.Quick {
 		picks = []int{0, 7}
 	}
-	base := noc.SweepConfig{Seed: 1}
+	base := noc.SweepConfig{Seed: 1, Workers: opt.Workers}
 	if opt.Quick {
 		base.WarmupCycles, base.MeasureCycles = 600, 2000
 	} else {

@@ -8,58 +8,39 @@ import (
 )
 
 // MatrixArbiter is the least-recently-granted arbiter CryoBus uses
-// (§5.2.2): a priority matrix where prio[i][j] means i beats j; after a
-// grant the winner drops below everyone else.
+// (§5.2.2). The hardware keeps a priority matrix where prio[i][j] means
+// i beats j, and a grant drops the winner below everyone else. That
+// matrix always encodes a total order, so the arbiter stores the order
+// itself: order lists the requesters from highest to lowest priority.
 type MatrixArbiter struct {
-	n    int
-	prio [][]bool
+	order []int
 }
 
-// NewMatrixArbiter builds an arbiter for n requesters.
+// NewMatrixArbiter builds an arbiter for n requesters, lower indices
+// first.
 func NewMatrixArbiter(n int) *MatrixArbiter {
-	a := &MatrixArbiter{n: n, prio: make([][]bool, n)}
-	for i := range a.prio {
-		a.prio[i] = make([]bool, n)
-		for j := range a.prio[i] {
-			a.prio[i][j] = i < j
-		}
+	a := &MatrixArbiter{order: make([]int, n)}
+	for i := range a.order {
+		a.order[i] = i
 	}
 	return a
 }
 
-// Grant picks the highest-priority requester (or -1) and updates the
-// matrix so the winner becomes lowest priority. A request slice of the
-// wrong size is a wiring bug and is reported as an error.
+// Grant picks the highest-priority requester (or -1) and makes it the
+// lowest priority. A request slice of the wrong size is a wiring bug
+// and is reported as an error.
 func (a *MatrixArbiter) Grant(requests []bool) (int, error) {
-	if len(requests) != a.n {
-		return -1, fmt.Errorf("noc: arbiter sized %d got %d requests", a.n, len(requests))
+	if len(requests) != len(a.order) {
+		return -1, fmt.Errorf("noc: arbiter sized %d got %d requests", len(a.order), len(requests))
 	}
-	granted := -1
-	for i := 0; i < a.n; i++ {
-		if !requests[i] {
-			continue
-		}
-		wins := true
-		for j := 0; j < a.n; j++ {
-			if j != i && requests[j] && !a.prio[i][j] {
-				wins = false
-				break
-			}
-		}
-		if wins {
-			granted = i
-			break
+	for k, i := range a.order {
+		if requests[i] {
+			copy(a.order[k:], a.order[k+1:])
+			a.order[len(a.order)-1] = i
+			return i, nil
 		}
 	}
-	if granted >= 0 {
-		for j := 0; j < a.n; j++ {
-			if j != granted {
-				a.prio[granted][j] = false
-				a.prio[j][granted] = true
-			}
-		}
-	}
-	return granted, nil
+	return -1, nil
 }
 
 // BusLayout describes the physical shape of a bus in 2 mm tile hops.
@@ -273,18 +254,22 @@ func (q *pktq) grow() {
 // delivery completes when the broadcast (or dynamic-link transfer)
 // reaches the far end.
 type Bus struct {
-	cfg      BusConfig
-	arb      *MatrixArbiter
-	queues   []pktq
-	now      int64
-	busFree  int64
-	inflight []busInflight
-	stats    Stats
-	reqs     []bool // scratch
-	energy   Energy
-	inj      *fault.Injector
-	domain   string
-	retry    map[*Packet]*retryState
+	cfg    BusConfig
+	arb    *MatrixArbiter
+	queues []pktq
+	queued int // packets across all queues; Step idles at 0
+	// reqCycles[i] is node i's request-wire flight time in cycles over
+	// the current (possibly degraded) layout.
+	reqCycles []int
+	now       int64
+	busFree   int64
+	inflight  []busInflight
+	stats     Stats
+	reqs      []bool // scratch
+	energy    Energy
+	inj       *fault.Injector
+	domain    string
+	retry     map[*Packet]*retryState
 	// OnDeliver, when set, receives delivered packets instead of the
 	// internal stats (used by composite networks such as the hybrid).
 	OnDeliver func(p *Packet, now int64)
@@ -312,10 +297,19 @@ func NewBus(cfg BusConfig) *Bus {
 		queues: make([]pktq, cfg.Nodes),
 		reqs:   make([]bool, cfg.Nodes),
 	}
+	b.tabulateReqCycles()
 	if cfg.Injector != nil {
 		b.AttachInjector(cfg.Injector, cfg.FaultDomain)
 	}
 	return b
+}
+
+// tabulateReqCycles fills reqCycles from the layout.
+func (b *Bus) tabulateReqCycles() {
+	b.reqCycles = make([]int, b.cfg.Nodes)
+	for i := range b.reqCycles {
+		b.reqCycles[i] = b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(i))
+	}
 }
 
 // AttachInjector arms the bus with a fault scenario: the injector
@@ -345,6 +339,7 @@ func (b *Bus) AttachInjector(inj *fault.Injector, domain string) {
 			b.cfg.Layout = d
 		}
 	}
+	b.tabulateReqCycles()
 }
 
 // Layout exposes the (possibly degraded) bus layout.
@@ -373,6 +368,7 @@ func (b *Bus) TryInject(p *Packet) bool {
 	}
 	// InjectedAt is owned by the caller.
 	q.pushBack(p)
+	b.queued++
 	return true
 }
 
@@ -401,13 +397,19 @@ func (b *Bus) transferCycles(p *Packet) int {
 // grantLatency returns request-wire + arbitration + grant-wire +
 // control cycles for a node.
 func (b *Bus) grantLatency(node int) int64 {
-	req := b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(node))
+	req := b.reqCycles[node]
 	return int64(req + 1 + req + b.cfg.ControlCycles)
 }
 
-// Step implements Network.
+// Step implements Network. A bus with nothing queued, nothing in flight
+// and no fault injector (whose grant stalls fire on idle cycles too)
+// changes no state but the clock, so it only advances the clock.
 func (b *Bus) Step() {
 	now := b.now
+	if b.queued == 0 && len(b.inflight) == 0 && b.inj == nil {
+		b.now++
+		return
+	}
 	// Deliveries.
 	keep := b.inflight[:0]
 	for _, f := range b.inflight {
@@ -437,8 +439,7 @@ func (b *Bus) Step() {
 			b.reqs[i] = false
 			if b.queues[i].n > 0 {
 				head := b.queues[i].front()
-				reqWire := int64(b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(i)))
-				if head.InjectedAt+reqWire > now {
+				if head.InjectedAt+int64(b.reqCycles[i]) > now {
 					continue
 				}
 				if rs, ok := b.retry[head]; ok && rs.eligibleAt > now {
@@ -452,6 +453,7 @@ func (b *Bus) Step() {
 		g, _ := b.arb.Grant(b.reqs)
 		if g >= 0 {
 			p := b.queues[g].popFront()
+			b.queued--
 			tc := int64(b.transferCycles(p))
 			flits := p.Flits
 			if flits < 1 {
@@ -464,7 +466,7 @@ func (b *Bus) Step() {
 			// contention", §5.2.3): the bus is occupied for the transfer
 			// time only, while each packet's latency still pays its own
 			// grant path.
-			grantLat := int64(1+b.cfg.ControlCycles) + int64(b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(g)))
+			grantLat := int64(1 + b.cfg.ControlCycles + b.reqCycles[g])
 			start := now + grantLat
 			b.busFree = now + tc
 			attempts := 0
@@ -478,6 +480,7 @@ func (b *Bus) Step() {
 				// and drove the wires.
 				b.stats.Retransmits++
 				b.queues[g].pushFront(p)
+				b.queued++
 				b.retry[p] = &retryState{attempts: attempts + 1, eligibleAt: now + tc + b.inj.Backoff(attempts+1)}
 			} else {
 				// Clean transfer — or the retry budget is exhausted and
@@ -506,8 +509,8 @@ func (b *Bus) ZeroLoadLatency() float64 {
 // representative (average-distance) node — the Fig 20 decomposition.
 func (b *Bus) Breakdown() (request, arbitration, grantAndControl, broadcast float64) {
 	var reqSum float64
-	for n := 0; n < b.cfg.Nodes; n++ {
-		reqSum += float64(b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(n)))
+	for _, c := range b.reqCycles {
+		reqSum += float64(c)
 	}
 	request = reqSum / float64(b.cfg.Nodes)
 	arbitration = 1
@@ -628,8 +631,9 @@ func (ib *InterleavedBus) ZeroLoadLatency() float64 {
 	return ib.buses[0].ZeroLoadLatency()
 }
 
-// saturated is the latency multiple of zero-load beyond which a sweep
-// declares the network saturated.
+// saturationFactor is the multiple of zero-load latency beyond which a
+// sweep declares the network saturated (SaturationLatency floors the
+// cut-off at 50 cycles).
 const saturationFactor = 25.0
 
 // SaturationLatency returns the sweep cut-off for a network.

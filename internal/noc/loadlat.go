@@ -2,7 +2,10 @@ package noc
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"cryowire/internal/par"
 )
@@ -25,13 +28,16 @@ type SweepConfig struct {
 	// data transfers (0 keeps all packets single-flit control).
 	DataFlits    int
 	DataFraction float64
-	// Workers bounds the sweep's fan-out; 0 or 1 sweeps serially. Each
-	// rate seeds its own generator from (Seed, rate), so parallel sweeps
-	// return byte-identical points to serial ones.
+	// Workers is the number of rates measured at once; 0 or 1 walks
+	// them one by one. Rates start in order, and no rate above a
+	// saturated one starts. Each rate seeds its own generator from
+	// (Seed, rate), so every worker count returns the serial result.
 	Workers int
-	// Ctx, when non-nil, cancels the sweep between rates: LoadLatency
-	// returns the points measured so far and SaturationRate the last
-	// rate examined. Callers that care must check Ctx.Err() afterwards.
+	// Ctx, when non-nil, cancels the sweep: no rate starts once it is
+	// done, and a rate in progress stops at its next poll and is
+	// dropped. LoadLatency then returns the points measured so far and
+	// SaturationRate the last rate measured. Callers that care must
+	// check Ctx.Err() afterwards.
 	Ctx context.Context
 }
 
@@ -55,73 +61,156 @@ func (c *SweepConfig) defaults() {
 	}
 }
 
+// queued is a generated packet waiting in its source queue. It stays a
+// 16-byte value until it reaches the queue head: a saturated rung can
+// queue tens of thousands of packets, and the walk runs rungs side by
+// side.
+type queued struct {
+	id   int64
+	at   int32 // generation cycle, counted from the rung's first cycle
+	dst  uint16
+	data bool // a DataFlits-long data transfer, else a 1-flit packet
+}
+
+// Limits of the queued encoding.
+const (
+	maxSweepNodes  = math.MaxUint16 + 1
+	maxSweepCycles = math.MaxInt32
+)
+
 // sourceState is the open-loop per-node generator with a source queue:
 // generated packets wait here when the network exerts back-pressure, so
 // saturation shows up as unbounded latency rather than lost packets.
+// The queue is a ring (len(buf) is zero or a power of two); head is the
+// Packet built for the queue front, kept until TryInject accepts it.
 type sourceState struct {
-	pending []*Packet
+	buf     []queued
+	first   int // index of the queue front in buf
+	n       int // queued packets
+	head    *Packet
 	burstOn bool
 }
 
-// LoadLatency sweeps injection rates over fresh networks built by mk
-// and returns one point per rate. The sweep stops after the first rate
-// that saturates (standard BookSim methodology: latency beyond a large
-// multiple of zero-load, or throughput collapse). With cfg.Workers > 1
-// the rates are measured concurrently on fresh networks and the result
-// is truncated at the first saturated rate, so the returned points are
-// byte-identical to a serial sweep.
-func LoadLatency(mk func() Network, cfg SweepConfig) []SweepPoint {
-	cfg.defaults()
-	if cfg.Workers > 1 {
-		pts := make([]SweepPoint, len(cfg.Rates))
-		if err := par.ForCtx(cfg.ctx(), len(cfg.Rates), cfg.Workers, func(i int) {
-			pts[i] = measureRate(mk(), cfg.Rates[i], cfg)
-		}); err != nil {
-			// Canceled: keep the deterministic measured prefix. Every
-			// measured point has AvgLatency > 0 (a delivery takes at least
-			// one cycle and saturation reports SaturationLatency), so a
-			// zero-valued slot marks the first rate that never ran.
-			done := 0
-			for done < len(pts) && pts[done].AvgLatency > 0 {
-				done++
-			}
-			pts = pts[:done]
-		}
-		for i, p := range pts {
-			if p.Saturated {
-				return pts[:i+1]
-			}
-		}
-		return pts
+func (st *sourceState) push(q queued) {
+	if st.n == len(st.buf) {
+		st.grow()
 	}
-	var out []SweepPoint
-	for _, rate := range cfg.Rates {
-		if cfg.ctx().Err() != nil {
-			break
-		}
-		p := measureRate(mk(), rate, cfg)
-		out = append(out, p)
-		if p.Saturated {
-			break
-		}
-	}
-	return out
+	st.buf[(st.first+st.n)&(len(st.buf)-1)] = q
+	st.n++
 }
 
-// measureRate runs one injection rate to steady state.
-func measureRate(n Network, rate float64, cfg SweepConfig) SweepPoint {
+// grow doubles the ring (minimum 4 slots), unwrapping entries to the
+// front so the mask arithmetic stays valid.
+func (st *sourceState) grow() {
+	nb := make([]queued, max(4, 2*len(st.buf)))
+	for i := 0; i < st.n; i++ {
+		nb[i] = st.buf[(st.first+i)&(len(st.buf)-1)]
+	}
+	st.buf, st.first = nb, 0
+}
+
+// front returns the Packet for the queue front, building it on first
+// use; valid only when n > 0. start is the rung's first cycle.
+func (st *sourceState) front(src int, start int64, cfg *SweepConfig) *Packet {
+	if st.head == nil {
+		q := st.buf[st.first]
+		flits := 1
+		if q.data {
+			flits = cfg.DataFlits
+		}
+		st.head = &Packet{ID: q.id, Src: src, Dst: int(q.dst), Flits: flits, InjectedAt: start + int64(q.at)}
+	}
+	return st.head
+}
+
+func (st *sourceState) pop() {
+	st.head = nil
+	st.first = (st.first + 1) & (len(st.buf) - 1)
+	st.n--
+}
+
+// pollEvery is how many cycles a rate runs between cancellation polls.
+const pollEvery = 64
+
+// LoadLatency sweeps injection rates over fresh networks built by mk
+// and returns one point per rate, up to and including the first rate
+// that saturates (standard BookSim methodology: latency beyond a large
+// multiple of zero-load, or throughput collapse). cfg.Workers rates are
+// measured at once; the result is the serial sweep's at any count.
+func LoadLatency(mk func() Network, cfg SweepConfig) []SweepPoint {
+	cfg.defaults()
+	return walk(mk, cfg.Rates, cfg)
+}
+
+// walk measures rates in order on a pool of cfg.Workers, each on a
+// fresh network, and returns the measured prefix up to and including
+// the first saturated rate. Rates start in order, so when rate s
+// saturates every lower rate has started and is left to finish; a rate
+// above s does not start (its task returns before building a network),
+// and one already running stops at its next poll and is dropped. The
+// result therefore equals the serial walk's. When cfg's context is
+// canceled, every running rate stops at its next poll and the prefix
+// measured so far is returned.
+func walk(mk func() Network, rates []float64, cfg SweepConfig) []SweepPoint {
+	ctx := cfg.ctx()
+	var firstSat atomic.Int64 // lowest saturated index so far
+	firstSat.Store(int64(len(rates)))
+	pts := make([]SweepPoint, len(rates))
+	measured := make([]bool, len(rates))
+	// A canceled walk returns its measured prefix; the caller checks
+	// cfg.Ctx.Err() itself.
+	_ = par.ForCtx(ctx, len(rates), cfg.Workers, func(i int) {
+		stop := func() bool { return ctx.Err() != nil || firstSat.Load() < int64(i) }
+		if stop() {
+			return
+		}
+		p, ok := measureRate(mk(), rates[i], cfg, stop)
+		if !ok {
+			return
+		}
+		pts[i], measured[i] = p, true
+		// Lower firstSat to i unless a lower rate already saturated.
+		for p.Saturated {
+			cur := firstSat.Load()
+			if int64(i) >= cur || firstSat.CompareAndSwap(cur, int64(i)) {
+				break
+			}
+		}
+	})
+	for i := range pts {
+		if !measured[i] {
+			return pts[:i]
+		}
+		if pts[i].Saturated {
+			return pts[:i+1]
+		}
+	}
+	return pts
+}
+
+// measureRate runs one injection rate to steady state. It calls stop
+// every pollEvery cycles and, once stop reports true, abandons the rate
+// and returns ok == false.
+func measureRate(n Network, rate float64, cfg SweepConfig, stop func() bool) (pt SweepPoint, ok bool) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(rate*1e7)))
 	nodes := n.Nodes()
+	total := cfg.WarmupCycles + cfg.MeasureCycles
+	if nodes > maxSweepNodes || total > maxSweepCycles {
+		panic(fmt.Sprintf("noc: sweeps support up to %d nodes and %d cycles, got %d and %d", maxSweepNodes, maxSweepCycles, nodes, total))
+	}
 	srcs := make([]sourceState, nodes)
 	burst, bursty := cfg.Pattern.(Burst)
-	var injectedMeasured, generated int64
 	satLat := SaturationLatency(n)
+	saturated := SweepPoint{InjectionRate: rate, AvgLatency: satLat, Saturated: true}
 
 	base := n.Stats().Delivered
 	baseLat := n.Stats().TotalLatency
-	total := cfg.WarmupCycles + cfg.MeasureCycles
+	start := n.Cycle()
 	var id int64
 	for cyc := 0; cyc < total; cyc++ {
+		if cyc%pollEvery == 0 && stop() {
+			return SweepPoint{}, false
+		}
 		if cyc == cfg.WarmupCycles {
 			base = n.Stats().Delivered
 			baseLat = n.Stats().TotalLatency
@@ -150,26 +239,19 @@ func measureRate(n Network, rate float64, cfg SweepConfig) SweepPoint {
 				}
 			}
 			if genRate > 0 && rng.Float64() < genRate {
-				pk := &Packet{ID: id, Src: s, Flits: 1, InjectedAt: now}
+				q := queued{id: id, at: int32(now - start), dst: uint16(cfg.Pattern.Dest(s, nodes, rng))}
 				id++
-				pk.Dst = cfg.Pattern.Dest(s, nodes, rng)
-				if cfg.DataFlits > 1 && rng.Float64() < cfg.DataFraction {
-					pk.Flits = cfg.DataFlits
-				}
-				st.pending = append(st.pending, pk)
-				generated++
+				q.data = cfg.DataFlits > 1 && rng.Float64() < cfg.DataFraction
+				st.push(q)
 			}
 			// Drain the source queue into the network.
-			for len(st.pending) > 0 && n.TryInject(st.pending[0]) {
-				if cyc >= cfg.WarmupCycles {
-					injectedMeasured++
-				}
-				st.pending = st.pending[1:]
+			for st.n > 0 && n.TryInject(st.front(s, start, &cfg)) {
+				st.pop()
 			}
 			// A source queue exploding past any reasonable bound is
 			// saturation; bail early to keep sweeps fast.
-			if len(st.pending) > 512 {
-				return SweepPoint{InjectionRate: rate, AvgLatency: satLat, Saturated: true}
+			if st.n > 512 {
+				return saturated, true
 			}
 		}
 		n.Step()
@@ -177,7 +259,7 @@ func measureRate(n Network, rate float64, cfg SweepConfig) SweepPoint {
 	st := n.Stats()
 	delivered := st.Delivered - base
 	if delivered == 0 {
-		return SweepPoint{InjectionRate: rate, AvgLatency: satLat, Saturated: true}
+		return saturated, true
 	}
 	avg := float64(st.TotalLatency-baseLat) / float64(delivered)
 	sat := avg >= satLat
@@ -186,7 +268,7 @@ func measureRate(n Network, rate float64, cfg SweepConfig) SweepPoint {
 	if offered > 100 && float64(delivered) < 0.6*offered {
 		sat = true
 	}
-	return SweepPoint{InjectionRate: rate, AvgLatency: avg, Saturated: sat}
+	return SweepPoint{InjectionRate: rate, AvgLatency: avg, Saturated: sat}, true
 }
 
 // saturationLadder is the geometric rate grid SaturationRate walks.
@@ -200,43 +282,15 @@ func saturationLadder() []float64 {
 
 // SaturationRate estimates the injection rate at which the network
 // saturates by walking a geometric rate grid — the "bandwidth limit"
-// quoted for Figs 18/21/25/26. With cfg.Workers > 1 the grid is
-// measured in worker-sized batches, stopping at the batch containing
-// the first saturated rung; every rung seeds independently, so the
-// answer matches the serial walk exactly.
+// quoted for Figs 18/21/25/26. It returns the first saturated rate, or
+// the last rate measured when none saturates (or when cfg.Ctx cancels
+// the walk; 0 if nothing was measured). The walk is LoadLatency's, so
+// cfg.Workers rungs run at once and the answer is the serial walk's.
 func SaturationRate(mk func() Network, cfg SweepConfig) float64 {
 	cfg.defaults()
-	ladder := saturationLadder()
-	if cfg.Workers > 1 {
-		pts := make([]SweepPoint, len(ladder))
-		for lo := 0; lo < len(ladder); lo += cfg.Workers {
-			hi := lo + cfg.Workers
-			if hi > len(ladder) {
-				hi = len(ladder)
-			}
-			if err := par.ForCtx(cfg.ctx(), hi-lo, cfg.Workers, func(i int) {
-				pts[lo+i] = measureRate(mk(), ladder[lo+i], cfg)
-			}); err != nil {
-				return ladder[lo]
-			}
-			for i := lo; i < hi; i++ {
-				if pts[i].Saturated {
-					return ladder[i]
-				}
-			}
-		}
-		return ladder[len(ladder)-1]
+	pts := walk(mk, saturationLadder(), cfg)
+	if len(pts) == 0 {
+		return 0
 	}
-	last := 0.0
-	for _, rate := range ladder {
-		if cfg.ctx().Err() != nil {
-			break
-		}
-		p := measureRate(mk(), rate, cfg)
-		if p.Saturated {
-			return rate
-		}
-		last = rate
-	}
-	return last
+	return pts[len(pts)-1].InjectionRate
 }

@@ -312,34 +312,47 @@ func (rn *RouterNet) finish() {
 	rn.computeZeroLoad()
 }
 
+// computeZeroLoad averages every ordered router pair's path cost plus
+// the ejection cycle. For each destination it fills cost[r], router r's
+// path cost, from its next hop's cost (memoized), so the whole table
+// takes O(routers²) instead of a walk per pair. Path costs are small
+// integers, so the integer total equals the per-pair float sum exactly.
 func (rn *RouterNet) computeZeroLoad() {
-	total := 0.0
-	pairs := 0
 	nr := len(rn.routers)
-	for s := 0; s < nr; s++ {
-		for d := 0; d < nr; d++ {
-			if s == d {
-				continue
-			}
-			cyc := 0
+	if nr < 2 {
+		return
+	}
+	cost := make([]int, nr)
+	path := make([]int, 0, nr)
+	total := 0
+	for d := 0; d < nr; d++ {
+		for r := range cost {
+			cost[r] = -1
+		}
+		cost[d] = 0
+		for s := 0; s < nr; s++ {
+			// Walk toward d until a router with a known cost, then
+			// assign costs back along the walk.
 			cur := s
-			for cur != d {
-				li := rn.nextHop[cur*nr+d]
-				lnk := rn.routers[cur].links[li]
-				c := rn.timing.RouterCycles + lnk.wireCycles
-				if c < 1 {
-					c = 1
+			for cost[cur] < 0 {
+				if len(path) == nr {
+					panic(fmt.Sprintf("noc: routing loop in %s toward router %d", rn.name, d))
 				}
-				cyc += c
-				cur = lnk.to
+				path = append(path, cur)
+				cur = rn.routers[cur].links[rn.nextHop[cur*nr+d]].to
 			}
-			total += float64(cyc + 1) // +1 ejection
-			pairs++
+			for k := len(path) - 1; k >= 0; k-- {
+				r := path[k]
+				lnk := rn.routers[r].links[rn.nextHop[r*nr+d]]
+				cost[r] = cost[lnk.to] + max(1, rn.timing.RouterCycles+lnk.wireCycles)
+			}
+			path = path[:0]
+			if s != d {
+				total += cost[s] + 1 // +1 ejection
+			}
 		}
 	}
-	if pairs > 0 {
-		rn.zeroLoad = total / float64(pairs)
-	}
+	rn.zeroLoad = float64(total) / float64(nr*(nr-1))
 }
 
 // HopsBetween returns the router-hop count between two nodes (for

@@ -297,3 +297,77 @@ func compareTwins(fast, ref *twin, contents bool) error {
 	}
 	return nil
 }
+
+// refZeroLoad is computeZeroLoad as it was: a walk along every ordered
+// router pair's path, summing the float average pair by pair.
+func (rn *RouterNet) refZeroLoad() float64 {
+	total := 0.0
+	pairs := 0
+	nr := len(rn.routers)
+	for s := 0; s < nr; s++ {
+		for d := 0; d < nr; d++ {
+			if s == d {
+				continue
+			}
+			cyc := 0
+			cur := s
+			for cur != d {
+				li := rn.nextHop[cur*nr+d]
+				lnk := rn.routers[cur].links[li]
+				c := rn.timing.RouterCycles + lnk.wireCycles
+				if c < 1 {
+					c = 1
+				}
+				cyc += c
+				cur = lnk.to
+			}
+			total += float64(cyc + 1) // +1 ejection
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		return 0
+	}
+	return total / float64(pairs)
+}
+
+// TestZeroLoadMatchesReference: the memoized per-destination zero-load
+// latency must equal the all-pairs walk exactly, not within a
+// tolerance, on every router topology and size, on the hybrid's global
+// mesh and on fault-degraded meshes.
+func TestZeroLoadMatchesReference(t *testing.T) {
+	type netCase struct {
+		name string
+		rn   *RouterNet
+	}
+	var cases []netCase
+	for _, n := range []int{16, 64, 256} {
+		for _, tm := range []struct {
+			name string
+			t    Timing
+		}{{"77K-1c", timing77(1)}, {"300K-3c", timing300(3)}} {
+			cases = append(cases,
+				netCase{fmt.Sprintf("Mesh-%d/%s", n, tm.name), NewMesh(n, tm.t)},
+				netCase{fmt.Sprintf("CMesh-%d/%s", n, tm.name), NewCMesh(n, tm.t)},
+				netCase{fmt.Sprintf("FB-%d/%s", n, tm.name), NewFlattenedButterfly(n, tm.t)},
+				netCase{fmt.Sprintf("Ring-%d/%s", n, tm.name), NewRing(n, tm.t)},
+				netCase{fmt.Sprintf("Torus-%d/%s", n, tm.name), NewTorus(n, tm.t)},
+			)
+		}
+	}
+	cases = append(cases, netCase{"hybrid-global-mesh", NewHybridCryoBus(bus77(), timing77(1)).global})
+	for _, seed := range []int64{2, 3, 4} {
+		m := NewMesh(256, timing77(1))
+		m.ApplyFaults(mustInjector(t, fault.Config{Seed: seed, LinkFailureRate: 0.2}), "mesh")
+		cases = append(cases, netCase{fmt.Sprintf("Mesh-256-faulted-seed%d", seed), m})
+	}
+	for _, c := range cases {
+		if got, want := c.rn.ZeroLoadLatency(), c.rn.refZeroLoad(); got != want {
+			t.Errorf("%s: zero-load %v, all-pairs reference %v", c.name, got, want)
+		}
+	}
+	healthy := NewMesh(256, timing77(1)).ZeroLoadLatency()
+	if faulted := cases[len(cases)-1].rn.ZeroLoadLatency(); faulted <= healthy {
+		t.Errorf("faulted Mesh-256 zero-load %v not above healthy %v", faulted, healthy)
+	}
+}
