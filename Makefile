@@ -24,8 +24,9 @@
 #                      of the grid's, and the frontiers must match
 #   make bench-module - vet and race-test the benchmark harness module
 #                      in bench/ (its own go.mod) against this tree
-#   make bench       - Go micro-benchmarks; the end-to-end benchmark is
-#                      `bash bench/run.sh run -all` (see bench/README.md)
+#   make bench       - Go micro-benchmarks only (no unit tests); the
+#                      end-to-end benchmark is `bash bench/run.sh run
+#                      -all` (see bench/README.md)
 
 GO ?= go
 
@@ -76,5 +77,5 @@ chaos:
 check: vet staticcheck build race bench-module serve-smoke
 
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 	@echo "end-to-end benchmark: bash bench/run.sh run -all (see bench/README.md)"

@@ -526,12 +526,8 @@ func (m *Manager) finish(t *tracked, status Status, cause error) {
 	if err == nil {
 		t.state = st
 	}
-	m.notifyLocked(t)
-	id := t.state.ID
-	m.mu.Unlock()
-	if err != nil {
-		m.log.Error("jobs: persisting final state failed", "id", id, "status", status, "err", err)
-	}
+	// Count the outcome before unlocking, so a reader that sees the
+	// final status under m.mu also sees it in Stats.
 	switch status {
 	case StatusDone:
 		m.completed.Add(1)
@@ -539,6 +535,12 @@ func (m *Manager) finish(t *tracked, status Status, cause error) {
 		m.failed.Add(1)
 	case StatusCanceled:
 		m.canceled.Add(1)
+	}
+	m.notifyLocked(t)
+	id := t.state.ID
+	m.mu.Unlock()
+	if err != nil {
+		m.log.Error("jobs: persisting final state failed", "id", id, "status", status, "err", err)
 	}
 	m.log.Info("jobs: finished", "id", id, "status", string(status), "err", errStr(cause))
 }

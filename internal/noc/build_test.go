@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cryowire/internal/phys"
@@ -63,6 +65,57 @@ func TestNewByNameErrors(t *testing.T) {
 	for _, name := range []string{"mesh", "torus", "cmesh", "fbfly"} {
 		if _, err := NewByName(name, 60, meshT, busT); err == nil {
 			t.Errorf("NewByName(%q, 60) accepted a non-square node count", name)
+		}
+	}
+}
+
+// Every network must reject a packet whose source or destination it
+// does not have with a panic naming the node, instead of aliasing it
+// onto a real node (integer division truncates −1 to router 0) or
+// dying on a raw index. Broadcast is the one out-of-range destination
+// a bus accepts.
+func TestTryInjectRejectsUnknownNodes(t *testing.T) {
+	meshT, busT := factoryTimings()
+	type design struct {
+		name string
+		mk   func() Network
+	}
+	var designs []design
+	for _, name := range DesignNames() {
+		name := name
+		designs = append(designs, design{name, func() Network {
+			n, err := NewByName(name, 64, meshT, busT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}})
+	}
+	designs = append(designs, design{"hybrid", func() Network { return NewHybridCryoBus(busT, meshT) }})
+	for _, d := range designs {
+		nodes := d.mk().Nodes()
+		for _, tc := range []struct {
+			src, dst int
+			want     string
+		}{
+			{-1, 1, "no source node -1"},
+			{nodes, 1, fmt.Sprintf("no source node %d", nodes)},
+			{0, nodes, fmt.Sprintf("no node %d", nodes)},
+			{0, -5, "no node -5"},
+		} {
+			t.Run(fmt.Sprintf("%s/%d→%d", d.name, tc.src, tc.dst), func(t *testing.T) {
+				net := d.mk()
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("TryInject(%d→%d) accepted; want a panic", tc.src, tc.dst)
+					}
+					if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+						t.Errorf("panic %q, want it to say %q", msg, tc.want)
+					}
+				}()
+				net.TryInject(&Packet{Src: tc.src, Dst: tc.dst, Flits: 1})
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cryowire/internal/fault"
 )
@@ -10,37 +11,59 @@ import (
 // MatrixArbiter is the least-recently-granted arbiter CryoBus uses
 // (§5.2.2). The hardware keeps a priority matrix where prio[i][j] means
 // i beats j, and a grant drops the winner below everyone else. That
-// matrix always encodes a total order, so the arbiter stores the order
-// itself: order lists the requesters from highest to lowest priority.
+// matrix always encodes a total order: requesters ranked by when they
+// were last granted. The arbiter stores that rank as one stamp per
+// requester, so a grant costs one pass over the requesting bits.
 type MatrixArbiter struct {
-	order []int
+	// stamp[i] is requester i's last-grant time; lower beats higher.
+	// The stamps start at i − n, below every grant's, so lower indices
+	// come first until granted.
+	stamp []int64
+	next  int64 // stamp of the next grant
+	words int   // mask length in uint64 words
+	tail  uint64
 }
 
 // NewMatrixArbiter builds an arbiter for n requesters, lower indices
 // first.
 func NewMatrixArbiter(n int) *MatrixArbiter {
-	a := &MatrixArbiter{order: make([]int, n)}
-	for i := range a.order {
-		a.order[i] = i
+	a := &MatrixArbiter{stamp: make([]int64, n), words: maskWords(n), tail: ^uint64(0)}
+	for i := range a.stamp {
+		a.stamp[i] = int64(i - n)
+	}
+	if r := n % 64; r != 0 {
+		a.tail = 1<<r - 1
 	}
 	return a
 }
 
-// Grant picks the highest-priority requester (or -1) and makes it the
-// lowest priority. A request slice of the wrong size is a wiring bug
-// and is reported as an error.
-func (a *MatrixArbiter) Grant(requests []bool) (int, error) {
-	if len(requests) != len(a.order) {
-		return -1, fmt.Errorf("noc: arbiter sized %d got %d requests", len(a.order), len(requests))
+// maskWords is the number of uint64 words a mask over n requesters
+// (or nodes) takes.
+func maskWords(n int) int { return (n + 63) / 64 }
+
+// Grant picks the least-recently-granted requester in the mask (bit i
+// of word i/64 is requester i), or -1 when the mask is empty, and makes
+// it the lowest priority. A mask of the wrong length, or one with a bit
+// past the last requester, is a wiring bug and is reported as an error.
+func (a *MatrixArbiter) Grant(mask []uint64) (int, error) {
+	if len(mask) != a.words || (a.words > 0 && mask[a.words-1]&^a.tail != 0) {
+		return -1, fmt.Errorf("noc: arbiter sized %d got a %d-word request mask %x", len(a.stamp), len(mask), mask)
 	}
-	for k, i := range a.order {
-		if requests[i] {
-			copy(a.order[k:], a.order[k+1:])
-			a.order[len(a.order)-1] = i
-			return i, nil
+	g, best := -1, int64(math.MaxInt64)
+	for w, word := range mask {
+		for word != 0 {
+			i := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if st := a.stamp[i]; st < best {
+				g, best = i, st
+			}
 		}
 	}
-	return -1, nil
+	if g >= 0 {
+		a.stamp[g] = a.next
+		a.next++
+	}
+	return g, nil
 }
 
 // BusLayout describes the physical shape of a bus in 2 mm tile hops.
@@ -258,6 +281,12 @@ type Bus struct {
 	arb    *MatrixArbiter
 	queues []pktq
 	queued int // packets across all queues; Step idles at 0
+	// waiting has bit i of word i/64 set while node i's queue is
+	// non-empty, so arbitration visits only the nodes with a request.
+	waiting []uint64
+	// reqMask is arbitration scratch: the waiting nodes whose head is
+	// visible at the arbiter this cycle.
+	reqMask []uint64
 	// reqCycles[i] is node i's request-wire flight time in cycles over
 	// the current (possibly degraded) layout.
 	reqCycles []int
@@ -265,7 +294,6 @@ type Bus struct {
 	busFree   int64
 	inflight  []busInflight
 	stats     Stats
-	reqs      []bool // scratch
 	energy    Energy
 	inj       *fault.Injector
 	domain    string
@@ -292,10 +320,11 @@ func NewBus(cfg BusConfig) *Bus {
 		cfg.QueueCap = 16
 	}
 	b := &Bus{
-		cfg:    cfg,
-		arb:    NewMatrixArbiter(cfg.Nodes),
-		queues: make([]pktq, cfg.Nodes),
-		reqs:   make([]bool, cfg.Nodes),
+		cfg:     cfg,
+		arb:     NewMatrixArbiter(cfg.Nodes),
+		queues:  make([]pktq, cfg.Nodes),
+		waiting: make([]uint64, maskWords(cfg.Nodes)),
+		reqMask: make([]uint64, maskWords(cfg.Nodes)),
 	}
 	b.tabulateReqCycles()
 	if cfg.Injector != nil {
@@ -360,8 +389,16 @@ func (b *Bus) Stats() *Stats { return &b.stats }
 // Timing exposes the bus clocking.
 func (b *Bus) Timing() Timing { return b.cfg.Timing }
 
-// TryInject implements Network.
+// TryInject implements Network. A source outside the bus, or a
+// destination outside it other than Broadcast, is a wiring bug and
+// panics.
 func (b *Bus) TryInject(p *Packet) bool {
+	if p.Src < 0 || p.Src >= b.cfg.Nodes {
+		panic(fmt.Sprintf("noc: %s has no source node %d", b.cfg.Name, p.Src))
+	}
+	if p.Dst != Broadcast && (p.Dst < 0 || p.Dst >= b.cfg.Nodes) {
+		panic(fmt.Sprintf("noc: %s has no node %d", b.cfg.Name, p.Dst))
+	}
 	q := &b.queues[p.Src]
 	if q.n >= b.cfg.QueueCap {
 		return false
@@ -369,6 +406,7 @@ func (b *Bus) TryInject(p *Packet) bool {
 	// InjectedAt is owned by the caller.
 	q.pushBack(p)
 	b.queued++
+	b.waiting[p.Src/64] |= 1 << (p.Src % 64)
 	return true
 }
 
@@ -435,25 +473,34 @@ func (b *Bus) Step() {
 			b.now++
 			return
 		}
-		for i := range b.reqs {
-			b.reqs[i] = false
-			if b.queues[i].n > 0 {
+		for w, word := range b.waiting {
+			var vis uint64
+			for word != 0 {
+				bit := word & -word
+				word &^= bit
+				i := w*64 + bits.TrailingZeros64(bit)
 				head := b.queues[i].front()
 				if head.InjectedAt+int64(b.reqCycles[i]) > now {
 					continue
 				}
-				if rs, ok := b.retry[head]; ok && rs.eligibleAt > now {
-					continue
+				if len(b.retry) > 0 {
+					if rs, ok := b.retry[head]; ok && rs.eligibleAt > now {
+						continue
+					}
 				}
-				b.reqs[i] = true
+				vis |= bit
 			}
+			b.reqMask[w] = vis
 		}
-		// reqs is sized to the arbiter by construction, so Grant cannot
-		// fail.
-		g, _ := b.arb.Grant(b.reqs)
+		// reqMask is sized to the arbiter and holds only node bits by
+		// construction, so Grant cannot fail.
+		g, _ := b.arb.Grant(b.reqMask)
 		if g >= 0 {
 			p := b.queues[g].popFront()
 			b.queued--
+			if b.queues[g].n == 0 {
+				b.waiting[g/64] &^= 1 << (g % 64)
+			}
 			tc := int64(b.transferCycles(p))
 			flits := p.Flits
 			if flits < 1 {
@@ -481,6 +528,7 @@ func (b *Bus) Step() {
 				b.stats.Retransmits++
 				b.queues[g].pushFront(p)
 				b.queued++
+				b.waiting[g/64] |= 1 << (g % 64)
 				b.retry[p] = &retryState{attempts: attempts + 1, eligibleAt: now + tc + b.inj.Backoff(attempts+1)}
 			} else {
 				// Clean transfer — or the retry budget is exhausted and

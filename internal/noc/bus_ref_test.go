@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cryowire/internal/fault"
@@ -10,7 +11,7 @@ import (
 
 // refMatrix is the priority matrix MatrixArbiter used to store:
 // prio[i][j] means i beats j. It is kept, with refGrant, as the
-// reference the order-list arbiter must match grant for grant.
+// reference the last-grant-stamp arbiter must match grant for grant.
 type refMatrix struct {
 	n    int
 	prio [][]bool
@@ -74,12 +75,25 @@ func (a *refMatrix) order() []int {
 	return out
 }
 
-// refStep is the bus cycle as it was before Step skipped idle cycles
-// and read request-wire times from reqCycles. It is kept verbatim,
-// arbitrating with refGrant on arb, as the reference Step must match
-// cycle for cycle. It does not maintain b.queued.
+// stampOrder lists the arbiter's requesters from highest to lowest
+// priority: ascending last-grant stamp, the order the matrix encodes.
+func (a *MatrixArbiter) stampOrder() []int {
+	out := make([]int, len(a.stamp))
+	for i := range out {
+		out[i] = i
+	}
+	sort.Slice(out, func(x, y int) bool { return a.stamp[out[x]] < a.stamp[out[y]] })
+	return out
+}
+
+// refStep is the bus cycle as it was before Step skipped idle cycles,
+// read request-wire times from reqCycles and arbitrated over the
+// waiting-node bitset. It is kept verbatim, arbitrating with refGrant
+// on arb over a full request vector, as the reference Step must match
+// cycle for cycle. It does not maintain b.queued or b.waiting.
 func (b *Bus) refStep(arb *refMatrix) {
 	now := b.now
+	reqs := make([]bool, len(b.queues))
 	// Deliveries.
 	keep := b.inflight[:0]
 	for _, f := range b.inflight {
@@ -105,8 +119,8 @@ func (b *Bus) refStep(arb *refMatrix) {
 			b.now++
 			return
 		}
-		for i := range b.reqs {
-			b.reqs[i] = false
+		for i := range reqs {
+			reqs[i] = false
 			if b.queues[i].n > 0 {
 				head := b.queues[i].front()
 				reqWire := int64(b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(i)))
@@ -116,10 +130,10 @@ func (b *Bus) refStep(arb *refMatrix) {
 				if rs, ok := b.retry[head]; ok && rs.eligibleAt > now {
 					continue
 				}
-				b.reqs[i] = true
+				reqs[i] = true
 			}
 		}
-		g := arb.refGrant(b.reqs)
+		g := arb.refGrant(reqs)
 		if g >= 0 {
 			p := b.queues[g].popFront()
 			tc := int64(b.transferCycles(p))
@@ -212,6 +226,8 @@ type busEquivCase struct {
 // busEquivNets lists the bus designs Step is checked on.
 func busEquivNets(t *testing.T) []busEquivCase {
 	cryo := func() *Bus { return NewCryoBus(64, bus77()) }
+	// wide spans two mask words, so arbitration crosses a word edge.
+	wide := func() *Bus { return NewSharedBus77(100, bus77()) }
 	faulty := func(cfg fault.Config, mk func() *Bus) func() Network {
 		inj := mustInjector(t, cfg)
 		return func() Network {
@@ -243,6 +259,9 @@ func busEquivNets(t *testing.T) []busEquivCase {
 			func(_ Network, st Stats) bool { return st.Retransmits > 0 }},
 		{"CryoBus-grant-stalls", faulty(fault.Config{Seed: 9, GrantStallRate: 0.1}, cryo),
 			func(_ Network, st Stats) bool { return st.GrantStalls > 0 }},
+		{"serpentine-100", func() Network { return wide() }, nil},
+		{"serpentine-100-corruption", faulty(fault.Config{Seed: 11, FlitCorruptionRate: 0.2}, wide),
+			func(_ Network, st Stats) bool { return st.Retransmits > 0 }},
 	}
 }
 
@@ -333,7 +352,8 @@ func runBusTwins(t *testing.T, mk func() Network, multi bool, rate float64) (Net
 }
 
 // compareBusTwins reports the first difference between the two sides,
-// or a fast-side queued count that disagrees with its queues.
+// or a fast-side queued count or waiting bit that disagrees with its
+// queues.
 func compareBusTwins(fast, ref *busTwin) error {
 	if len(fast.log) != len(ref.log) {
 		return fmt.Errorf("%d deliveries, reference %d", len(fast.log), len(ref.log))
@@ -358,6 +378,9 @@ func compareBusTwins(fast, ref *busTwin) error {
 		for q := range a.queues {
 			qa, qb := &a.queues[q], &b.queues[q]
 			queued += qa.n
+			if waiting := a.waiting[q/64]>>(q%64)&1 == 1; waiting != (qa.n > 0) {
+				return fmt.Errorf("stripe %d queue %d: waiting bit %v with %d packets queued", si, q, waiting, qa.n)
+			}
 			if qa.n != qb.n {
 				return fmt.Errorf("stripe %d queue %d: %d packets, reference %d", si, q, qa.n, qb.n)
 			}
@@ -390,22 +413,23 @@ func compareBusTwins(fast, ref *busTwin) error {
 					si, k, fa.p.ID, fa.deliverAt, fb.p.ID, fb.deliverAt)
 			}
 		}
-		want := ref.arbs[si].order()
+		got, want := a.arb.stampOrder(), ref.arbs[si].order()
 		for k := range want {
-			if a.arb.order[k] != want[k] {
-				return fmt.Errorf("stripe %d: arbiter order %v, reference %v", si, a.arb.order, want)
+			if got[k] != want[k] {
+				return fmt.Errorf("stripe %d: arbiter order %v, reference %v", si, got, want)
 			}
 		}
 	}
 	return nil
 }
 
-// TestMatrixArbiterMatchesReference: the order-list arbiter must grant
-// exactly what the priority matrix grants, and keep the same order, for
-// seeded random request vectors of every density.
+// TestMatrixArbiterMatchesReference: the last-grant-stamp arbiter
+// must grant exactly what the priority matrix grants, and keep the same
+// order, for seeded random request vectors of every density. Sizes run
+// past 128 so masks of one, two and three words are all covered.
 func TestMatrixArbiterMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for n := 1; n <= 64; n++ {
+	for n := 1; n <= 130; n++ {
 		a, ref := NewMatrixArbiter(n), newRefMatrix(n)
 		req := make([]bool, n)
 		for step := 0; step < 400; step++ {
@@ -413,19 +437,55 @@ func TestMatrixArbiterMatchesReference(t *testing.T) {
 			for i := range req {
 				req[i] = rng.Float64() < density
 			}
-			g, err := a.Grant(req)
+			g, err := a.Grant(boolMask(req))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := ref.refGrant(req); g != want {
 				t.Fatalf("n=%d step %d: granted %d, reference %d (requests %v)", n, step, g, want, req)
 			}
-			want := ref.order()
+			got, want := a.stampOrder(), ref.order()
 			for k := range want {
-				if a.order[k] != want[k] {
-					t.Fatalf("n=%d step %d: order %v, reference %v", n, step, a.order, want)
+				if got[k] != want[k] {
+					t.Fatalf("n=%d step %d: order %v, reference %v", n, step, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestBusNACKReheadsEmptiedQueue: a NACK puts the packet back at the
+// head of the queue the grant just emptied, so that node must rejoin
+// arbitration. On a 100-node bus that corrupts every attempt, twin
+// single packets on either side of the 64-node mask-word edge each
+// retransmit the full retry budget, matching the reference every cycle,
+// and are then delivered.
+func TestBusNACKReheadsEmptiedQueue(t *testing.T) {
+	inj := mustInjector(t, fault.Config{Seed: 1, FlitCorruptionRate: 1})
+	mk := func() Network {
+		b := NewSharedBus77(100, bus77())
+		b.AttachInjector(inj, "")
+		return b
+	}
+	fast, ref := newBusTwin(mk(), false), newBusTwin(mk(), true)
+	for _, tw := range []*busTwin{fast, ref} {
+		for _, src := range []int{3, 99} {
+			if !tw.net.TryInject(&Packet{ID: int64(src), Src: src, Dst: Broadcast, Flits: 1}) {
+				t.Fatalf("node %d: injection into an empty queue refused", src)
+			}
+		}
+	}
+	for cyc := 0; cyc < 2000 && len(fast.log) < 2; cyc++ {
+		fast.step()
+		ref.step()
+		if err := compareBusTwins(fast, ref); err != nil {
+			t.Fatalf("cycle %d: %v", cyc, err)
+		}
+	}
+	if len(fast.log) != 2 {
+		t.Fatalf("%d of 2 packets delivered", len(fast.log))
+	}
+	if got, want := fast.net.Stats().Retransmits, int64(2*inj.MaxRetries()); got != want {
+		t.Errorf("%d retransmits, want %d (the full budget for both packets)", got, want)
 	}
 }

@@ -1,5 +1,7 @@
 package noc
 
+import "fmt"
+
 // HybridCryoBus is the 256-core directory-based hybrid of §7.3
 // (Fig 26a): four 64-core CryoBus clusters joined by a small global
 // mesh of gateway routers. Snooping is given up (all transfers are
@@ -92,10 +94,17 @@ type pendingMap map[*Packet]*Packet
 func (h *HybridCryoBus) cluster(node int) int { return node / clusterSize }
 func (h *HybridCryoBus) local(node int) int   { return node % clusterSize }
 
-// TryInject implements Network.
+// TryInject implements Network. Like every network, it panics on a
+// source or destination it does not have.
 func (h *HybridCryoBus) TryInject(p *Packet) bool {
 	if p.Dst == Broadcast {
 		panic("noc: hybrid CryoBus is directory-based; broadcasts unsupported (§7.3)")
+	}
+	if p.Src < 0 || p.Src >= h.Nodes() {
+		panic(fmt.Sprintf("noc: %s has no source node %d", h.name, p.Src))
+	}
+	if p.Dst < 0 || p.Dst >= h.Nodes() {
+		panic(fmt.Sprintf("noc: %s has no node %d", h.name, p.Dst))
 	}
 	h.ensureMaps()
 	ci, cj := h.cluster(p.Src), h.cluster(p.Dst)

@@ -131,7 +131,7 @@ func TestMatrixArbiterFairness(t *testing.T) {
 	req := []bool{true, true, true, true}
 	grants := make(map[int]int)
 	for i := 0; i < 400; i++ {
-		g, err := a.Grant(req)
+		g, err := a.Grant(boolMask(req))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestMatrixArbiterFairness(t *testing.T) {
 		}
 	}
 	// No request → no grant.
-	if g, err := a.Grant([]bool{false, false, false, false}); err != nil || g != -1 {
+	if g, err := a.Grant(boolMask([]bool{false, false, false, false})); err != nil || g != -1 {
 		t.Errorf("grant with no requests = %d, %v, want -1, nil", g, err)
 	}
 }
@@ -156,7 +156,7 @@ func TestMatrixArbiterSingleRequester(t *testing.T) {
 	req := make([]bool, 8)
 	req[5] = true
 	for i := 0; i < 10; i++ {
-		if g, err := a.Grant(req); err != nil || g != 5 {
+		if g, err := a.Grant(boolMask(req)); err != nil || g != 5 {
 			t.Fatalf("grant = %d, %v, want 5, nil", g, err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestMatrixArbiterStarvationFreedom(t *testing.T) {
 		lastGrant[i] = -1
 	}
 	for cyc := 0; cyc < 1000; cyc++ {
-		g, err := a.Grant(req)
+		g, err := a.Grant(boolMask(req))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestMatrixArbiterAdversarialPatterns(t *testing.T) {
 		grants := make([]int, n)
 		for cyc := 0; cyc < 800; cyc++ {
 			req := []bool{true, cyc%2 == 0, cyc%2 == 1, cyc%2 == 0}
-			g, err := a.Grant(req)
+			g, err := a.Grant(boolMask(req))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestMatrixArbiterAdversarialPatterns(t *testing.T) {
 		for cyc := 0; cyc < 400; cyc++ {
 			even := cyc%2 == 0
 			req := []bool{even, !even, even, !even}
-			g, err := a.Grant(req)
+			g, err := a.Grant(boolMask(req))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,19 +242,31 @@ func TestMatrixArbiterAdversarialPatterns(t *testing.T) {
 
 func TestMatrixArbiterMisSizedRequestSlice(t *testing.T) {
 	a := NewMatrixArbiter(4)
-	for _, bad := range [][]bool{nil, {true}, make([]bool, 5)} {
+	for _, bad := range [][]uint64{nil, make([]uint64, 2), {1 << 4}, {1 << 63}} {
 		g, err := a.Grant(bad)
 		if err == nil {
-			t.Errorf("mis-sized request slice (len %d) not rejected", len(bad))
+			t.Errorf("mis-sized request mask %x not rejected", bad)
 		}
 		if g != -1 {
-			t.Errorf("mis-sized request slice granted %d", g)
+			t.Errorf("mis-sized request mask %x granted %d", bad, g)
 		}
 	}
 	// The arbiter must stay usable after a rejected call.
-	if g, err := a.Grant([]bool{true, false, false, false}); err != nil || g != 0 {
+	if g, err := a.Grant([]uint64{1}); err != nil || g != 0 {
 		t.Errorf("grant after rejection = %d, %v, want 0, nil", g, err)
 	}
+}
+
+// boolMask packs a request vector into the arbiter's mask layout: bit
+// i of word i/64 is requester i.
+func boolMask(req []bool) []uint64 {
+	m := make([]uint64, (len(req)+63)/64)
+	for i, r := range req {
+		if r {
+			m[i/64] |= 1 << (i % 64)
+		}
+	}
+	return m
 }
 
 func TestFig20BroadcastLatencies(t *testing.T) {

@@ -179,6 +179,9 @@ func (rn *RouterNet) TryInject(p *Packet) bool {
 	if p.Dst < 0 || p.Dst >= rn.nodes {
 		panic(fmt.Sprintf("noc: %s has no node %d", rn.name, p.Dst))
 	}
+	if p.Src < 0 || p.Src >= rn.nodes {
+		panic(fmt.Sprintf("noc: %s has no source node %d", rn.name, p.Src))
+	}
 	ri := rn.nodeRouter(p.Src)
 	r := &rn.routers[ri]
 	inj := &r.ports[0]

@@ -25,25 +25,31 @@ func benchSystem(b testing.TB, mk func(*Factory) Design, wl string) *System {
 	return s
 }
 
-// BenchmarkSystemStep is the tentpole hot path: one call per NoC cycle,
-// tens of thousands per evaluation. The timing wheel, intrusive
-// inflight refs and the txn/packet/event pools all land here.
-func BenchmarkSystemStep(b *testing.B) {
-	s := benchSystem(b, func(f *Factory) Design { return f.CHPMesh() }, "ferret")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
+// stepCases are the designs the cycle-loop benchmark and allocation
+// gate run: one per interconnect the DSE searches (dse.Nets), each on
+// the workload that loads it hardest.
+var stepCases = []struct {
+	name string
+	mk   func(*Factory) Design
+	wl   string
+}{
+	{"mesh/ferret", func(f *Factory) Design { return f.CHPMesh() }, "ferret"},
+	{"shared-bus/streamcluster", func(f *Factory) Design { return f.SharedBus77() }, "streamcluster"},
+	{"cryobus/streamcluster", func(f *Factory) Design { return f.CryoSPCryoBus() }, "streamcluster"},
+	{"cryobus-2way/streamcluster", func(f *Factory) Design { return With2WayInterleaving(f.CryoSPCryoBus()) }, "streamcluster"},
 }
 
-// BenchmarkBusStep is the same cycle path on the snooping CryoBus
-// (split request/data buses, broadcast delivery).
-func BenchmarkBusStep(b *testing.B) {
-	s := benchSystem(b, func(f *Factory) Design { return f.CryoSPCryoBus() }, "streamcluster")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
+// BenchmarkSystemStep times the simulator's hot path, one call per NoC
+// cycle and tens of thousands per evaluation, on each of stepCases.
+func BenchmarkSystemStep(b *testing.B) {
+	for _, tc := range stepCases {
+		b.Run(tc.name, func(b *testing.B) {
+			s := benchSystem(b, tc.mk, tc.wl)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
 	}
 }

@@ -410,6 +410,7 @@ func (s *System) completeTxn(t *txn) {
 					c := &s.cores[i]
 					c.inBarrier = false
 					c.nextBarrierAt = c.committed + s.barrierIntv*(0.75+0.5*s.rng.Float64())
+					c.armNextEvent()
 				}
 				return
 			}
@@ -426,13 +427,20 @@ func (s *System) completeTxn(t *txn) {
 	c.released = false
 	c.inBarrier = false
 	c.nextBarrierAt = c.committed + s.barrierIntv*(0.75+0.5*s.rng.Float64())
+	c.armNextEvent()
 }
 
 // Step advances the system one NoC cycle. This is the simulator's
 // hottest function — one call per cycle, tens of thousands per
-// evaluation — so the schedule is a timing wheel (no map traffic), the
-// measuring-path float work is hoisted behind one flag read, and every
-// object it touches comes from a pool.
+// evaluation — so the schedule is a timing wheel (no map traffic), every
+// object it touches comes from a pool, and the per-core loop does only
+// what a quiet core needs: skip it while it waits at a barrier, commit
+// if it is not stalled, charge a stalled core's CPI-stack bucket while
+// measuring, and run the event code (coreEvents) only once committed
+// reaches the core's next-event threshold. Barrier and base cycles are
+// counted in locals and charged once per cycle; each bucket is a sum of
+// whole cycles, exact in float64, so the stack is bit-equal to charging
+// them core by core.
 func (s *System) Step() {
 	// Pending retries / service completions, in schedule order.
 	for _, ev := range s.wheel.drain(s.now) {
@@ -455,44 +463,28 @@ func (s *System) Step() {
 		s.freeEvent(ev)
 		s.injectLeg(t)
 	}
-	// Cores. The measurement bookkeeping (CPI-stack floats) is gated on
-	// one hoisted flag read so warmup cycles skip it entirely.
+	// Cores.
 	measuring := s.measuring
+	var synced, unstalled int
 	for i := range s.cores {
 		c := &s.cores[i]
 		if c.inBarrier {
-			if measuring {
-				s.stackCycl[BucketSync]++
-			}
+			synced++
 			continue
 		}
-		stalled := c.blockedOn != nil || c.outstanding >= c.mlpCap
-		if !stalled {
+		if c.blockedOn == nil && c.outstanding < c.mlpCap {
 			c.committed += c.instrPerCycle
+			unstalled++
+		} else if measuring {
+			s.stackCycl[stallBucket(c)]++
 		}
-		if measuring {
-			s.measureCore(c, stalled)
+		if c.committed >= c.nextEvent {
+			s.coreEvents(i, c)
 		}
-		// Demand misses (plus the prefetch stream).
-		for c.committed >= c.nextMissAt && c.outstanding < c.mlpCap {
-			s.startTxn(i, false, s.rng.Float64() < 0.3, false)
-			c.nextMissAt += c.instrPerMiss * s.expRand()
-			if pf := s.design.Prefetch; pf.Enabled {
-				for d := 0; d < pf.Degree; d++ {
-					s.startTxn(i, false, false, true)
-				}
-			}
-		}
-		// Contended lock hand-offs.
-		for c.committed >= c.nextLockAt {
-			s.startLockTxn(i)
-			c.nextLockAt += s.lockIntv * (0.5 + s.rng.Float64())
-		}
-		// Barrier entry.
-		if c.committed >= c.nextBarrierAt && !c.inBarrier {
-			c.inBarrier = true
-			s.startTxn(i, true, true, false)
-		}
+	}
+	if measuring {
+		s.stackCycl[BucketSync] += float64(synced)
+		s.stackCycl[BucketBase] += float64(unstalled)
 	}
 	// Networks.
 	s.net.Step()
@@ -502,23 +494,44 @@ func (s *System) Step() {
 	s.now++
 }
 
-// measureCore charges this cycle's core activity to the CPI-stack
-// buckets. Kept out of Step's inline path so the warmup loop carries no
-// dead float work.
-func (s *System) measureCore(c *coreState, stalled bool) {
-	if !stalled {
-		// allowed == rate: the whole cycle is base time (frac == 1).
-		s.stackCycl[BucketBase]++
-		return
+// coreEvents is the slow path of Step's core loop: it issues the demand
+// misses, lock hand-offs and barrier entry whose thresholds committed
+// has reached, then re-arms the core's next-event threshold.
+func (s *System) coreEvents(i int, c *coreState) {
+	// Demand misses (plus the prefetch stream).
+	for c.committed >= c.nextMissAt && c.outstanding < c.mlpCap {
+		s.startTxn(i, false, s.rng.Float64() < 0.3, false)
+		c.nextMissAt += c.instrPerMiss * s.expRand()
+		if pf := s.design.Prefetch; pf.Enabled {
+			for d := 0; d < pf.Degree; d++ {
+				s.startTxn(i, false, false, true)
+			}
+		}
 	}
-	// allowed == 0: the whole cycle is stall time (frac == 0).
-	bucket := BucketNoC
+	// Contended lock hand-offs.
+	for c.committed >= c.nextLockAt {
+		s.startLockTxn(i)
+		c.nextLockAt += s.lockIntv * (0.5 + s.rng.Float64())
+	}
+	// Barrier entry.
+	if c.committed >= c.nextBarrierAt && !c.inBarrier {
+		c.inBarrier = true
+		s.startTxn(i, true, true, false)
+	}
+	c.armNextEvent()
+}
+
+// stallBucket is the CPI-stack bucket a stalled core's cycle goes to:
+// the phase of the miss it is blocked on, else of its oldest
+// outstanding transaction.
+func stallBucket(c *coreState) StallBucket {
 	if c.blockedOn != nil {
-		bucket = c.blockedOn.phase
-	} else if len(c.txns) > 0 {
-		bucket = c.txns[0].phase
+		return c.blockedOn.phase
 	}
-	s.stackCycl[bucket]++
+	if len(c.txns) > 0 {
+		return c.txns[0].phase
+	}
+	return BucketNoC
 }
 
 // totalCommitted sums committed instructions over all cores.
@@ -550,9 +563,7 @@ func (s *System) Run() (Result, error) {
 	var completedBase int64
 	for cycle := 0; ; {
 		if cycle == s.cfg.WarmupCycles {
-			s.measuring = true
-			s.instrBase = s.totalCommitted()
-			completedBase = s.completed
+			completedBase = s.startMeasuring()
 		}
 		if cycle >= total {
 			break
@@ -573,6 +584,19 @@ func (s *System) Run() (Result, error) {
 			}
 		}
 	}
+	return s.result(completedBase), nil
+}
+
+// startMeasuring ends warm-up: it turns on CPI-stack accounting and
+// returns the transaction count the measurement starts from.
+func (s *System) startMeasuring() (completedBase int64) {
+	s.measuring = true
+	s.instrBase = s.totalCommitted()
+	return s.completed
+}
+
+// result assembles the measurement's Result once every cycle has run.
+func (s *System) result(completedBase int64) Result {
 	instr := s.totalCommitted() - s.instrBase
 	ns := float64(s.cfg.MeasureCycles) / s.design.NoC.FreqGHz
 	res := Result{
@@ -600,7 +624,7 @@ func (s *System) Run() (Result, error) {
 	}
 	res.Retransmits = s.netRetransmits()
 	res.DegradedBroadcastCycles = s.broadcastCycles()
-	return res, nil
+	return res
 }
 
 // netRetransmits totals NACK-forced retransmits across both networks.

@@ -338,7 +338,11 @@ type inflightSlot struct {
 	inv bool
 }
 
-// coreState is one statistical core.
+// coreState is one statistical core. A core acts at three committed-
+// instruction thresholds: its next demand miss, lock hand-off and
+// barrier. nextEvent caches the earliest of them, so Step tests one
+// float per core per cycle and runs the event code only once committed
+// reaches it; every write to a threshold must re-arm it (armNextEvent).
 type coreState struct {
 	committed   float64
 	nextMissAt  float64
@@ -349,6 +353,7 @@ type coreState struct {
 
 	nextBarrierAt float64
 	nextLockAt    float64
+	nextEvent     float64
 	inBarrier     bool
 	released      bool
 
@@ -396,6 +401,7 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 		c.nextMissAt = c.instrPerMiss * s.expRand()
 		c.nextBarrierAt = s.barrierInterval() * (0.5 + s.rng.Float64())
 		c.nextLockAt = s.lockInterval() * (0.5 + s.rng.Float64())
+		c.armNextEvent()
 	}
 	// Hoist the design-constant rates out of the cycle loop (identical
 	// values, computed once instead of per draw).
@@ -404,6 +410,21 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 	s.barrierIntv = s.barrierInterval()
 	s.l3Cyc = s.l3CyclesDerive()
 	return s, nil
+}
+
+// armNextEvent sets nextEvent to the earliest of the core's three
+// thresholds. A NaN threshold (an infinite interval times a zero
+// exponential draw) never fires, since committed >= NaN is false, so it
+// is skipped here: the builtin min would return NaN and silence the
+// other two.
+func (c *coreState) armNextEvent() {
+	e := math.Inf(1)
+	for _, t := range [...]float64{c.nextMissAt, c.nextLockAt, c.nextBarrierAt} {
+		if t < e {
+			e = t
+		}
+	}
+	c.nextEvent = e
 }
 
 // --- hot-path allocation pools ---------------------------------------------

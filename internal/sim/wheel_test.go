@@ -99,14 +99,7 @@ func TestWheelFarEventsPrecedeBucketEvents(t *testing.T) {
 // contract: after warm-up (pools populated, rings grown), Step performs
 // no steady-state allocation beyond rare amortized growth.
 func TestStepSteadyStateAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func(*Factory) Design
-		wl   string
-	}{
-		{"CHPMesh/ferret", func(f *Factory) Design { return f.CHPMesh() }, "ferret"},
-		{"CryoSPCryoBus/streamcluster", func(f *Factory) Design { return f.CryoSPCryoBus() }, "streamcluster"},
-	} {
+	for _, tc := range stepCases {
 		s := benchSystem(t, tc.mk, tc.wl)
 		allocs := testing.AllocsPerRun(500, func() { s.Step() })
 		if allocs >= 1 {
