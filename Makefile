@@ -13,10 +13,6 @@
 #   make serve-smoke - boot `cryowire serve` on a random port, probe
 #                      /healthz and /metrics, and diff the experiment
 #                      endpoint's JSON against the CLI's -json output
-#   make shard-smoke - distributed DSE gate: run one quick grid search
-#                      single-node, as two local shards, and across two
-#                      real `cryowire serve` replicas; the merged
-#                      frontier and journal must be byte-identical
 #   make surrogate-smoke - screen-then-verify gate: grid the quick
 #                      space, screen it against that journal as prior;
 #                      screen must simulate >=3x fewer candidates, its
@@ -30,7 +26,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race check chaos bench bench-module serve-smoke shard-smoke surrogate-smoke
+.PHONY: all build test vet staticcheck race check chaos bench bench-module serve-smoke surrogate-smoke
 
 all: check
 
@@ -62,9 +58,6 @@ bench-module:
 
 serve-smoke: build
 	sh scripts/serve_smoke.sh
-
-shard-smoke: build
-	sh scripts/shard_smoke.sh
 
 surrogate-smoke: build
 	sh scripts/surrogate_smoke.sh

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -36,9 +35,6 @@ func dseMain(args []string) int {
 	nets := fs.String("nets", "", "comma-separated interconnects overriding the default axis")
 	workloads := fs.String("workloads", "", "comma-separated workload names overriding the default axis")
 	stages := fs.String("stages", "", "comma-separated memory-stage temperatures (K) enabling the multi-stage axis")
-	shards := fs.Int("shards", 0, "partition the grid search into n shards run concurrently (0 = single run)")
-	workersURL := fs.String("workers-url", "", "comma-separated base URLs of remote `cryowire serve -jobs-dir` replicas to run the shards on")
-	shardDir := fs.String("shard-dir", "", "directory for per-shard checkpoint journals (default: a temp dir; set one to survive a coordinator crash)")
 	prior := fs.String("prior", "", "comma-separated prior journals the surrogate strategies learn from before proposing")
 	screenMargin := fs.Float64("screen-margin", 0, fmt.Sprintf("screen strategy's Pareto-band width in normalized objective units (0 = default %g)", dse.DefaultScreenMargin))
 	fs.Usage = func() {
@@ -46,8 +42,6 @@ func dseMain(args []string) int {
                     [-budget n] [-seed n]
                     [-quick] [-workers n] [-json] [-journal file [-resume]]
                     [-prior journal1.jsonl,journal2.jsonl] [-screen-margin x]
-                    [-shards n] [-workers-url http://replica1,http://replica2]
-                    [-shard-dir dir]
                     [-temps 300,77] [-modes nominal,cryosp] [-depths 14,17]
                     [-nets mesh,cryobus] [-workloads x264,...] [-stages 77,4]
 
@@ -62,13 +56,6 @@ Staged candidates are priced through the multi-stage cooling chain
 (cable heat leaks + per-stage Carnot-fraction overheads) instead of
 the flat (1+CO) lift; without -stages the search is unchanged and old
 journals keep resuming.
-
--shards partitions a grid search into contiguous point-index ranges
-run concurrently — in this process, or on the remote replicas named by
--workers-url (which also implies sharding, one shard per replica when
--shards is 0). The merged frontier and -journal are byte-identical to
-the single-run output; a shard whose replica dies is re-dispatched
-locally from its journal checkpoint.
 
 The surrogate strategies (surrogate-hillclimb, ei, screen) fit a
 deterministic k-NN interpolator over the journals named by -prior (and
@@ -95,24 +82,6 @@ the output. Example:
 	}
 	if *budget < 0 || *workers < 0 {
 		fmt.Fprintln(os.Stderr, "cryowire dse: -budget and -workers must be >= 0")
-		return 2
-	}
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "cryowire dse: -shards must be >= 0")
-		return 2
-	}
-	replicas, err := splitReplicaURLs(*workersURL)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cryowire dse: %v\n", err)
-		return 2
-	}
-	sharded := *shards > 0 || len(replicas) > 0
-	if sharded && *strategy != dse.StrategyGrid {
-		fmt.Fprintf(os.Stderr, "cryowire dse: -shards requires -strategy grid (got %q): only the exhaustive grid partitions by point index\n", *strategy)
-		return 2
-	}
-	if *shardDir != "" && !sharded {
-		fmt.Fprintln(os.Stderr, "cryowire dse: -shard-dir requires -shards or -workers-url")
 		return 2
 	}
 	var priors []string
@@ -173,16 +142,7 @@ the output. Example:
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var res *cryowire.DSEResult
-	if sharded {
-		res, err = cryowire.RunShardedDSE(ctx, cfg, cryowire.ShardOptions{
-			Shards:   *shards,
-			Replicas: replicas,
-			Dir:      *shardDir,
-		})
-	} else {
-		res, err = cryowire.RunDSE(ctx, cfg)
-	}
+	res, err := cryowire.RunDSE(ctx, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cryowire dse: %v\n", err)
 		return 1
@@ -198,30 +158,6 @@ the output. Example:
 	}
 	fmt.Print(res.Render())
 	return 0
-}
-
-// splitReplicaURLs parses the -workers-url list, demanding absolute
-// http(s) base URLs so a typo fails here instead of as a dial error
-// mid-search.
-func splitReplicaURLs(raw string) ([]string, error) {
-	if raw == "" {
-		return nil, nil
-	}
-	var out []string
-	for _, p := range strings.Split(raw, ",") {
-		if p = strings.TrimSpace(p); p == "" {
-			continue
-		}
-		u, err := url.Parse(p)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("-workers-url: %q is not an http(s) base URL", p)
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers-url: no replica URLs in %q", raw)
-	}
-	return out, nil
 }
 
 // overrideSpace replaces any axis the user supplied. Validation of the

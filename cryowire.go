@@ -30,7 +30,6 @@ import (
 	"cryowire/internal/noc"
 	"cryowire/internal/platform"
 	"cryowire/internal/power"
-	"cryowire/internal/shard"
 	"cryowire/internal/sim"
 	"cryowire/internal/stage"
 	"cryowire/internal/wire"
@@ -280,20 +279,6 @@ func DSEStrategies() []string { return dse.Strategies() }
 // dse.Run for the journaling and determinism contract.
 func RunDSE(ctx context.Context, cfg DSEConfig) (*DSEResult, error) {
 	return dse.Run(ctx, cfg)
-}
-
-// ShardOptions configures a sharded search: the partition count, the
-// remote replica URLs (empty = in-process executors) and the failure
-// policy. See shard.Options.
-type ShardOptions = shard.Options
-
-// RunShardedDSE partitions one grid search into contiguous point-index
-// ranges, runs them concurrently — in-process or on remote `cryowire
-// serve -jobs-dir` replicas — and merges the per-shard journals into a
-// result byte-identical to RunDSE on the same config. A shard whose
-// replica dies is re-dispatched locally from its journal checkpoint.
-func RunShardedDSE(ctx context.Context, cfg DSEConfig, opt ShardOptions) (*DSEResult, error) {
-	return shard.Run(ctx, cfg, opt)
 }
 
 // --- temperature-stage API (the multi-stage cryostat workflow) --------------

@@ -20,16 +20,8 @@ type Config struct {
 	// the exhaustive grid.
 	Strategy string
 	// Budget caps the number of evaluated candidates. Zero or negative
-	// means the whole space (or the whole Range when one is set).
+	// means the whole space.
 	Budget int
-	// Range, when non-nil, restricts the search to the half-open
-	// point-index interval [Start, End). Requires the grid strategy —
-	// ranges are how a distributed search is partitioned, and only the
-	// exhaustive grid is partitionable by index. The journal key is
-	// deliberately range-blind: every range of a space records under the
-	// same key, so per-range journals merge into one indistinguishable
-	// from a single full-space run's.
-	Range *Range
 	// Seed drives the seeded strategies; runs with equal (space, config,
 	// strategy, seed) produce identical results.
 	Seed int64
@@ -166,19 +158,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	budget := cfg.Budget
 	if budget <= 0 || budget > size {
 		budget = size
-	}
-	if cfg.Range != nil {
-		if err := cfg.Range.Validate(size); err != nil {
-			return nil, err
-		}
-		g, ok := strat.(*gridStrategy)
-		if !ok {
-			return nil, fmt.Errorf("dse: a point-index range requires the %q strategy (got %q): only the exhaustive grid partitions by index", StrategyGrid, cfg.Strategy)
-		}
-		g.cursor, g.limit = cfg.Range.Start, cfg.Range.End
-		if rl := cfg.Range.Len(); budget > rl {
-			budget = rl
-		}
 	}
 	ckpt := cfg.CheckpointEvery
 	if ckpt <= 0 {

@@ -35,8 +35,7 @@ type journalHeader struct {
 	// different priors is rejected instead of silently diverging from
 	// the run it promises to reproduce byte-for-byte. Empty for the
 	// exact strategies (grid/random/hillclimb), which keeps their
-	// headers byte-identical to earlier releases and keeps shard
-	// journals mergeable.
+	// headers byte-identical to earlier releases.
 	StrategyKey string `json:"strategy_key,omitempty"`
 }
 

@@ -36,10 +36,10 @@ func TestResumeRejectsOutOfRangeIndex(t *testing.T) {
 }
 
 // FuzzParseJournal feeds arbitrary bytes to ParseJournal — the parser
-// behind -prior files and remote replica responses — under the
-// pre-stage fixture's space and sim config. Whatever it accepts must be
-// usable as-is: every entry's index inside the space, no index twice,
-// indexes ascending. Rejection is always allowed; a panic never is.
+// behind -prior files — under the pre-stage fixture's space and sim
+// config. Whatever it accepts must be usable as-is: every entry's index
+// inside the space, no index twice, indexes ascending. Rejection is
+// always allowed; a panic never is.
 func FuzzParseJournal(f *testing.F) {
 	fixture, err := os.ReadFile("../../testdata/dse_prestage_journal.jsonl")
 	if err != nil {

@@ -10,18 +10,17 @@ import (
 	"cryowire/internal/sim"
 )
 
-// This file is the journal's exported face, built for distribution
-// (internal/shard): per-range shard journals are read, merged and
-// rewritten here. The load-bearing fact is that the journal key binds
-// only (space, sim config) — never a range, budget or schedule — so
-// every shard of one search records under one key, and a merge of
-// complete shard journals is byte-identical to the journal an
-// uninterrupted single-node run would have left behind.
+// This file is the journal's exported face: the readers behind the
+// surrogate strategies' -prior journals and the benchmark's replay,
+// the entry and frontier unions they need, and an append handle for
+// evaluations recorded outside the engine. The load-bearing fact is
+// that the journal key binds only (space, sim config) — never a
+// budget, strategy or schedule — so every search of one space records
+// under one key, and entry sets from different journals of it merge.
 
 // JournalEntry is one completed evaluation as recorded on a journal
 // line: the point's stable index in the space and its measured
-// outcome. Entries are the currency of distribution — a remote worker
-// is just something that turns index ranges into entry streams.
+// outcome.
 type JournalEntry struct {
 	Index int  `json:"index"`
 	Eval  Eval `json:"eval"`
@@ -109,8 +108,8 @@ func MergeEntries(sets ...[]JournalEntry) ([]JournalEntry, error) {
 // WriteJournal atomically replaces the journal at path with a complete
 // journal for (s, cfg) holding entries in index order: temp file in
 // the target directory, sync, rename. Index order is what a grid run
-// appends in, so for a full entry set the bytes equal a single-node
-// journal's — the identity the shard merge is gated on.
+// appends in, so for a full entry set the bytes equal the journal a
+// grid run leaves behind.
 func WriteJournal(path string, s Space, cfg sim.Config, entries []JournalEntry) error {
 	sorted := append([]JournalEntry(nil), entries...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Index < sorted[b].Index })
@@ -128,7 +127,7 @@ func WriteJournal(path string, s Space, cfg sim.Config, entries []JournalEntry) 
 		buf = append(buf, '\n')
 	}
 	// The ".tmp-" prefix matches the jobs store's debris convention, so
-	// a merge that crashes inside a job directory is swept on recovery.
+	// a write that crashes inside a job directory is swept on recovery.
 	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-journal-*")
 	if err != nil {
 		return fmt.Errorf("dse: write journal: %w", err)
@@ -151,9 +150,8 @@ func WriteJournal(path string, s Space, cfg sim.Config, entries []JournalEntry) 
 }
 
 // JournalWriter is an exported append handle on a checkpoint journal,
-// for evaluations obtained outside the engine — the shard coordinator
-// mirrors a remote replica's journal through one, line by line as they
-// arrive. Opening creates-or-resumes: a missing or empty file gets a
+// for evaluations obtained outside the engine. Opening
+// creates-or-resumes: a missing or empty file gets a
 // fresh header, an existing one is loaded under the same key checks as
 // -resume (torn tail truncated). Appends sync per record, matching the
 // engine's own crash guarantee.
@@ -179,26 +177,17 @@ func (w *JournalWriter) Record(e JournalEntry) error {
 	return w.j.record(e.Index, e.Eval)
 }
 
-// Has reports whether an index is already journaled.
-func (w *JournalWriter) Has(i int) bool {
-	_, ok := w.j.lookup(i)
-	return ok
-}
-
-// Len returns the number of journaled entries.
-func (w *JournalWriter) Len() int { return len(w.j.cache) }
-
 // Close releases the journal file.
 func (w *JournalWriter) Close() error { return w.j.close() }
 
-// MergeFrontiers merges per-shard Pareto frontiers into the frontier
-// of their union under the objectives (nil means DefaultObjectives).
-// A point non-dominated in the union is non-dominated within any
-// subset containing it, so frontier(A ∪ B) == frontier(frontier(A) ∪
-// frontier(B)) — merging per-shard frontiers loses nothing. Like
-// MergeEntries it is commutative, associative and idempotent:
-// candidates dedup by point index and re-filter in index order, so
-// shard arrival order can never change the merged frontier.
+// MergeFrontiers merges Pareto frontiers into the frontier of their
+// union under the objectives (nil means DefaultObjectives). A point
+// non-dominated in the union is non-dominated within any subset
+// containing it, so frontier(A ∪ B) == frontier(frontier(A) ∪
+// frontier(B)) — which lets a reader grow a frontier one entry at a
+// time. Like MergeEntries it is commutative, associative and
+// idempotent: candidates dedup by point index and re-filter in index
+// order, so input order can never change the merged frontier.
 func MergeFrontiers(objs []Objective, fronts ...[]Candidate) []Candidate {
 	if len(objs) == 0 {
 		objs = DefaultObjectives()

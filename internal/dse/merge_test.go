@@ -19,48 +19,29 @@ func mergeSim() sim.Config {
 	return sim.Config{WarmupCycles: 200, MeasureCycles: 800, Seed: 1}
 }
 
-// runHalves evaluates the quick space once whole and once as two
-// disjoint range halves, all journaled, on one shared platform cache.
+// runHalves evaluates the quick space once, journaled, and splits the
+// journal's entries into two disjoint index halves.
 func runHalves(t *testing.T) (space Space, scfg sim.Config, single *Result, singleJournal []byte, a, b []JournalEntry) {
 	t.Helper()
 	space = DefaultSpace(true)
 	scfg = mergeSim()
-	pf := platform.New()
-	dir := t.TempDir()
-
-	singlePath := filepath.Join(dir, "single.jsonl")
+	path := filepath.Join(t.TempDir(), "single.jsonl")
 	single, err := Run(context.Background(), Config{
-		Space: space, Strategy: StrategyGrid, Sim: scfg, Platform: pf, Journal: singlePath,
+		Space: space, Strategy: StrategyGrid, Sim: scfg, Platform: platform.New(), Journal: path,
 	})
 	if err != nil {
 		t.Fatalf("single run: %v", err)
 	}
-	singleJournal, err = os.ReadFile(singlePath)
+	singleJournal, err = os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	half := space.Size() / 2
-	for i, r := range []Range{{0, half}, {half, space.Size()}} {
-		path := filepath.Join(dir, "half.jsonl")
-		os.Remove(path)
-		if _, err := Run(context.Background(), Config{
-			Space: space, Strategy: StrategyGrid, Sim: scfg, Platform: pf,
-			Journal: path, Range: &r,
-		}); err != nil {
-			t.Fatalf("half %d: %v", i, err)
-		}
-		entries, err := ReadJournal(path, space, scfg)
-		if err != nil {
-			t.Fatalf("read half %d: %v", i, err)
-		}
-		if i == 0 {
-			a = entries
-		} else {
-			b = entries
-		}
+	entries, err := ReadJournal(path, space, scfg)
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
 	}
-	return space, scfg, single, singleJournal, a, b
+	half := len(entries) / 2
+	return space, scfg, single, singleJournal, entries[:half], entries[half:]
 }
 
 // TestJournalMergeLaws proves the entry merge is commutative,
@@ -153,37 +134,5 @@ func TestFrontierMergeLaws(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("merged frontier JSON differs byte-for-byte from the single-run frontier")
-	}
-}
-
-// TestRangeRun pins range semantics: a grid range evaluates exactly its
-// indexes, and the adaptive strategies refuse ranges.
-func TestRangeRun(t *testing.T) {
-	space := DefaultSpace(true)
-	r := Range{Start: 4, End: 12}
-	res, err := Run(context.Background(), Config{
-		Space: space, Strategy: StrategyGrid, Sim: mergeSim(), Range: &r,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evaluated != r.Len() {
-		t.Fatalf("Evaluated = %d, want %d", res.Evaluated, r.Len())
-	}
-	for _, c := range res.Frontier {
-		if c.Index < r.Start || c.Index >= r.End {
-			t.Fatalf("frontier index %d outside range [%d,%d)", c.Index, r.Start, r.End)
-		}
-	}
-	if _, err := Run(context.Background(), Config{
-		Space: space, Strategy: StrategyRandom, Sim: mergeSim(), Range: &r,
-	}); err == nil || !strings.Contains(err.Error(), "grid") {
-		t.Fatalf("random+range error = %v, want grid-only error", err)
-	}
-	bad := Range{Start: 8, End: 99}
-	if _, err := Run(context.Background(), Config{
-		Space: space, Strategy: StrategyGrid, Sim: mergeSim(), Range: &bad,
-	}); err == nil {
-		t.Fatal("out-of-space range accepted")
 	}
 }

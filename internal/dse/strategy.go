@@ -51,7 +51,7 @@ type HistoryEntry struct {
 func NewStrategy(name string, seed int64) (Strategy, error) {
 	switch name {
 	case StrategyGrid:
-		return &gridStrategy{}, nil
+		return gridStrategy{}, nil
 	case StrategyRandom:
 		return &randomStrategy{seed: seed}, nil
 	case StrategyHillClimb:
@@ -76,21 +76,15 @@ func NewStrategy(name string, seed int64) (Strategy, error) {
 const defaultCheckpointEvery = 64
 
 // gridStrategy enumerates the space in index order — the exhaustive
-// sweep the paper's sensitivity studies replay by hand. A Config.Range
-// restricts it to [cursor, limit); limit 0 means the whole space.
-type gridStrategy struct {
-	cursor int
-	limit  int
-}
+// sweep the paper's sensitivity studies replay by hand. Its history is
+// exactly the indexes it has proposed, so the next index is its length.
+type gridStrategy struct{}
 
-func (g *gridStrategy) Name() string { return StrategyGrid }
+func (gridStrategy) Name() string { return StrategyGrid }
 
-func (g *gridStrategy) Next(s Space, _ []HistoryEntry, remaining int) []int {
-	end := s.Size()
-	if g.limit > 0 && g.limit < end {
-		end = g.limit
-	}
-	n := end - g.cursor
+func (gridStrategy) Next(s Space, hist []HistoryEntry, remaining int) []int {
+	next := len(hist)
+	n := s.Size() - next
 	if n > remaining {
 		n = remaining
 	}
@@ -99,9 +93,8 @@ func (g *gridStrategy) Next(s Space, _ []HistoryEntry, remaining int) []int {
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = g.cursor + i
+		out[i] = next + i
 	}
-	g.cursor += n
 	return out
 }
 

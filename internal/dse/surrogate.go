@@ -670,7 +670,7 @@ func loadPriors(cfg Config) ([]JournalEntry, error) {
 // or knobs is rejected instead of silently diverging from the
 // uninterrupted run it promises to reproduce. Non-surrogate strategies
 // keep an empty key, which keeps grid/random/hillclimb journal headers
-// byte-identical to every earlier release (and shard merges working).
+// byte-identical to every earlier release.
 func surrogateStrategyKey(cfg Config, priors []JournalEntry) (string, error) {
 	margin := 0.0
 	if cfg.Strategy == StrategyScreen {

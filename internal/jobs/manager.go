@@ -11,7 +11,6 @@ import (
 
 	"cryowire/internal/dse"
 	"cryowire/internal/platform"
-	"cryowire/internal/shard"
 )
 
 // Options tunes the manager. The zero value runs one job at a time.
@@ -51,10 +50,8 @@ type Manager struct {
 	drainCh  chan struct{}
 
 	// run indirects the engine entry point so tests can interpose on
-	// timing; production always points at dse.Run. runSharded is the
-	// same indirection for shard fan-out jobs (production: shard.Run).
-	run        func(ctx context.Context, cfg dse.Config) (*dse.Result, error)
-	runSharded func(ctx context.Context, cfg dse.Config, opt shard.Options) (*dse.Result, error)
+	// timing; production always points at dse.Run.
+	run func(ctx context.Context, cfg dse.Config) (*dse.Result, error)
 
 	// Counters for /metrics.
 	submitted, completed, failed, canceled, resumed atomic.Uint64
@@ -100,22 +97,21 @@ func Open(dir string, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		store:      store,
-		opts:       opts,
-		log:        opts.Logger,
-		bootID:     boot,
-		sem:        make(chan struct{}, opts.MaxConcurrent),
-		jobs:       make(map[string]*tracked),
-		drainCh:    make(chan struct{}),
-		run:        dse.Run,
-		runSharded: shard.Run,
+		store:   store,
+		opts:    opts,
+		log:     opts.Logger,
+		bootID:  boot,
+		sem:     make(chan struct{}, opts.MaxConcurrent),
+		jobs:    make(map[string]*tracked),
+		drainCh: make(chan struct{}),
+		run:     dse.Run,
 	}
 	jobs, damaged, err := store.List()
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range damaged {
-		m.log.Warn("jobs: skipping damaged job directory", "id", id)
+	for _, d := range damaged {
+		m.log.Warn("jobs: skipping damaged job directory", "id", d.ID, "err", d.Err)
 	}
 	for _, j := range jobs {
 		if j.State.Status == StatusRunning {
@@ -163,9 +159,6 @@ func (m *Manager) Submit(sp Spec) (State, error) {
 		return State{}, err
 	}
 	if _, err := dse.NewStrategy(orGrid(sp.Strategy), sp.Seed); err != nil {
-		return State{}, err
-	}
-	if err := sp.ValidateSharding(); err != nil {
 		return State{}, err
 	}
 	m.mu.Lock()
@@ -466,21 +459,7 @@ func (m *Manager) runJob(t *tracked) {
 		m.mu.Unlock()
 	}
 
-	var res *dse.Result
-	if t.spec.Sharded() {
-		// Shard fan-out: the coordinator partitions the space, runs the
-		// shards (locally or on remote replicas), and merges into this
-		// job's journal — so recovery, cancel and the journal endpoint
-		// see exactly what a plain job would have written.
-		res, err = m.runSharded(jctx, cfg, shard.Options{
-			Shards:   t.spec.Shards,
-			Replicas: t.spec.Replicas,
-			Dir:      m.store.ShardDir(id),
-			Logger:   m.log,
-		})
-	} else {
-		res, err = m.run(jctx, cfg)
-	}
+	res, err := m.run(jctx, cfg)
 	if err != nil {
 		if jctx.Err() != nil {
 			// Deliberate stop (drain or client cancel) or parent

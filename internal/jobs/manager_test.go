@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -217,6 +218,51 @@ func TestCrashedRunningJobRecovered(t *testing.T) {
 	}
 	if want := referenceBytes(t, sp); !bytes.Equal(got, want) {
 		t.Fatalf("recovered result differs:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestRetiredRangeSpecNeverRuns: a pending job whose spec.json an
+// earlier release wrote with a point-index range is reported damaged on
+// Open, with the decode error in the warning, and never runs — running
+// it without its range would search the whole space.
+func TestRetiredRangeSpecNeverRuns(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "jobs")
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := s.Create(testSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := job.State.ID
+	if err := os.WriteFile(filepath.Join(s.dir(id), specFile), []byte(rangedSpecJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	m, err := Open(dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.run = func(ctx context.Context, cfg dse.Config) (*dse.Result, error) {
+		t.Errorf("job ran over %d points", cfg.Space.Size())
+		return nil, errors.New("must not run")
+	}
+	m.Start(context.Background())
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := m.Get(id); err == nil {
+		t.Fatal("job with a retired range was loaded")
+	}
+	if _, err := os.Stat(s.JournalPath(id)); !os.IsNotExist(err) {
+		t.Fatalf("journal stat err = %v, want not-exist", err)
+	}
+	for _, want := range []string{"skipping damaged job directory", id, "range_start"} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("log missing %q:\n%s", want, logs.String())
+		}
 	}
 }
 

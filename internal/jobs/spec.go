@@ -1,8 +1,8 @@
 package jobs
 
 import (
+	"encoding/json"
 	"fmt"
-	"net/url"
 
 	"cryowire/internal/dse"
 	"cryowire/internal/sim"
@@ -40,19 +40,6 @@ type Spec struct {
 	// CheckpointEvery caps evaluations per journal checkpoint (0 = the
 	// engine default). A scheduling knob like Workers.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// RangeStart / RangeEnd restrict a grid job to the half-open
-	// point-index interval [RangeStart, RangeEnd) — the shape a shard
-	// coordinator submits to a replica. Both zero means the whole
-	// space. omitempty keeps pre-shard specs byte-identical on rewrite.
-	RangeStart int `json:"range_start,omitempty"`
-	RangeEnd   int `json:"range_end,omitempty"`
-	// Shards / Replicas turn the job into a shard fan-out: the manager
-	// hands it to the shard coordinator, which partitions the space
-	// into Shards ranges and runs them on local executors (empty
-	// Replicas) or remote `cryowire serve` replicas. A sharded job
-	// cannot itself be range-restricted.
-	Shards   int      `json:"shards,omitempty"`
-	Replicas []string `json:"replicas,omitempty"`
 	// Prior / ScreenMargin parameterize the surrogate strategies: paths
 	// of prior journals to learn from and the screen strategy's
 	// Pareto-band width (0 = engine default). omitempty keeps specs
@@ -61,60 +48,63 @@ type Spec struct {
 	ScreenMargin float64  `json:"screen_margin,omitempty"`
 }
 
-// Sharded reports whether the job runs through the shard coordinator
-// instead of a plain engine run.
-func (sp Spec) Sharded() bool { return sp.Shards > 1 || len(sp.Replicas) > 0 }
+// RetiredFieldError reports a spec field an earlier release honoured
+// and this one does not, where ignoring it would change what the job
+// computes. range_start/range_end restricted a job to a slice of its
+// space: run without them, the job would search the whole space.
+type RetiredFieldError struct {
+	Field string
+}
 
-// ValidateSharding checks the fan-out parameters of a sharded spec, so
-// a bad submission is rejected up front instead of landing the job on
-// failed. Non-sharded specs pass trivially.
-func (sp Spec) ValidateSharding() error {
-	if !sp.Sharded() {
-		return nil
+func (e *RetiredFieldError) Error() string {
+	return fmt.Sprintf("jobs: spec: field %q is retired and would change the search; resubmit the job without it", e.Field)
+}
+
+// UnmarshalJSON decodes a spec file. Unknown keys are ignored, so
+// fields retired without changing any result (batch_lanes, shards,
+// replicas) still load; a non-zero retired range is a
+// *RetiredFieldError, so such a job is reported damaged, never run.
+func (sp *Spec) UnmarshalJSON(b []byte) error {
+	type plain Spec // no methods: decoding it does not recurse
+	var v struct {
+		plain
+		RangeStart int `json:"range_start"`
+		RangeEnd   int `json:"range_end"`
 	}
-	if s := sp.Strategy; s != "" && s != dse.StrategyGrid {
-		return fmt.Errorf("jobs: spec: sharding requires the %q strategy (got %q)", dse.StrategyGrid, s)
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
 	}
-	if sp.Shards < 0 {
-		return fmt.Errorf("jobs: spec: negative shard count %d", sp.Shards)
+	if v.RangeStart != 0 {
+		return &RetiredFieldError{Field: "range_start"}
 	}
-	for _, r := range sp.Replicas {
-		u, err := url.Parse(r)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return fmt.Errorf("jobs: spec: replica %q is not an http(s) base URL", r)
-		}
+	if v.RangeEnd != 0 {
+		return &RetiredFieldError{Field: "range_end"}
 	}
-	if len(sp.Replicas) > 0 && (sp.WarmupCycles <= 0 || sp.MeasureCycles <= 0 || sp.SimSeed == 0) {
-		return fmt.Errorf("jobs: spec: remote dispatch requires explicit warmup_cycles, measure_cycles and sim seed so replicas journal under the coordinator's key")
-	}
+	*sp = Spec(v.plain)
 	return nil
 }
 
 // SpecFromConfig extracts the durable spec from a resolved engine
 // config (the server's DTO resolution already validated it).
 func SpecFromConfig(cfg dse.Config) Spec {
-	sp := Spec{
-		Strategy:      cfg.Strategy,
-		Budget:        cfg.Budget,
-		Seed:          cfg.Seed,
-		TempsK:        cfg.Space.TempsK,
-		Modes:         cfg.Space.Modes,
-		Depths:        cfg.Space.Depths,
-		Nets:          cfg.Space.Nets,
-		Workloads:     cfg.Space.WorkloadNames,
-		StageTempsK:   cfg.Space.StageTempsK,
-		WarmupCycles:  cfg.Sim.WarmupCycles,
-		MeasureCycles: cfg.Sim.MeasureCycles,
-		SimSeed:       cfg.Sim.Seed,
-		Workers:       cfg.Workers,
+	return Spec{
+		Strategy:        cfg.Strategy,
+		Budget:          cfg.Budget,
+		Seed:            cfg.Seed,
+		TempsK:          cfg.Space.TempsK,
+		Modes:           cfg.Space.Modes,
+		Depths:          cfg.Space.Depths,
+		Nets:            cfg.Space.Nets,
+		Workloads:       cfg.Space.WorkloadNames,
+		StageTempsK:     cfg.Space.StageTempsK,
+		WarmupCycles:    cfg.Sim.WarmupCycles,
+		MeasureCycles:   cfg.Sim.MeasureCycles,
+		SimSeed:         cfg.Sim.Seed,
+		Workers:         cfg.Workers,
+		CheckpointEvery: cfg.CheckpointEvery,
+		Prior:           cfg.Priors,
+		ScreenMargin:    cfg.ScreenMargin,
 	}
-	if cfg.Range != nil {
-		sp.RangeStart, sp.RangeEnd = cfg.Range.Start, cfg.Range.End
-	}
-	sp.CheckpointEvery = cfg.CheckpointEvery
-	sp.Prior = cfg.Priors
-	sp.ScreenMargin = cfg.ScreenMargin
-	return sp
 }
 
 // Config resolves the spec back into an engine config (journal path
@@ -137,7 +127,7 @@ func (sp Spec) Config() (dse.Config, error) {
 	if err := space.Validate(); err != nil {
 		return dse.Config{}, fmt.Errorf("jobs: spec: %w", err)
 	}
-	cfg := dse.Config{
+	return dse.Config{
 		Space:           space,
 		Strategy:        sp.Strategy,
 		Budget:          sp.Budget,
@@ -147,23 +137,11 @@ func (sp Spec) Config() (dse.Config, error) {
 		CheckpointEvery: sp.CheckpointEvery,
 		Priors:          sp.Prior,
 		ScreenMargin:    sp.ScreenMargin,
-	}
-	if sp.RangeStart != 0 || sp.RangeEnd != 0 {
-		if sp.Sharded() {
-			return dse.Config{}, fmt.Errorf("jobs: spec: a sharded job owns its ranges; drop range_start/range_end")
-		}
-		r := dse.Range{Start: sp.RangeStart, End: sp.RangeEnd}
-		if err := r.Validate(space.Size()); err != nil {
-			return dse.Config{}, fmt.Errorf("jobs: spec: %w", err)
-		}
-		cfg.Range = &r
-	}
-	return cfg, nil
+	}, nil
 }
 
 // Total is the number of evaluations the job will perform when the
-// strategy does not converge early: the budget clipped to the space —
-// or to the point-index range for a range-restricted job.
+// strategy does not converge early: the budget clipped to the space.
 func (sp Spec) Total() int {
 	size := len(sp.TempsK) * len(sp.Modes) * len(sp.Depths) * len(sp.Nets) * len(sp.Workloads)
 	if n := len(sp.StageTempsK); n > 0 {
@@ -172,11 +150,6 @@ func (sp Spec) Total() int {
 	total := size
 	if sp.Budget > 0 && sp.Budget < total {
 		total = sp.Budget
-	}
-	if sp.RangeStart != 0 || sp.RangeEnd != 0 {
-		if rl := sp.RangeEnd - sp.RangeStart; rl > 0 && rl < total {
-			total = rl
-		}
 	}
 	return total
 }

@@ -93,7 +93,6 @@ const (
 	stateFile   = "state.json"
 	journalFile = "journal.jsonl"
 	resultFile  = "result.json"
-	shardsDir   = "shards"
 )
 
 // Store is the directory-per-job persistence layer. All methods are
@@ -143,20 +142,6 @@ func (s *Store) sweep() error {
 		for _, f := range sub {
 			if strings.HasPrefix(f.Name(), tmpPrefix) {
 				s.fs.Remove(filepath.Join(s.root, e.Name(), f.Name()))
-				continue
-			}
-			if f.Name() != shardsDir || !f.IsDir() {
-				continue
-			}
-			// Shard journal merges stage temp files one level deeper.
-			shards, err := os.ReadDir(filepath.Join(s.root, e.Name(), shardsDir))
-			if err != nil {
-				continue
-			}
-			for _, sf := range shards {
-				if strings.HasPrefix(sf.Name(), tmpPrefix) {
-					s.fs.Remove(filepath.Join(s.root, e.Name(), shardsDir, sf.Name()))
-				}
 			}
 		}
 	}
@@ -191,12 +176,6 @@ func (s *Store) dir(id string) string { return filepath.Join(s.root, id) }
 
 // JournalPath returns the job's dse checkpoint journal path.
 func (s *Store) JournalPath(id string) string { return filepath.Join(s.dir(id), journalFile) }
-
-// ShardDir returns the directory a sharded job's per-shard journals
-// live in. It sits inside the job directory so shard checkpoints share
-// the job's lifetime: they survive a crash for re-dispatch and vanish
-// with Delete.
-func (s *Store) ShardDir(id string) string { return filepath.Join(s.dir(id), shardsDir) }
 
 // LoadJournal returns the job's raw checkpoint journal bytes; a job
 // that has not checkpointed yet yields an empty journal, not an error.
@@ -287,11 +266,17 @@ func (s *Store) Load(id string) (Job, error) {
 	return j, nil
 }
 
+// DamagedJob names a job directory List could not load, and why.
+type DamagedJob struct {
+	ID  string
+	Err error
+}
+
 // List scans the store and returns every readable job sorted by
 // creation time (ties broken by id). Unreadable job directories are
-// returned as damaged ids rather than failing the whole scan — one
+// returned as damaged rather than failing the whole scan — one
 // corrupt job must not take recovery down with it.
-func (s *Store) List() (jobs []Job, damaged []string, err error) {
+func (s *Store) List() (jobs []Job, damaged []DamagedJob, err error) {
 	ents, err := os.ReadDir(s.root)
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobs: scan store: %w", err)
@@ -300,13 +285,9 @@ func (s *Store) List() (jobs []Job, damaged []string, err error) {
 		if !e.IsDir() || strings.HasPrefix(e.Name(), tmpPrefix) {
 			continue
 		}
-		if !validID(e.Name()) {
-			damaged = append(damaged, e.Name())
-			continue
-		}
 		j, err := s.Load(e.Name())
 		if err != nil {
-			damaged = append(damaged, e.Name())
+			damaged = append(damaged, DamagedJob{ID: e.Name(), Err: err})
 			continue
 		}
 		jobs = append(jobs, j)
@@ -347,7 +328,8 @@ func (s *Store) Delete(id string) error {
 	return s.syncPath(s.root)
 }
 
-// readJSON strictly decodes one whole JSON file.
+// readJSON decodes one whole JSON file. Unknown keys are ignored;
+// Spec's decoder rejects the retired ones that would change a search.
 func readJSON(path string, v any) error {
 	b, err := os.ReadFile(path)
 	if err != nil {

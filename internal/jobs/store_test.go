@@ -290,8 +290,8 @@ func TestListReportsDamage(t *testing.T) {
 	if len(jobs) != 1 || jobs[0].State.ID != job.State.ID {
 		t.Fatalf("healthy jobs = %v", jobs)
 	}
-	if len(damaged) != 1 || damaged[0] != bad.State.ID {
-		t.Fatalf("damaged = %v, want [%s]", damaged, bad.State.ID)
+	if len(damaged) != 1 || damaged[0].ID != bad.State.ID || !strings.Contains(damaged[0].Err.Error(), stateFile) {
+		t.Fatalf("damaged = %v, want [%s] with a %s parse error", damaged, bad.State.ID, stateFile)
 	}
 }
 

@@ -39,12 +39,6 @@ type dseDTO struct {
 	// chain instead of the flat (1+CO) lift. Empty leaves the search —
 	// and its result bytes — exactly as before the axis existed.
 	StageTempsK []float64 `json:"stage_temps_k"`
-	// RangeStart / RangeEnd restrict a grid search to the half-open
-	// point-index interval [range_start, range_end) — the request shape
-	// a shard coordinator sends each replica. Both zero means the whole
-	// space; the cap applies to the range length, not the space size.
-	RangeStart int `json:"range_start"`
-	RangeEnd   int `json:"range_end"`
 	// CheckpointEvery caps evaluations per journal checkpoint (async
 	// jobs; 0 = engine default). A scheduling knob like workers:
 	// excluded from the cache key because it never changes the result
@@ -122,23 +116,12 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 	if err := space.Validate(); err != nil {
 		return dse.Config{}, badRequest("%v", err)
 	}
-	var rng *dse.Range
-	if d.RangeStart != 0 || d.RangeEnd != 0 {
-		r := dse.Range{Start: d.RangeStart, End: d.RangeEnd}
-		if err := r.Validate(space.Size()); err != nil {
-			return dse.Config{}, badRequest("%v", err)
-		}
-		rng = &r
-	}
 	evals := space.Size()
 	if d.Budget > 0 && d.Budget < evals {
 		evals = d.Budget
 	}
-	if rng != nil && rng.Len() < evals {
-		evals = rng.Len()
-	}
 	if maxEvals > 0 && evals > maxEvals {
-		return dse.Config{}, badRequest("request would evaluate %d candidates, server cap is %d; cap the budget, submit it to the async jobs API (POST /v1/dse/jobs), shard it across replicas (POST /v1/dse/shards or `cryowire dse -shards`), or run `cryowire dse` locally", evals, maxEvals)
+		return dse.Config{}, badRequest("request would evaluate %d candidates, server cap is %d; cap the budget, submit it to the async jobs API (POST /v1/dse/jobs), or run `cryowire dse` locally (-workers spreads it over the CPUs)", evals, maxEvals)
 	}
 	cfg := sim.DefaultConfig()
 	if d.Quick {
@@ -163,9 +146,6 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 	if _, err := dse.NewStrategy(strategy, d.Seed); err != nil {
 		return dse.Config{}, badRequest("%v", err)
 	}
-	if rng != nil && strategy != dse.StrategyGrid {
-		return dse.Config{}, badRequest("a point-index range requires the %q strategy (got %q)", dse.StrategyGrid, strategy)
-	}
 	if len(d.Prior) > 0 && !dse.IsSurrogateStrategy(strategy) {
 		return dse.Config{}, badRequest("prior journals require a surrogate strategy (%s, %s or %s), got %q",
 			dse.StrategySurrogateHill, dse.StrategyEI, dse.StrategyScreen, strategy)
@@ -183,7 +163,6 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 		Seed:            d.Seed,
 		Sim:             cfg,
 		Workers:         d.Workers,
-		Range:           rng,
 		CheckpointEvery: d.CheckpointEvery,
 		Priors:          d.Prior,
 		ScreenMargin:    d.ScreenMargin,
@@ -191,19 +170,13 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 }
 
 // canonicalDSE renders the resolved search canonically for the cache
-// key. Everything Result depends on is included — notably the point
-// range, which changes which candidates are evaluated; workers and
-// checkpoint_every are not (scheduling knobs never
-// change the output, by the engine's determinism contract).
+// key. Everything Result depends on is included; workers and
+// checkpoint_every are not (scheduling knobs never change the output,
+// by the engine's determinism contract).
 func canonicalDSE(cfg dse.Config) string {
 	s := cfg.Space
-	var rs, re int
-	if cfg.Range != nil {
-		rs, re = cfg.Range.Start, cfg.Range.End
-	}
 	return canonicalKey("dse",
 		cfg.Strategy, canonInt(cfg.Budget), canonInt64(cfg.Seed),
-		canonInt(rs), canonInt(re),
 		canonFloats(s.TempsK), strings.Join(s.Modes, ","), canonInts(s.Depths),
 		strings.Join(s.Nets, ","), strings.Join(s.WorkloadNames, ","),
 		canonFloats(s.StageTempsK),

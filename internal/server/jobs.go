@@ -136,9 +136,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobJournal serves the job's checkpoint journal verbatim as
-// NDJSON: the header line plus one line per completed evaluation. This
-// is how a shard coordinator mirrors a replica's progress — the bytes
-// are the ground truth the job's state merely indexes. A job that has
+// NDJSON: the header line plus one line per completed evaluation. It
+// lets a client mirror a job's progress point by point — the bytes are
+// the ground truth the job's state merely indexes. A job that has
 // not checkpointed yet yields an empty 200 body, and a concurrent read
 // races the appender at worst into a torn final line, which every
 // parser in the system already drops.

@@ -260,6 +260,65 @@ func TestJobsDisabled(t *testing.T) {
 	}
 }
 
+// TestJobJournal: the journal endpoint mirrors a done job's checkpoint
+// as NDJSON — a header line plus one entry per evaluated point — and
+// 404s on an unknown job.
+func TestJobJournal(t *testing.T) {
+	s := newJobsServer(t, Config{})
+	h := s.Handler()
+
+	rec := do(t, h, "POST", "/v1/dse/jobs", tinyJobBody())
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", rec.Code, rec.Body)
+	}
+	var st jobs.State
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	fin := pollJob(t, h, st.ID, jobs.StatusDone)
+
+	journal := do(t, h, "GET", "/v1/dse/jobs/"+st.ID+"/journal", "")
+	if journal.Code != 200 || !strings.Contains(journal.Body.String(), "cryowire-dse-journal") {
+		t.Fatalf("journal status %d body %q", journal.Code, journal.Body)
+	}
+	if ct := journal.Header().Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("journal Content-Type = %q", ct)
+	}
+	if lines := strings.Count(journal.Body.String(), "\n"); lines != 1+fin.Evaluated {
+		t.Fatalf("journal has %d lines, want a header plus %d entries", lines, fin.Evaluated)
+	}
+	if rec := do(t, h, "GET", "/v1/dse/jobs/ffffffffffffffff/journal", ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("unknown-job journal = %d", rec.Code)
+	}
+}
+
+// TestJobJournalDisabled: without -jobs-dir the journal endpoint 404s
+// with the same hint as the rest of the async API.
+func TestJobJournalDisabled(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := do(t, s.Handler(), "GET", "/v1/dse/jobs/0123456789abcdef/journal", "")
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "jobs-dir") {
+		t.Fatalf("journal with jobs disabled = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestDSEOverCapHint pins the synchronous cap's error body: it must
+// point at the async jobs API and the local CLI.
+func TestDSEOverCapHint(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	rec := do(t, h, "POST", "/v1/dse", dseOverCapBody())
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("over-cap status = %d: %s", rec.Code, rec.Body)
+	}
+	body := rec.Body.String()
+	for _, hint := range []string{"POST /v1/dse/jobs", "cryowire dse", "-workers"} {
+		if !strings.Contains(body, hint) {
+			t.Errorf("over-cap body missing hint %q: %s", hint, body)
+		}
+	}
+}
+
 // TestJobMetrics: /metrics exposes the job counters once enabled.
 func TestJobMetrics(t *testing.T) {
 	s := newJobsServer(t, Config{})

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cryowire/internal/jobs"
-	"cryowire/internal/shard"
 	"cryowire/internal/sim"
 	"cryowire/internal/surrogate"
 )
@@ -144,32 +143,6 @@ func (m *metrics) renderProm(lru lruStats, pf platformStats, js *jobs.Stats) str
 	counter("cryowire_surrogate_fits_total", "Surrogate models fitted from journals or in-run history.", sur.Fits)
 	counter("cryowire_surrogate_predictions_total", "Surrogate predictions served to search strategies.", sur.Predictions)
 	counter("cryowire_surrogate_sims_skipped_total", "Simulations skipped because the surrogate placed the point outside the predicted Pareto band.", sur.SimsSkipped)
-
-	ss := shard.ReadStats()
-	counter("cryowire_shard_dispatched_total", "Shards handed to an executor by the coordinator.", ss.Dispatched)
-	counter("cryowire_shard_redispatched_total", "Failed shards re-dispatched locally from their journal checkpoint.", ss.Redispatched)
-	counter("cryowire_shard_http_retries_total", "Retried HTTP attempts against shard replicas.", ss.HTTPRetries)
-	counter("cryowire_shard_merged_shards_total", "Shard journals merged into a coordinator journal.", ss.MergedShards)
-	counter("cryowire_shard_merged_entries_total", "Journal entries carried through shard merges.", ss.MergedEntries)
-	if len(ss.Replicas) > 0 {
-		bases := make([]string, 0, len(ss.Replicas))
-		for base := range ss.Replicas {
-			bases = append(bases, base)
-		}
-		sort.Strings(bases)
-		fmt.Fprintf(&b, "# HELP cryowire_shard_replica_requests_total HTTP requests sent to each shard replica.\n# TYPE cryowire_shard_replica_requests_total counter\n")
-		for _, base := range bases {
-			fmt.Fprintf(&b, "cryowire_shard_replica_requests_total{replica=%q} %d\n", base, ss.Replicas[base].Requests)
-		}
-		fmt.Fprintf(&b, "# HELP cryowire_shard_replica_errors_total Failed HTTP requests per shard replica.\n# TYPE cryowire_shard_replica_errors_total counter\n")
-		for _, base := range bases {
-			fmt.Fprintf(&b, "cryowire_shard_replica_errors_total{replica=%q} %d\n", base, ss.Replicas[base].Errors)
-		}
-		fmt.Fprintf(&b, "# HELP cryowire_shard_replica_latency_seconds_sum Cumulative HTTP request latency per shard replica.\n# TYPE cryowire_shard_replica_latency_seconds_sum counter\n")
-		for _, base := range bases {
-			fmt.Fprintf(&b, "cryowire_shard_replica_latency_seconds_sum{replica=%q} %s\n", base, formatProm(ss.Replicas[base].LatencySumSeconds))
-		}
-	}
 
 	if js != nil {
 		counter("cryowire_http_rate_limited_total", "Job submissions rejected with 429 by the per-client token bucket.", m.rejectedRate.Load())

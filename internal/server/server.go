@@ -214,7 +214,6 @@ func (s *Server) Handler() http.Handler {
 	// while the compute slots are busy with the jobs they observe.
 	// Submission instead pays the per-client token bucket.
 	mux.Handle("POST /v1/dse/jobs", s.rateLimited(http.HandlerFunc(s.handleJobSubmit)))
-	mux.Handle("POST /v1/dse/shards", s.rateLimited(http.HandlerFunc(s.handleShardSubmit)))
 	mux.HandleFunc("GET /v1/dse/jobs", s.handleJobList)
 	mux.HandleFunc("GET /v1/dse/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("GET /v1/dse/jobs/{id}/result", s.handleJobResult)

@@ -76,6 +76,7 @@ func TestEndpointStatuses(t *testing.T) {
 		{"simulate unknown workload", "POST", "/v1/simulate", `{"design":"CryoSP (77K, Mesh)","workload":"nope"}`, 404, ""},
 		{"dse bad json", "POST", "/v1/dse", "{", 400, "invalid JSON"},
 		{"dse unknown field", "POST", "/v1/dse", `{"strutegy":"grid"}`, 400, "invalid JSON"},
+		{"dse retired range", "POST", "/v1/dse", `{"quick":true,"range_start":1,"range_end":3}`, 400, `unknown field \"range_start\"`},
 		{"dse unknown strategy", "POST", "/v1/dse", `{"strategy":"annealing"}`, 400, "unknown strategy"},
 		{"dse strategy list names surrogates", "POST", "/v1/dse", `{"strategy":"annealing"}`, 400, "surrogate-hillclimb, ei, screen"},
 		{"dse prior without surrogate strategy", "POST", "/v1/dse", `{"strategy":"grid","prior":["a.jsonl"]}`, 400, "surrogate strategy"},

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Package-wide counters, monotonic since process start, rendered by
 // the server's /metrics as cryowire_surrogate_* — the same pattern as
-// the sim batch stats and the shard coordinator counters.
+// the sim batch stats.
 type counters struct {
 	fits        atomic.Uint64
 	predictions atomic.Uint64
