@@ -5,8 +5,9 @@
 #
 #   make test        - quick gate: build + tests (the ROADMAP tier-1 command)
 #   make check       - full gate: vet + staticcheck (if installed) + build
-#                      + race-enabled shuffled tests + HTTP serve smoke
-#                      test (~3 min)
+#                      + race-enabled shuffled tests + the bench/ module
+#                      + every Go micro-benchmark once + HTTP serve
+#                      smoke test (~3 min)
 #   make chaos       - crash harness: build the real binary, SIGKILL it
 #                      mid-job, restart, assert byte-identical recovery
 #                      (forks processes; kept out of `make check`)
@@ -20,13 +21,16 @@
 #                      of the grid's, and the frontiers must match
 #   make bench-module - vet and race-test the benchmark harness module
 #                      in bench/ (its own go.mod) against this tree
+#   make bench-smoke - run every Go micro-benchmark for one iteration,
+#                      so the benchmarks keep building and running
+#                      (BenchmarkSystemStep steps past its run length)
 #   make bench       - Go micro-benchmarks only (no unit tests); the
 #                      end-to-end benchmark is `bash bench/run.sh run
 #                      -all` (see bench/README.md)
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race check chaos bench bench-module serve-smoke surrogate-smoke
+.PHONY: all build test vet staticcheck race check chaos bench bench-module bench-smoke serve-smoke surrogate-smoke
 
 all: check
 
@@ -56,6 +60,11 @@ race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
+# One iteration of each benchmark: a gate that they build and run, not
+# a measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
@@ -67,7 +76,7 @@ surrogate-smoke: build
 chaos:
 	$(GO) test -tags chaos -run TestChaos -v ./internal/jobs/
 
-check: vet staticcheck build race bench-module serve-smoke
+check: vet staticcheck build race bench-module bench-smoke serve-smoke
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...

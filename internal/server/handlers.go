@@ -317,6 +317,36 @@ func designByName(name string) (sim.Design, error) {
 	return sim.Design{}, notFound("unknown design %q (have %s)", name, strings.Join(names, "; "))
 }
 
+// resolve validates the body and turns it into the design, profile and
+// run config to simulate.
+func (d simulateDTO) resolve() (sim.Design, workload.Profile, sim.Config, error) {
+	if d.Design == "" || d.Workload == "" {
+		return sim.Design{}, workload.Profile{}, sim.Config{}, badRequest(`body must name a "design" and a "workload"`)
+	}
+	des, err := designByName(d.Design)
+	if err != nil {
+		return sim.Design{}, workload.Profile{}, sim.Config{}, err
+	}
+	wl, err := workload.ByName(d.Workload)
+	if err != nil {
+		return sim.Design{}, workload.Profile{}, sim.Config{}, notFound("%v", err)
+	}
+	if d.Config.WarmupCycles < 0 || d.Config.MeasureCycles < 0 {
+		return sim.Design{}, workload.Profile{}, sim.Config{}, badRequest("cycle counts must be >= 0")
+	}
+	cfg := sim.DefaultConfig()
+	if d.Config.WarmupCycles > 0 {
+		cfg.WarmupCycles = d.Config.WarmupCycles
+	}
+	if d.Config.MeasureCycles > 0 {
+		cfg.MeasureCycles = d.Config.MeasureCycles
+	}
+	if d.Config.Seed != 0 {
+		cfg.Seed = d.Config.Seed
+	}
+	return des, wl, cfg, nil
+}
+
 // handleSimulate runs one design × workload pair on the full-system
 // simulator.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -325,33 +355,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err.Error())
 		return
 	}
-	if dto.Design == "" || dto.Workload == "" {
-		writeError(w, http.StatusBadRequest, `body must name a "design" and a "workload"`)
-		return
-	}
-	d, err := designByName(dto.Design)
+	d, wl, cfg, err := dto.resolve()
 	if err != nil {
 		writeError(w, errorStatus(err), err.Error())
 		return
-	}
-	wl, err := workload.ByName(dto.Workload)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if dto.Config.WarmupCycles < 0 || dto.Config.MeasureCycles < 0 {
-		writeError(w, http.StatusBadRequest, "cycle counts must be >= 0")
-		return
-	}
-	cfg := sim.DefaultConfig()
-	if dto.Config.WarmupCycles > 0 {
-		cfg.WarmupCycles = dto.Config.WarmupCycles
-	}
-	if dto.Config.MeasureCycles > 0 {
-		cfg.MeasureCycles = dto.Config.MeasureCycles
-	}
-	if dto.Config.Seed != 0 {
-		cfg.Seed = dto.Config.Seed
 	}
 	canonical := canonicalKey("simulate", d.Name, wl.Name,
 		canonInt(cfg.WarmupCycles), canonInt(cfg.MeasureCycles), canonInt64(cfg.Seed))

@@ -471,6 +471,24 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 }
 
+// TestSimulateHugeCyclesTimesOut checks that a simulation whose cycle
+// counts are far past what memory could hold per cycle is bounded by
+// RequestTimeout like any long run: the server answers 503 and keeps
+// serving, rather than dying on an allocation sized by the request.
+func TestSimulateHugeCyclesTimesOut(t *testing.T) {
+	s := newTestServer(t, Config{RequestTimeout: 200 * time.Millisecond})
+	d := serveDesigns()[0]
+	for _, cycles := range []string{"4611686018427387904", "10000000000"} {
+		body := fmt.Sprintf(`{"design":%q,"workload":"ferret","config":{"measure_cycles":%s}}`, d.Name, cycles)
+		if rec := do(t, s.Handler(), "POST", "/v1/simulate", body); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("measure_cycles %s: status = %d, body: %s", cycles, rec.Code, rec.Body)
+		}
+	}
+	if rec := do(t, s.Handler(), "GET", "/healthz", ""); rec.Code != 200 {
+		t.Fatalf("healthz after huge runs = %d", rec.Code)
+	}
+}
+
 // TestMetricsRendering checks the Prometheus exposition shape.
 func TestMetricsRendering(t *testing.T) {
 	s := newTestServer(t, Config{})

@@ -53,3 +53,33 @@ func BenchmarkSystemStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSystemRun times one whole simulation at the quick run
+// lengths (1200 warm-up + 5000 measured cycles, as QuickOptions and the
+// DSE's quick searches use), New included, on each of stepCases. Unlike
+// BenchmarkSystemStep it pays the per-run setup every candidate of a
+// design-space search pays: the networks, the event wheel, the commit
+// table and the wake heap.
+func BenchmarkSystemRun(b *testing.B) {
+	cfg := Config{WarmupCycles: 1200, MeasureCycles: 5000, Seed: 1}
+	for _, tc := range stepCases {
+		b.Run(tc.name, func(b *testing.B) {
+			p, err := workload.ByName(tc.wl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := tc.mk(NewFactory())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := New(d, p, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -312,8 +312,24 @@ func (s *System) advanceLeg(t *txn) {
 	s.schedule(s.now+delay, ev)
 }
 
-// completeTxn retires a transaction.
+// completeTxn retires a transaction and re-syncs the cores it changed:
+// its own core, or every core after a barrier release.
 func (s *System) completeTxn(t *txn) {
+	core := t.core
+	rearm, all := s.retireTxn(t)
+	if !all {
+		s.resync(core, rearm)
+		return
+	}
+	for i := range s.cores {
+		s.resync(i, true)
+	}
+}
+
+// retireTxn is completeTxn's bookkeeping. rearm reports that the core's
+// barrier threshold moved; all, that a barrier release changed every
+// core.
+func (s *System) retireTxn(t *txn) (rearm, all bool) {
 	s.completed++
 	c := &s.cores[t.core]
 	if !t.prefetch {
@@ -354,7 +370,7 @@ func (s *System) completeTxn(t *txn) {
 			}
 			s.freeTxn(t)
 			s.injectLeg(nt)
-			return
+			return false, false
 		}
 		sl := &s.locks[t.lockLine]
 		sl.busy = false
@@ -368,7 +384,7 @@ func (s *System) completeTxn(t *txn) {
 	barrier := t.barrier
 	s.freeTxn(t)
 	if !barrier {
-		return
+		return false, false
 	}
 	// Barrier bookkeeping.
 	if !c.released {
@@ -409,10 +425,10 @@ func (s *System) completeTxn(t *txn) {
 				for i := range s.cores {
 					c := &s.cores[i]
 					c.inBarrier = false
-					c.nextBarrierAt = c.committed + s.barrierIntv*(0.75+0.5*s.rng.Float64())
+					c.nextBarrierAt = s.committed(c) + s.barrierIntv*(0.75+0.5*s.rng.Float64())
 					c.armNextEvent()
 				}
-				return
+				return true, true
 			}
 			// Directory release storm: each waiter re-reads the flag
 			// line concurrently; contention plays out on the NoC.
@@ -420,27 +436,29 @@ func (s *System) completeTxn(t *txn) {
 				s.cores[i].released = true
 				s.startTxn(i, true, false, false)
 			}
+			return true, true
 		}
-		return
+		return false, false
 	}
 	// Release read completed: resume.
 	c.released = false
 	c.inBarrier = false
-	c.nextBarrierAt = c.committed + s.barrierIntv*(0.75+0.5*s.rng.Float64())
+	c.nextBarrierAt = s.committed(c) + s.barrierIntv*(0.75+0.5*s.rng.Float64())
 	c.armNextEvent()
+	return true, false
 }
 
 // Step advances the system one NoC cycle. This is the simulator's
 // hottest function — one call per cycle, tens of thousands per
 // evaluation — so the schedule is a timing wheel (no map traffic), every
-// object it touches comes from a pool, and the per-core loop does only
-// what a quiet core needs: skip it while it waits at a barrier, commit
-// if it is not stalled, charge a stalled core's CPI-stack bucket while
-// measuring, and run the event code (coreEvents) only once committed
-// reaches the core's next-event threshold. Barrier and base cycles are
-// counted in locals and charged once per cycle; each bucket is a sum of
-// whole cycles, exact in float64, so the stack is bit-equal to charging
-// them core by core.
+// object it touches comes from a pool, and the core phase (stepCores,
+// corewake.go) is event-driven: it visits only stalled cores and cores
+// whose events are due. A running core commits without being touched:
+// its committed count is a commit-table entry, and a min-heap wakes it
+// in the cycle that count first reaches its next-event threshold.
+// Barrier and base cycles are charged from the mode counts once per
+// measured cycle; each bucket is a sum of whole cycles, exact in
+// float64, so the stack is bit-equal to charging them core by core.
 func (s *System) Step() {
 	// Pending retries / service completions, in schedule order.
 	for _, ev := range s.wheel.drain(s.now) {
@@ -463,29 +481,7 @@ func (s *System) Step() {
 		s.freeEvent(ev)
 		s.injectLeg(t)
 	}
-	// Cores.
-	measuring := s.measuring
-	var synced, unstalled int
-	for i := range s.cores {
-		c := &s.cores[i]
-		if c.inBarrier {
-			synced++
-			continue
-		}
-		if c.blockedOn == nil && c.outstanding < c.mlpCap {
-			c.committed += c.instrPerCycle
-			unstalled++
-		} else if measuring {
-			s.stackCycl[stallBucket(c)]++
-		}
-		if c.committed >= c.nextEvent {
-			s.coreEvents(i, c)
-		}
-	}
-	if measuring {
-		s.stackCycl[BucketSync] += float64(synced)
-		s.stackCycl[BucketBase] += float64(unstalled)
-	}
+	s.stepCores()
 	// Networks.
 	s.net.Step()
 	if s.dataNet != nil {
@@ -494,12 +490,14 @@ func (s *System) Step() {
 	s.now++
 }
 
-// coreEvents is the slow path of Step's core loop: it issues the demand
-// misses, lock hand-offs and barrier entry whose thresholds committed
-// has reached, then re-arms the core's next-event threshold.
+// coreEvents is the slow path of Step's core phase: it issues the
+// demand misses, lock hand-offs and barrier entry whose thresholds the
+// core's committed count has reached, then re-arms the core's
+// next-event threshold and re-syncs it.
 func (s *System) coreEvents(i int, c *coreState) {
+	committed := s.committed(c)
 	// Demand misses (plus the prefetch stream).
-	for c.committed >= c.nextMissAt && c.outstanding < c.mlpCap {
+	for committed >= c.nextMissAt && c.outstanding < c.mlpCap {
 		s.startTxn(i, false, s.rng.Float64() < 0.3, false)
 		c.nextMissAt += c.instrPerMiss * s.expRand()
 		if pf := s.design.Prefetch; pf.Enabled {
@@ -509,16 +507,17 @@ func (s *System) coreEvents(i int, c *coreState) {
 		}
 	}
 	// Contended lock hand-offs.
-	for c.committed >= c.nextLockAt {
+	for committed >= c.nextLockAt {
 		s.startLockTxn(i)
 		c.nextLockAt += s.lockIntv * (0.5 + s.rng.Float64())
 	}
 	// Barrier entry.
-	if c.committed >= c.nextBarrierAt && !c.inBarrier {
+	if committed >= c.nextBarrierAt && !c.inBarrier {
 		c.inBarrier = true
 		s.startTxn(i, true, true, false)
 	}
 	c.armNextEvent()
+	s.resync(i, true)
 }
 
 // stallBucket is the CPI-stack bucket a stalled core's cycle goes to:
@@ -538,7 +537,7 @@ func stallBucket(c *coreState) StallBucket {
 func (s *System) totalCommitted() float64 {
 	t := 0.0
 	for i := range s.cores {
-		t += s.cores[i].committed
+		t += s.committed(&s.cores[i])
 	}
 	return t
 }

@@ -96,6 +96,7 @@ func TestWatchdogNoProgress(t *testing.T) {
 	stuck := &txn{lockLine: -1}
 	for i := range s.cores {
 		s.cores[i].blockedOn = stuck
+		s.resync(i, false)
 	}
 	_, err := s.Run()
 	var serr *StallError

@@ -312,6 +312,18 @@ type System struct {
 	// barrier bookkeeping
 	barrierArrived int
 
+	// Event-driven core phase (corewake.go). ticks counts the core
+	// phases run so far (s.now between Steps). commits is the committed
+	// count per commit cycle; wakes holds running cores' next event
+	// cycles; stalled is the bitset of stalled cores and due the scratch
+	// bitset of cores whose events run this cycle. nRunning and nBarrier
+	// count the cores in those modes.
+	ticks              int64
+	commits            commitTable
+	wakes              wakeHeap
+	stalled, due       []uint64
+	nRunning, nBarrier int
+
 	// hot contended lines: lock hand-offs and the barrier line, each
 	// serializing its transactions (index lockLineCount is the barrier
 	// line).
@@ -340,11 +352,21 @@ type inflightSlot struct {
 
 // coreState is one statistical core. A core acts at three committed-
 // instruction thresholds: its next demand miss, lock hand-off and
-// barrier. nextEvent caches the earliest of them, so Step tests one
-// float per core per cycle and runs the event code only once committed
-// reaches it; every write to a threshold must re-arm it (armNextEvent).
+// barrier. nextEvent caches the earliest of them; every write to a
+// threshold must re-arm it (armNextEvent) and then resync the core,
+// which schedules its next wake from nextEvent (see corewake.go). The
+// committed count is not stored: it is the commit table's entry for the
+// core's commit cycles (System.committed).
 type coreState struct {
-	committed   float64
+	// n counts commit cycles: all of them while stalled or at a
+	// barrier, those before tick since while running.
+	n     int
+	since int64
+	mode  coreMode
+	// gen numbers the core's wakes; a resync out of running or a re-arm
+	// bumps it, so a stale heap entry is dropped when it pops.
+	gen uint32
+
 	nextMissAt  float64
 	outstanding int
 	txns        []*txn
@@ -358,9 +380,8 @@ type coreState struct {
 	released      bool
 
 	// derived per-core rates
-	instrPerCycle float64 // unstalled commit rate in instructions/NoC cycle
-	instrPerMiss  float64
-	mlpCap        int // hard MSHR/load-queue window
+	instrPerMiss float64
+	mlpCap       int // hard MSHR/load-queue window
 }
 
 // New builds a system for the design × workload pair.
@@ -395,7 +416,6 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 	s.cores = make([]coreState, d.Cores)
 	for i := range s.cores {
 		c := &s.cores[i]
-		c.instrPerCycle = s.unstalledRate()
 		c.instrPerMiss = s.instrPerMiss()
 		c.mlpCap = s.mlpCap()
 		c.nextMissAt = c.instrPerMiss * s.expRand()
@@ -409,6 +429,13 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 	s.lockIntv = s.lockInterval()
 	s.barrierIntv = s.barrierInterval()
 	s.l3Cyc = s.l3CyclesDerive()
+	s.commits = newCommitTable(s.unstalledRate(), cfg.WarmupCycles+cfg.MeasureCycles+1)
+	words := (d.Cores + 63) / 64
+	s.stalled = make([]uint64, words)
+	s.due = make([]uint64, words)
+	for i := range s.cores {
+		s.resync(i, true)
+	}
 	return s, nil
 }
 
@@ -416,7 +443,9 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 // thresholds. A NaN threshold (an infinite interval times a zero
 // exponential draw) never fires, since committed >= NaN is false, so it
 // is skipped here: the builtin min would return NaN and silence the
-// other two.
+// other two. nextEvent is what resync schedules a running core's wake
+// from and what Step tests a stalled core against, so every re-arm is
+// followed by a resync.
 func (c *coreState) armNextEvent() {
 	e := math.Inf(1)
 	for _, t := range [...]float64{c.nextMissAt, c.nextLockAt, c.nextBarrierAt} {
