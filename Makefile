@@ -8,9 +8,10 @@
 #                      + race-enabled shuffled tests + the bench/ module
 #                      + every Go micro-benchmark once + HTTP serve
 #                      smoke test (~3 min)
-#   make chaos       - crash harness: build the real binary, SIGKILL it
-#                      mid-job, restart, assert byte-identical recovery
-#                      (forks processes; kept out of `make check`)
+#   make chaos       - crash harness: build the real binary, SIGKILL a
+#                      journaled `cryowire dse` mid-search, -resume it,
+#                      assert byte-identical output (forks processes;
+#                      kept out of `make check`)
 #   make serve-smoke - boot `cryowire serve` on a random port, probe
 #                      /healthz and /metrics, and diff the experiment
 #                      endpoint's JSON against the CLI's -json output
@@ -71,10 +72,11 @@ serve-smoke: build
 surrogate-smoke: build
 	sh scripts/surrogate_smoke.sh
 
-# The chaos tests fork real `cryowire serve` processes and SIGKILL them
-# mid-job, so they live behind a build tag and out of the -race gate.
+# The chaos test forks a real `cryowire dse -journal` process and
+# SIGKILLs it mid-search, so it lives behind a build tag and out of the
+# -race gate.
 chaos:
-	$(GO) test -tags chaos -run TestChaos -v ./internal/jobs/
+	$(GO) test -tags chaos -run TestChaos -v ./cmd/cryowire/
 
 check: vet staticcheck build race bench-module bench-smoke serve-smoke
 

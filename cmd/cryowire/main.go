@@ -238,22 +238,18 @@ func serveMain(args []string) int {
 	cacheBytes := fs.Int64("cache-bytes", 0, "response cache byte bound (default 64 MiB)")
 	timeout := fs.Duration("timeout", 0, "per-request computation deadline (default 10m)")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	jobsDir := fs.String("jobs-dir", "", "enable the durable async DSE job API, storing jobs under this directory (resumes interrupted jobs on startup)")
-	jobRate := fs.Float64("job-rate", 0, "per-client job submissions per second (default 1; negative disables limiting)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the server's lifetime to this file (incompatible with -pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile at shutdown to this file")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: cryowire serve [-addr :8080] [-max-inflight n] [-cache-entries n]
                       [-cache-bytes n] [-timeout d] [-pprof]
-                      [-jobs-dir d] [-job-rate r]
                       [-cpuprofile f] [-memprofile f]
 
 Serves the experiment registry, the full-system simulator and the
 facade sweeps as a JSON HTTP API (see README "Serving"). SIGINT/SIGTERM
-drain in-flight requests before exiting. With -jobs-dir the async DSE
-job API (/v1/dse/jobs) is enabled: jobs persist under that directory,
-checkpoint every evaluation, and resume automatically after a crash or
-restart.
+drain in-flight requests before exiting. Searches past POST /v1/dse's
+candidate cap run with "cryowire dse", whose -journal/-resume survive
+a crash.
 `)
 		fs.PrintDefaults()
 	}
@@ -294,8 +290,6 @@ restart.
 		CacheBytes:     *cacheBytes,
 		RequestTimeout: *timeout,
 		EnablePprof:    *enablePprof,
-		JobsDir:        *jobsDir,
-		JobRateLimit:   *jobRate,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cryowire serve: %v\n", err)

@@ -126,8 +126,8 @@ func WriteJournal(path string, s Space, cfg sim.Config, entries []JournalEntry) 
 		buf = append(buf, b...)
 		buf = append(buf, '\n')
 	}
-	// The ".tmp-" prefix matches the jobs store's debris convention, so
-	// a write that crashes inside a job directory is swept on recovery.
+	// A crash before the rename leaves the old journal intact and a
+	// hidden ".tmp-journal-" file beside it, never a half-written path.
 	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-journal-*")
 	if err != nil {
 		return fmt.Errorf("dse: write journal: %w", err)

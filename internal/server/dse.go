@@ -39,11 +39,6 @@ type dseDTO struct {
 	// chain instead of the flat (1+CO) lift. Empty leaves the search —
 	// and its result bytes — exactly as before the axis existed.
 	StageTempsK []float64 `json:"stage_temps_k"`
-	// CheckpointEvery caps evaluations per journal checkpoint (async
-	// jobs; 0 = engine default). A scheduling knob like workers:
-	// excluded from the cache key because it never changes the result
-	// bytes.
-	CheckpointEvery int `json:"checkpoint_every"`
 	// Prior names server-local prior journal files the surrogate
 	// strategies (surrogate-hillclimb, ei, screen) learn from. The
 	// cache key includes a fingerprint of the files' content, so a
@@ -61,26 +56,16 @@ type dseDTO struct {
 	} `json:"config"`
 }
 
-// dseSpaceBudget bounds how much searching one synchronous HTTP
-// request may ask for; bigger studies belong on the async job API or
-// the CLI, which journal their progress.
+// dseSpaceBudget bounds how much searching one HTTP request may ask
+// for; bigger studies belong on the CLI, whose journal checkpoints
+// their progress.
 const dseSpaceBudget = 4096
 
-// dseConfig resolves the DTO into an engine config for the synchronous
-// endpoint, enforcing the candidate cap.
+// dseConfig resolves the DTO into an engine config, rejecting requests
+// that would evaluate more than dseSpaceBudget candidates.
 func (d dseDTO) dseConfig() (dse.Config, error) {
-	return d.resolve(dseSpaceBudget)
-}
-
-// resolve turns the DTO into an engine config. maxEvals bounds how
-// many candidates the request may evaluate; <= 0 means unbounded (the
-// async job path, whose journal makes long searches safe).
-func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 	if d.Budget < 0 || d.Workers < 0 {
 		return dse.Config{}, badRequest("budget and workers must be >= 0")
-	}
-	if d.CheckpointEvery < 0 {
-		return dse.Config{}, badRequest("checkpoint_every must be >= 0")
 	}
 	if d.Config.WarmupCycles < 0 || d.Config.MeasureCycles < 0 {
 		return dse.Config{}, badRequest("cycle counts must be >= 0")
@@ -120,8 +105,8 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 	if d.Budget > 0 && d.Budget < evals {
 		evals = d.Budget
 	}
-	if maxEvals > 0 && evals > maxEvals {
-		return dse.Config{}, badRequest("request would evaluate %d candidates, server cap is %d; cap the budget, submit it to the async jobs API (POST /v1/dse/jobs), or run `cryowire dse` locally (-workers spreads it over the CPUs)", evals, maxEvals)
+	if evals > dseSpaceBudget {
+		return dse.Config{}, badRequest("request would evaluate %d candidates, server cap is %d; cap the budget, or run `cryowire dse` locally (-workers spreads it over the CPUs; -journal f checkpoints it and -resume continues a killed run)", evals, dseSpaceBudget)
 	}
 	cfg := sim.DefaultConfig()
 	if d.Quick {
@@ -157,22 +142,21 @@ func (d dseDTO) resolve(maxEvals int) (dse.Config, error) {
 		return dse.Config{}, badRequest("screen_margin must be >= 0")
 	}
 	return dse.Config{
-		Space:           space,
-		Strategy:        strategy,
-		Budget:          d.Budget,
-		Seed:            d.Seed,
-		Sim:             cfg,
-		Workers:         d.Workers,
-		CheckpointEvery: d.CheckpointEvery,
-		Priors:          d.Prior,
-		ScreenMargin:    d.ScreenMargin,
+		Space:        space,
+		Strategy:     strategy,
+		Budget:       d.Budget,
+		Seed:         d.Seed,
+		Sim:          cfg,
+		Workers:      d.Workers,
+		Priors:       d.Prior,
+		ScreenMargin: d.ScreenMargin,
 	}, nil
 }
 
 // canonicalDSE renders the resolved search canonically for the cache
-// key. Everything Result depends on is included; workers and
-// checkpoint_every are not (scheduling knobs never change the output,
-// by the engine's determinism contract).
+// key. Everything Result depends on is included; workers is not (a
+// scheduling knob never changes the output, by the engine's
+// determinism contract).
 func canonicalDSE(cfg dse.Config) string {
 	s := cfg.Space
 	return canonicalKey("dse",

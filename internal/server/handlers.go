@@ -194,7 +194,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	io.WriteString(w, s.metrics.renderProm(s.cache.Stats(), s.platformStats(), s.jobStats()))
+	io.WriteString(w, s.metrics.renderProm(s.cache.Stats(), s.platformStats()))
 }
 
 // --- /v1 endpoints ----------------------------------------------------------

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cryowire/internal/jobs"
 	"cryowire/internal/sim"
 	"cryowire/internal/surrogate"
 )
@@ -25,9 +23,9 @@ var latencyBuckets = []float64{
 }
 
 // metrics aggregates the serving-side counters exposed on /metrics in
-// Prometheus text format and via expvar. Platform-cache and LRU numbers
-// are pulled from their owners at render time, so this struct only
-// tracks what the HTTP layer itself observes.
+// Prometheus text format. Platform-cache and LRU numbers are pulled
+// from their owners at render time, so this struct only tracks what
+// the HTTP layer itself observes.
 type metrics struct {
 	start time.Time
 
@@ -35,7 +33,6 @@ type metrics struct {
 	coalesced     atomic.Uint64
 	rejectedBusy  atomic.Uint64 // 429: admission semaphore full
 	rejectedDrain atomic.Uint64 // 503: draining for shutdown
-	rejectedRate  atomic.Uint64 // 429: job-submission token bucket empty
 
 	mu       sync.Mutex
 	requests map[string]uint64 // "route\x00code" → count
@@ -83,9 +80,8 @@ type platformStats struct {
 }
 
 // renderProm writes the whole exposition in Prometheus text format.
-// Series within a metric are sorted so scrapes are deterministic. js
-// is nil when the async job subsystem is disabled.
-func (m *metrics) renderProm(lru lruStats, pf platformStats, js *jobs.Stats) string {
+// Series within a metric are sorted so scrapes are deterministic.
+func (m *metrics) renderProm(lru lruStats, pf platformStats) string {
 	var b strings.Builder
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -144,24 +140,6 @@ func (m *metrics) renderProm(lru lruStats, pf platformStats, js *jobs.Stats) str
 	counter("cryowire_surrogate_predictions_total", "Surrogate predictions served to search strategies.", sur.Predictions)
 	counter("cryowire_surrogate_sims_skipped_total", "Simulations skipped because the surrogate placed the point outside the predicted Pareto band.", sur.SimsSkipped)
 
-	if js != nil {
-		counter("cryowire_http_rate_limited_total", "Job submissions rejected with 429 by the per-client token bucket.", m.rejectedRate.Load())
-		counter("cryowire_jobs_submitted_total", "Async DSE jobs accepted.", js.Submitted)
-		counter("cryowire_jobs_completed_total", "Async DSE jobs that finished with a result.", js.Completed)
-		counter("cryowire_jobs_failed_total", "Async DSE jobs that ended in an error.", js.Failed)
-		counter("cryowire_jobs_canceled_total", "Async DSE jobs canceled by clients.", js.Canceled)
-		counter("cryowire_jobs_resumed_total", "Interrupted jobs resumed from their journals at startup.", js.Resumed)
-		statuses := make([]string, 0, len(js.ByStatus))
-		for st := range js.ByStatus {
-			statuses = append(statuses, string(st))
-		}
-		sort.Strings(statuses)
-		fmt.Fprintf(&b, "# HELP cryowire_jobs Jobs in the store by status.\n# TYPE cryowire_jobs gauge\n")
-		for _, st := range statuses {
-			fmt.Fprintf(&b, "cryowire_jobs{status=%q} %d\n", st, js.ByStatus[jobs.Status(st)])
-		}
-	}
-
 	gauge("cryowire_uptime_seconds", "Seconds since the server started.", time.Since(m.start).Seconds())
 	return b.String()
 }
@@ -172,50 +150,4 @@ func formatProm(v float64) string {
 		return "+Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// snapshot returns the expvar view of the serving counters.
-func (m *metrics) snapshot(lru lruStats, pf platformStats) map[string]any {
-	m.mu.Lock()
-	reqs := uint64(0)
-	for _, v := range m.requests {
-		reqs += v
-	}
-	latCount, latSum := m.latCount, m.latSum
-	m.mu.Unlock()
-	return map[string]any{
-		"requests_total":        reqs,
-		"inflight":              m.inflight.Load(),
-		"coalesced_total":       m.coalesced.Load(),
-		"rejected_busy_total":   m.rejectedBusy.Load(),
-		"rejected_drain_total":  m.rejectedDrain.Load(),
-		"latency_sum_seconds":   latSum,
-		"latency_count":         latCount,
-		"response_cache":        lru,
-		"platform_cache_hits":   pf.Hits,
-		"platform_cache_misses": pf.Misses,
-		"uptime_seconds":        time.Since(m.start).Seconds(),
-	}
-}
-
-// expvar integration: one process-wide "cryowire_server" var that
-// always reflects the most recently constructed server, published at
-// most once (expvar.Publish panics on duplicates, and tests construct
-// many servers per process).
-var (
-	expvarOnce sync.Once
-	expvarSrv  atomic.Pointer[Server]
-)
-
-func publishExpvar(s *Server) {
-	expvarSrv.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("cryowire_server", expvar.Func(func() any {
-			cur := expvarSrv.Load()
-			if cur == nil {
-				return nil
-			}
-			return cur.metrics.snapshot(cur.cache.Stats(), cur.platformStats())
-		}))
-	})
 }

@@ -33,7 +33,6 @@ import (
 
 	"cryowire/internal/dse"
 	"cryowire/internal/experiments"
-	"cryowire/internal/jobs"
 	"cryowire/internal/platform"
 	"cryowire/internal/sim"
 	"cryowire/internal/stage"
@@ -61,15 +60,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// JobsDir, when non-empty, enables the durable async job API
-	// (/v1/dse/jobs): the directory holds one subdirectory per job and
-	// is scanned on startup to resume interrupted work.
-	JobsDir string
-	// JobRateLimit / JobRateBurst shape the per-client token bucket on
-	// job submissions (defaults 1 submission/s, burst 8; JobRateLimit
-	// < 0 disables limiting).
-	JobRateLimit float64
-	JobRateBurst int
 	// Logger receives one structured line per request; nil uses
 	// slog.Default.
 	Logger *slog.Logger
@@ -92,12 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Minute
 	}
-	if c.JobRateLimit == 0 {
-		c.JobRateLimit = 1
-	}
-	if c.JobRateBurst <= 0 {
-		c.JobRateBurst = 8
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -114,8 +98,6 @@ type Server struct {
 	flights *flightGroup
 	metrics *metrics
 	sem     chan struct{}
-	jobs    *jobs.Manager // nil unless Config.JobsDir is set
-	limiter *rateLimiter  // nil when job rate limiting is disabled
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -135,10 +117,7 @@ type Server struct {
 }
 
 // New builds a server. The returned server is not yet ready (readyz
-// reports 503) until ListenAndServe/Serve starts accepting. With
-// Config.JobsDir set it also opens the durable job store, resuming any
-// jobs a previous process left unfinished — a failure there is a
-// refusal to start, not a silent loss of the backlog.
+// reports 503) until ListenAndServe/Serve starts accepting.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	baseCtx, baseCancel := context.WithCancel(context.Background())
@@ -162,19 +141,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		return sys.Run()
 	}
-	if cfg.JobsDir != "" {
-		mgr, err := jobs.Open(cfg.JobsDir, jobs.Options{Logger: cfg.Logger})
-		if err != nil {
-			baseCancel()
-			return nil, fmt.Errorf("server: open job store: %w", err)
-		}
-		s.jobs = mgr
-		s.jobs.Start(baseCtx)
-		if cfg.JobRateLimit > 0 {
-			s.limiter = newRateLimiter(cfg.JobRateLimit, cfg.JobRateBurst)
-		}
-	}
-	publishExpvar(s)
 	return s, nil
 }
 
@@ -182,16 +148,6 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) platformStats() platformStats {
 	st := platform.Default().Stats()
 	return platformStats{Hits: st.Hits, Misses: st.Misses}
-}
-
-// jobStats snapshots the job manager for /metrics; nil when the async
-// job subsystem is disabled.
-func (s *Server) jobStats() *jobs.Stats {
-	if s.jobs == nil {
-		return nil
-	}
-	st := s.jobs.Snapshot()
-	return &st
 }
 
 // Handler returns the fully wired HTTP handler (also usable under
@@ -209,17 +165,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/wire/speedup", s.admit(http.HandlerFunc(s.handleWireSpeedup)))
 	mux.Handle("GET /v1/noc/load-latency", s.admit(http.HandlerFunc(s.handleNoCLoadLatency)))
 	mux.Handle("GET /v1/temperature-sweep", s.admit(http.HandlerFunc(s.handleTemperatureSweep)))
-	// The async job API stays outside the admission semaphore: polls
-	// and event streams are cheap, long-lived, and must stay responsive
-	// while the compute slots are busy with the jobs they observe.
-	// Submission instead pays the per-client token bucket.
-	mux.Handle("POST /v1/dse/jobs", s.rateLimited(http.HandlerFunc(s.handleJobSubmit)))
-	mux.HandleFunc("GET /v1/dse/jobs", s.handleJobList)
-	mux.HandleFunc("GET /v1/dse/jobs/{id}", s.handleJobGet)
-	mux.HandleFunc("GET /v1/dse/jobs/{id}/result", s.handleJobResult)
-	mux.HandleFunc("GET /v1/dse/jobs/{id}/journal", s.handleJobJournal)
-	mux.HandleFunc("GET /v1/dse/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("DELETE /v1/dse/jobs/{id}", s.handleJobDelete)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -281,14 +226,6 @@ type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
-}
-
-// Flush forwards to the underlying writer so SSE streams work through
-// the logging middleware.
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -376,26 +313,14 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // Shutdown drains the server: readiness drops, new work is rejected
-// with 503, async jobs checkpoint to their journals and land on
-// interrupted (resumed by the next process), in-flight requests finish
-// (until ctx expires), and finally the base context is canceled so any
-// orphaned computation stops. Job drain runs before the HTTP drain
-// because it also closes the Draining channel that ends long-lived SSE
-// streams — otherwise httpSrv.Shutdown would wait on them.
+// with 503, in-flight requests finish (until ctx expires), and finally
+// the base context is canceled so any orphaned computation stops.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
 	s.draining.Store(true)
 	var err error
-	if s.jobs != nil {
-		if derr := s.jobs.Drain(ctx); derr != nil {
-			s.log.Error("job drain", "err", derr)
-			err = derr
-		}
-	}
 	if s.httpSrv != nil {
-		if herr := s.httpSrv.Shutdown(ctx); herr != nil {
-			err = herr
-		}
+		err = s.httpSrv.Shutdown(ctx)
 	}
 	s.baseCancel()
 	s.log.Info("drained", "err", errString(err))

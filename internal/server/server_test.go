@@ -554,15 +554,51 @@ func TestFlightGroupLeaderDisconnect(t *testing.T) {
 	}
 }
 
-// TestExpvarPublished: the expvar integration must survive multiple
-// server constructions in one process (this whole test binary already
-// proves that) and reflect the newest server.
-func TestExpvarPublished(t *testing.T) {
+// TestDSEOverCapHint pins the candidate cap's error body: it must
+// point at the local CLI and its parallel and durable options.
+func TestDSEOverCapHint(t *testing.T) {
 	s := newTestServer(t, Config{})
-	_ = s // construction publishes; a second one must not panic
-	s2 := newTestServer(t, Config{})
-	if got := expvarSrv.Load(); got != s2 {
-		t.Fatal("expvar does not track the latest server")
+	rec := do(t, s.Handler(), "POST", "/v1/dse", dseOverCapBody())
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("over-cap status = %d: %s", rec.Code, rec.Body)
+	}
+	body := rec.Body.String()
+	for _, hint := range []string{"cryowire dse", "-workers", "-journal", "-resume"} {
+		if !strings.Contains(body, hint) {
+			t.Errorf("over-cap body missing hint %q: %s", hint, body)
+		}
+	}
+	if strings.Contains(body, "jobs") {
+		t.Errorf("over-cap body points at the retired jobs API: %s", body)
+	}
+}
+
+// TestRetiredJobsSurface pins the removal of the async DSE jobs API:
+// every one of its routes answers 404, and its checkpoint_every field
+// is an unknown field on /v1/dse.
+func TestRetiredJobsSurface(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, tc := range []struct{ method, target string }{
+		{"POST", "/v1/dse/jobs"},
+		{"GET", "/v1/dse/jobs"},
+		{"GET", "/v1/dse/jobs/x"},
+		{"GET", "/v1/dse/jobs/x/result"},
+		{"GET", "/v1/dse/jobs/x/journal"},
+		{"GET", "/v1/dse/jobs/x/events"},
+		{"DELETE", "/v1/dse/jobs/x"},
+	} {
+		body := ""
+		if tc.method == "POST" {
+			body = `{"quick":true}`
+		}
+		if rec := do(t, h, tc.method, tc.target, body); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404: %s", tc.method, tc.target, rec.Code, rec.Body)
+		}
+	}
+	rec := do(t, h, "POST", "/v1/dse", `{"quick":true,"checkpoint_every":1}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown field") {
+		t.Errorf("checkpoint_every on /v1/dse = %d %s, want 400 unknown field", rec.Code, rec.Body)
 	}
 }
 
