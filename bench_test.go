@@ -63,15 +63,6 @@ func BenchmarkFig27TemperatureSweep(b *testing.B) { benchExperiment(b, "fig27") 
 
 // --- micro-benchmarks of the substrates (ablation-grade) ---------------------
 
-// BenchmarkWireRepeaterOptimizer measures the discrete repeater search.
-func BenchmarkWireRepeaterOptimizer(b *testing.B) {
-	m := phys.DefaultMOSFET()
-	l := wire.NewLine(wire.Global, 6.22, 1)
-	for i := 0; i < b.N; i++ {
-		wire.OptimizeRepeaters(l, phys.Nominal45, m)
-	}
-}
-
 // BenchmarkTransientSolver measures the Hspice-lite RC integration.
 func BenchmarkTransientSolver(b *testing.B) {
 	m := phys.DefaultMOSFET()

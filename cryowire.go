@@ -109,7 +109,8 @@ func RunAllExperimentsCtx(ctx context.Context, opt Options) []ExperimentOutcome 
 type (
 	// Design is a full system configuration (Table 4 row).
 	Design = sim.Design
-	// SimConfig controls simulation length and seed.
+	// SimConfig controls simulation length and seed. It has no worker
+	// knob: Simulate runs one simulation on the calling goroutine.
 	SimConfig = sim.Config
 	// SimResult is one simulation outcome.
 	SimResult = sim.Result

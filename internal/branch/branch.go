@@ -188,22 +188,6 @@ type Outcome struct {
 	BubbleCycles int64
 }
 
-// MispredictRate returns mispredictions per branch.
-func (r Outcome) MispredictRate() float64 {
-	if r.Branches == 0 {
-		return 0
-	}
-	return float64(r.Mispredicts) / float64(r.Branches)
-}
-
-// OverrideRate returns override events per branch.
-func (r Outcome) OverrideRate() float64 {
-	if r.Branches == 0 {
-		return 0
-	}
-	return float64(r.Overrides) / float64(r.Branches)
-}
-
 // PenaltyCPI converts the bubbles into a CPI adder at the given branch
 // density (branches per instruction).
 func (r Outcome) PenaltyCPI(branchesPerInstr float64) float64 {

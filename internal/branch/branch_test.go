@@ -102,11 +102,11 @@ func TestOverridingStructure(t *testing.T) {
 	if out.Branches != 50000 {
 		t.Fatalf("ran %d branches", out.Branches)
 	}
-	mr := out.MispredictRate()
+	mr := float64(out.Mispredicts) / float64(out.Branches)
 	if mr <= 0.005 || mr >= 0.20 {
 		t.Errorf("mispredict rate = %v, want a realistic several %%", mr)
 	}
-	or := out.OverrideRate()
+	or := float64(out.Overrides) / float64(out.Branches)
 	if or <= 0 {
 		t.Error("overriding structure never overrode — fast/main predictors identical?")
 	}

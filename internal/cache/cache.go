@@ -116,6 +116,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 }
 
 // MissRate returns misses/accesses so far.
+// Kept for tests: internal/cache is DESIGN.md substitution #4's realizability check; no production code imports it.
 func (c *Cache) MissRate() float64 {
 	if c.accesses == 0 {
 		return 0
@@ -124,6 +125,7 @@ func (c *Cache) MissRate() float64 {
 }
 
 // Accesses returns the access count.
+// Kept for tests: internal/cache is DESIGN.md substitution #4's realizability check; no production code imports it.
 func (c *Cache) Accesses() int64 { return c.accesses }
 
 // Misses returns the miss count.
@@ -239,6 +241,7 @@ type CalibrationResult struct {
 // reference streams. Because cold traffic pollutes both arrays (and
 // warm traffic pollutes the L1), the region fractions are solved by a
 // short fixed-point iteration rather than the naive closed form.
+// Kept for tests: internal/cache is DESIGN.md substitution #4's realizability check; no production code imports it.
 func CalibrateStream(seed int64, wantL1, wantL2, refsPerKI float64, kiloInstructions int) (CalibrationResult, error) {
 	// Initial analytic knobs: cold references miss both levels, warm
 	// references miss L1 but hit L2.

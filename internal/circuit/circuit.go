@@ -284,6 +284,7 @@ func WireLadder(l wire.Line, op phys.OperatingPoint, m *phys.MOSFET, segments in
 
 // SimulateWireDelay transiently simulates the driven wire and returns
 // its 50 % delay in seconds.
+// Kept for tests: it pins EXPERIMENTS.md's fig10 "link model vs transient-sim error" row.
 func SimulateWireDelay(l wire.Line, op phys.OperatingPoint, m *phys.MOSFET) (float64, error) {
 	return WireLadder(l, op, m, 60).Delay50()
 }

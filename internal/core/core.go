@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"cryowire/internal/noc"
 	"cryowire/internal/phys"
@@ -94,13 +93,6 @@ func (c *CryoWire) DesignCryoBus() CryoBusReport {
 	}
 }
 
-// EvalResult is one (design, workload) outcome with the normalized
-// speed-up relative to the reference design.
-type EvalResult struct {
-	sim.Result
-	Speedup float64 // vs the reference design on the same workload
-}
-
 // Evaluation is the full Fig 23-style comparison.
 type Evaluation struct {
 	Workloads []string
@@ -113,30 +105,16 @@ type Evaluation struct {
 	RefIndex    int
 }
 
-// Evaluate runs every design × workload pair. ref selects the
-// normalization design index (the paper normalizes Fig 23 to
-// CHP-core(77K, Mesh), index 1). With cfg.Workers > 1 the grid fans
-// out over a bounded worker pool; every cell seeds its own simulator
-// from cfg.Seed and lands by index, so the evaluation is identical at
-// any worker count.
-func (c *CryoWire) Evaluate(designs []sim.Design, profiles []workload.Profile, ref int, cfg sim.Config) (Evaluation, error) {
-	return c.EvaluateWith(nil, designs, profiles, ref, cfg)
-}
-
-// EvaluateWith is Evaluate with a caller-supplied simulation runner:
-// run receives the whole design × workload grid as LaneSpecs
-// (row-major, wi*len(designs)+di) and returns index-aligned results and
-// per-spec errors. The experiment layer passes its dedup-aware runner
-// here; nil runs the grid through a sim.BatchRunner with cfg's worker
-// bound and context. Each cell is a pure function of its spec, so any
-// runner produces the same evaluation.
+// EvaluateWith runs every design × workload pair through run. ref
+// selects the normalization design index (the paper normalizes Fig 23
+// to CHP-core(77K, Mesh), index 1). run receives the whole grid as
+// LaneSpecs (row-major, wi*len(designs)+di) and returns index-aligned
+// results and per-spec errors; the experiment layer passes its
+// dedup-aware runner here. Each cell is a pure function of its spec,
+// so any runner produces the same evaluation.
 func (c *CryoWire) EvaluateWith(run func([]sim.LaneSpec) ([]sim.Result, []error), designs []sim.Design, profiles []workload.Profile, ref int, cfg sim.Config) (Evaluation, error) {
 	if ref < 0 || ref >= len(designs) {
 		return Evaluation{}, fmt.Errorf("core: reference index %d out of range", ref)
-	}
-	if run == nil {
-		r := &sim.BatchRunner{Workers: cfg.Workers}
-		run = func(specs []sim.LaneSpec) ([]sim.Result, []error) { return r.RunCtx(cfg.Context(), specs) }
 	}
 	ev := Evaluation{RefIndex: ref}
 	for _, d := range designs {
@@ -175,14 +153,4 @@ func (c *CryoWire) EvaluateWith(run func([]sim.LaneSpec) ([]sim.Result, []error)
 	}
 	ev.MeanSpeedup = geo
 	return ev, nil
-}
-
-// SortedNames returns profile names in deterministic order.
-func SortedNames(ps []workload.Profile) []string {
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -54,7 +54,9 @@ func TestEvaluate(t *testing.T) {
 		profiles = append(profiles, p)
 	}
 	cfg := sim.Config{WarmupCycles: 1500, MeasureCycles: 6000, Seed: 1}
-	ev, err := c.Evaluate(designs, profiles, 0, cfg)
+	br := &sim.BatchRunner{}
+	run := func(specs []sim.LaneSpec) ([]sim.Result, []error) { return br.RunCtx(cfg.Context(), specs) }
+	ev, err := c.EvaluateWith(run, designs, profiles, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +70,7 @@ func TestEvaluate(t *testing.T) {
 		t.Errorf("CryoSP+CryoBus mean speedup = %v, want a clear win on this subset", ev.MeanSpeedup[1])
 	}
 	// Bad reference index rejected.
-	if _, err := c.Evaluate(designs, profiles, 5, cfg); err == nil {
+	if _, err := c.EvaluateWith(run, designs, profiles, 5, cfg); err == nil {
 		t.Error("out-of-range reference should error")
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	names := SortedNames(workload.Parsec())
-	if len(names) != 13 {
-		t.Fatalf("got %d names", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatal("names not sorted")
-		}
 	}
 }

@@ -43,8 +43,6 @@ type Config struct {
 	// Platform supplies the shared derivation cache; nil means
 	// platform.Default().
 	Platform *platform.Platform
-	// Objectives span the Pareto frontier; nil means DefaultObjectives.
-	Objectives []Objective
 	// Journal, when non-empty, is the path of the JSON-lines checkpoint
 	// journal. Evaluations are appended as they complete; with Resume a
 	// prior journal for the same search is replayed instead of
@@ -59,10 +57,6 @@ type Config struct {
 	// with one is a config error. Prior-sourced predictions steer
 	// proposals only: they never appear in the Result or the journal.
 	Priors []string
-	// PriorEntries are already-parsed prior evaluations, merged with
-	// the Priors files — the in-process route for callers that hold
-	// journal entries in memory (the server, tests).
-	PriorEntries []JournalEntry
 	// ScreenMargin is the screen strategy's Pareto-band width in
 	// normalized objective units: predicted points at most this far
 	// behind the predicted frontier are simulated, the rest skipped.
@@ -122,10 +116,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = par.DefaultWorkers()
 	}
-	objs := cfg.Objectives
-	if len(objs) == 0 {
-		objs = DefaultObjectives()
-	}
+	objs := DefaultObjectives()
 	// Surrogate wiring: load and key-check the priors, hand them to the
 	// strategy, and extend the journal key with the strategy fingerprint
 	// so a resume that changed priors or knobs is rejected.
@@ -135,12 +126,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sa.initSurrogate(priors, cfg.ScreenMargin, objs)
+		sa.initSurrogate(priors, cfg.ScreenMargin)
 		if stratKey, err = surrogateStrategyKey(cfg, priors); err != nil {
 			return nil, err
 		}
 	} else {
-		if len(cfg.Priors) > 0 || len(cfg.PriorEntries) > 0 {
+		if len(cfg.Priors) > 0 {
 			return nil, fmt.Errorf("dse: priors require a surrogate strategy (%s, %s or %s), got %q",
 				StrategySurrogateHill, StrategyEI, StrategyScreen, cfg.Strategy)
 		}

@@ -61,9 +61,6 @@ var (
 	TotalPowerObjective = Objective{Name: "total_power", Maximize: false, Value: func(e Eval) float64 { return e.TotalPower }}
 	// EnergyObjective minimizes cooling-adjusted energy per instruction.
 	EnergyObjective = Objective{Name: "energy", Maximize: false, Value: func(e Eval) float64 { return e.Energy }}
-	// PerfPerWattObjective maximizes performance per total watt — the
-	// scalar the hill-climbing strategy climbs.
-	PerfPerWattObjective = Objective{Name: "perf_per_watt", Maximize: true, Value: func(e Eval) float64 { return e.PerfPerWatt }}
 )
 
 // DefaultObjectives is the frontier the paper's trade-off studies span:

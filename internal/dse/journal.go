@@ -40,8 +40,8 @@ type journalHeader struct {
 }
 
 // journalLine is one completed evaluation — the exported JournalEntry
-// (merge.go), aliased so the engine's appends and WriteJournal's
-// merged rewrites marshal byte-identically by construction.
+// (merge.go), aliased so the engine's appends and the entries readers
+// parse back are one type by construction.
 type journalLine = JournalEntry
 
 const journalKind = "cryowire-dse-journal"

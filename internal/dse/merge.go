@@ -4,19 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"cryowire/internal/sim"
 )
 
-// This file is the journal's exported face: the readers behind the
-// surrogate strategies' -prior journals and the benchmark's replay,
-// the entry and frontier unions they need, and an append handle for
-// evaluations recorded outside the engine. The load-bearing fact is
-// that the journal key binds only (space, sim config) — never a
-// budget, strategy or schedule — so every search of one space records
-// under one key, and entry sets from different journals of it merge.
+// This file is the journal's exported face: ParseJournal behind the
+// surrogate strategies' -prior journals, and for bench/ the
+// ReadJournal replay check, MergeFrontiers and the JournalWriter
+// append handle for evaluations recorded outside the engine. The
+// load-bearing fact is that the journal key binds only (space, sim
+// config) — never a budget, strategy or schedule — so every search of
+// one space records under one key, and entry sets from different
+// journals of it merge.
 
 // JournalEntry is one completed evaluation as recorded on a journal
 // line: the point's stable index in the space and its measured
@@ -66,6 +66,7 @@ func ParseJournal(data []byte, s Space, cfg sim.Config) ([]JournalEntry, error) 
 // ReadJournal reads and parses the journal file at path; a missing
 // file is an empty journal, because to every reader "no journal yet"
 // and "journal with nothing in it" must mean the same thing.
+// Kept for bench/dsefull.go, which checks its journal through it.
 func ReadJournal(path string, s Space, cfg sim.Config) ([]JournalEntry, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -105,50 +106,6 @@ func MergeEntries(sets ...[]JournalEntry) ([]JournalEntry, error) {
 	return out, nil
 }
 
-// WriteJournal atomically replaces the journal at path with a complete
-// journal for (s, cfg) holding entries in index order: temp file in
-// the target directory, sync, rename. Index order is what a grid run
-// appends in, so for a full entry set the bytes equal the journal a
-// grid run leaves behind.
-func WriteJournal(path string, s Space, cfg sim.Config, entries []JournalEntry) error {
-	sorted := append([]JournalEntry(nil), entries...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Index < sorted[b].Index })
-	hdr, err := json.Marshal(journalHeader{Kind: journalKind, Key: journalKey(s, cfg)})
-	if err != nil {
-		return err
-	}
-	buf := append(hdr, '\n')
-	for _, e := range sorted {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
-	}
-	// A crash before the rename leaves the old journal intact and a
-	// hidden ".tmp-journal-" file beside it, never a half-written path.
-	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-journal-*")
-	if err != nil {
-		return fmt.Errorf("dse: write journal: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("dse: write journal: %w", err)
-	}
-	return nil
-}
-
 // JournalWriter is an exported append handle on a checkpoint journal,
 // for evaluations obtained outside the engine. Opening
 // creates-or-resumes: a missing or empty file gets a
@@ -160,6 +117,7 @@ type JournalWriter struct {
 }
 
 // OpenJournalWriter opens the journal at path for (s, cfg).
+// Kept for tests: bench/definition_test.go records journal entries through it.
 func OpenJournalWriter(path string, s Space, cfg sim.Config) (*JournalWriter, error) {
 	j, err := openJournal(path, s, cfg, true, "")
 	if err != nil {
@@ -188,6 +146,7 @@ func (w *JournalWriter) Close() error { return w.j.close() }
 // time. Like MergeEntries it is commutative, associative and
 // idempotent: candidates dedup by point index and re-filter in index
 // order, so input order can never change the merged frontier.
+// Kept for bench/dsefull.go, which grows its frontier through it.
 func MergeFrontiers(objs []Objective, fronts ...[]Candidate) []Candidate {
 	if len(objs) == 0 {
 		objs = DefaultObjectives()

@@ -45,8 +45,9 @@ func runHalves(t *testing.T) (space Space, scfg sim.Config, single *Result, sing
 }
 
 // TestJournalMergeLaws proves the entry merge is commutative,
-// associative and idempotent, and that merging disjoint journal halves
-// rewrites to bytes identical to the single-run journal.
+// associative and idempotent, and that recording the merged halves in
+// index order through a JournalWriter yields bytes identical to the
+// single-run journal.
 func TestJournalMergeLaws(t *testing.T) {
 	space, scfg, _, singleJournal, a, b := runHalves(t)
 
@@ -77,7 +78,16 @@ func TestJournalMergeLaws(t *testing.T) {
 	}
 
 	mergedPath := filepath.Join(t.TempDir(), "merged.jsonl")
-	if err := WriteJournal(mergedPath, space, scfg, ab); err != nil {
+	w, err := OpenJournalWriter(mergedPath, space, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ab {
+		if err := w.Record(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mergedBytes, err := os.ReadFile(mergedPath)

@@ -36,7 +36,7 @@ const (
 )
 
 // IsSurrogateStrategy reports whether the named strategy consumes
-// priors — the gate for Config.Priors/PriorEntries/ScreenMargin and
+// priors — the gate for Config.Priors/ScreenMargin and
 // for the strategy-specific journal key extension.
 func IsSurrogateStrategy(name string) bool {
 	switch name {
@@ -81,7 +81,7 @@ const eiExplore = 0.5
 // surrogateAware is implemented by strategies that learn from priors;
 // the engine calls initSurrogate once, before the first Next.
 type surrogateAware interface {
-	initSurrogate(priors []JournalEntry, margin float64, objs []Objective)
+	initSurrogate(priors []JournalEntry, margin float64)
 }
 
 // --- the shared model ------------------------------------------------------
@@ -92,28 +92,19 @@ type surrogateAware interface {
 // vector is (performance, device watts, total watts, energy).
 type surrogateModel struct {
 	priors []JournalEntry
-	objs   []Objective
 	model  *surrogate.Model
 	fitLen int // len(priors)+len(hist) at the last fit; -1 = never fitted
 }
 
-func (sm *surrogateModel) init(priors []JournalEntry, objs []Objective) {
+func (sm *surrogateModel) init(priors []JournalEntry) {
 	sm.priors = priors
-	sm.objs = objs
 	sm.fitLen = -1
-	if len(sm.objs) == 0 {
-		sm.objs = DefaultObjectives()
-	}
 }
 
 // fit (re)fits the model over priors + hist, reusing the last fit when
 // no new evidence arrived. Returns false when there is nothing to fit.
-// Also the lazy-init point: a strategy driven without initSurrogate
-// (no priors, default objectives) still works.
+// A strategy driven without initSurrogate fits over its history alone.
 func (sm *surrogateModel) fit(s Space, hist []HistoryEntry) bool {
-	if len(sm.objs) == 0 {
-		sm.objs = DefaultObjectives()
-	}
 	n := len(sm.priors) + len(hist)
 	if n == 0 {
 		return false
@@ -310,8 +301,8 @@ type surrogateHillStrategy struct {
 
 func (h *surrogateHillStrategy) Name() string { return StrategySurrogateHill }
 
-func (h *surrogateHillStrategy) initSurrogate(priors []JournalEntry, _ float64, objs []Objective) {
-	h.sur.init(priors, objs)
+func (h *surrogateHillStrategy) initSurrogate(priors []JournalEntry, _ float64) {
+	h.sur.init(priors)
 }
 
 // topPredicted ranks unvisited points by predicted perf-per-watt
@@ -432,8 +423,8 @@ type eiStrategy struct {
 
 func (e *eiStrategy) Name() string { return StrategyEI }
 
-func (e *eiStrategy) initSurrogate(priors []JournalEntry, _ float64, objs []Objective) {
-	e.sur.init(priors, objs)
+func (e *eiStrategy) initSurrogate(priors []JournalEntry, _ float64) {
+	e.sur.init(priors)
 }
 
 func (e *eiStrategy) Next(s Space, hist []HistoryEntry, remaining int) []int {
@@ -464,7 +455,7 @@ func (e *eiStrategy) Next(s Space, hist []HistoryEntry, remaining int) []int {
 		return batch
 	}
 	obs := e.sur.observed(hist)
-	norm := newObjNorm(e.sur.objs, obs)
+	norm := newObjNorm(DefaultObjectives(), obs)
 	obsVecs := make([][]float64, len(obs))
 	for k, ev := range obs {
 		obsVecs[k] = norm.vec(ev)
@@ -533,8 +524,8 @@ const (
 
 func (sc *screenStrategy) Name() string { return StrategyScreen }
 
-func (sc *screenStrategy) initSurrogate(priors []JournalEntry, margin float64, objs []Objective) {
-	sc.sur.init(priors, objs)
+func (sc *screenStrategy) initSurrogate(priors []JournalEntry, margin float64) {
+	sc.sur.init(priors)
 	sc.margin = margin
 }
 
@@ -563,7 +554,7 @@ func (sc *screenStrategy) buildPlan(s Space, hist []HistoryEntry) {
 	for i := 0; i < size; i++ {
 		evals[i], confs[i] = sc.sur.predict(s, i)
 	}
-	norm := newObjNorm(sc.sur.objs, evals)
+	norm := newObjNorm(DefaultObjectives(), evals)
 	vecs := make([][]float64, size)
 	for i := range evals {
 		vecs[i] = norm.vec(evals[i])
@@ -638,12 +629,9 @@ func (sc *screenStrategy) Next(s Space, hist []HistoryEntry, remaining int) []in
 // loadPriors reads, key-checks and merges the prior journals of a
 // surrogate search: every path in cfg.Priors (a named prior that does
 // not exist is an error — unlike a resumed journal, it cannot mean "no
-// progress yet") plus the in-process cfg.PriorEntries.
+// progress yet").
 func loadPriors(cfg Config) ([]JournalEntry, error) {
-	sets := make([][]JournalEntry, 0, len(cfg.Priors)+1)
-	if len(cfg.PriorEntries) > 0 {
-		sets = append(sets, cfg.PriorEntries)
-	}
+	sets := make([][]JournalEntry, 0, len(cfg.Priors))
 	for _, path := range cfg.Priors {
 		data, err := os.ReadFile(path)
 		if err != nil {

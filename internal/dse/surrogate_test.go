@@ -220,7 +220,8 @@ func TestSurrogateConfigGuards(t *testing.T) {
 	base := Config{Space: DefaultSpace(true), Sim: quickSim()}
 	withPrior := base
 	withPrior.Strategy = StrategyGrid
-	withPrior.PriorEntries = []JournalEntry{{Index: 0}}
+	prior, _ := gridPrior(t, platform.New(), t.TempDir())
+	withPrior.Priors = []string{prior}
 	if _, err := Run(context.Background(), withPrior); err == nil || !strings.Contains(err.Error(), "priors require a surrogate strategy") {
 		t.Fatalf("grid+priors: err = %v", err)
 	}

@@ -156,14 +156,10 @@ func (o Options) platform() *platform.Platform {
 	return platform.Default()
 }
 
-// simCfg returns the simulation config with the experiment-level worker
-// bound and cancellation context threaded through (an explicit
-// Sim.Workers wins).
+// simCfg returns the simulation config with the cancellation context
+// threaded through.
 func (o Options) simCfg() sim.Config {
 	cfg := o.Sim
-	if cfg.Workers == 0 {
-		cfg.Workers = o.Workers
-	}
 	if o.ctx != nil {
 		cfg = cfg.WithContext(o.ctx)
 	}

@@ -1,26 +1,18 @@
-// Package floorplan models the physical placement of microarchitectural
-// units on a Skylake-like die (§3.1.2). The inter-unit wire model needs
-// realistic unit geometry because the floorplan determines the length —
-// and hence the latency — of the long inter-unit wires (forwarding
-// loops, wakeup paths). Unit areas come from synthesizing BOOM's units
-// (Table 1); the relative placement follows the WikiChip Skylake-client
-// core floorplan the paper adopts.
+// Package floorplan holds the Table 1 unit geometry of the execution
+// cluster (§3.1.2). The floorplan determines the length — and hence the
+// latency — of the long inter-unit wires: the forwarding loop spans the
+// stacked ALUs and register file. Unit areas come from synthesizing
+// BOOM's units (Table 1).
 package floorplan
-
-import (
-	"fmt"
-	"math"
-)
 
 // Micron is a distance in micrometres.
 type Micron float64
 
-// Unit is one placed microarchitectural unit.
+// Unit is one microarchitectural unit.
 type Unit struct {
 	Name   string
 	AreaUM float64 // µm²
 	Width  Micron  // µm
-	X, Y   Micron  // lower-left corner position on the die
 }
 
 // Height returns the unit's height, derived from area and width as the
@@ -30,73 +22,6 @@ func (u Unit) Height() Micron {
 		return 0
 	}
 	return Micron(u.AreaUM / float64(u.Width))
-}
-
-// Center returns the unit's center point.
-func (u Unit) Center() (Micron, Micron) {
-	return u.X + u.Width/2, u.Y + u.Height()/2
-}
-
-// Floorplan is a named collection of placed units.
-type Floorplan struct {
-	Name  string
-	units map[string]Unit
-}
-
-// New creates an empty floorplan.
-func New(name string) *Floorplan {
-	return &Floorplan{Name: name, units: make(map[string]Unit)}
-}
-
-// Place adds (or replaces) a unit.
-func (f *Floorplan) Place(u Unit) {
-	f.units[u.Name] = u
-}
-
-// Unit returns the named unit.
-func (f *Floorplan) Unit(name string) (Unit, error) {
-	u, ok := f.units[name]
-	if !ok {
-		return Unit{}, fmt.Errorf("floorplan: no unit %q in %s", name, f.Name)
-	}
-	return u, nil
-}
-
-// Units returns the number of placed units.
-func (f *Floorplan) Units() int { return len(f.units) }
-
-// Distance returns the Manhattan center-to-center distance between two
-// placed units — the routing length a semi-global inter-unit wire must
-// cover.
-func (f *Floorplan) Distance(a, b string) (Micron, error) {
-	ua, err := f.Unit(a)
-	if err != nil {
-		return 0, err
-	}
-	ub, err := f.Unit(b)
-	if err != nil {
-		return 0, err
-	}
-	ax, ay := ua.Center()
-	bx, by := ub.Center()
-	return Micron(math.Abs(float64(ax-bx)) + math.Abs(float64(ay-by))), nil
-}
-
-// Adjacent reports whether two units abut (share an edge region),
-// meaning their connecting wires are short enough that the synthesis
-// flow alone models them (the ②-1 path in Fig 6); non-adjacent pairs
-// need the explicit Hspice-style inter-unit wire model (②-2).
-func (f *Floorplan) Adjacent(a, b string) (bool, error) {
-	d, err := f.Distance(a, b)
-	if err != nil {
-		return false, err
-	}
-	ua, _ := f.Unit(a)
-	ub, _ := f.Unit(b)
-	// Units whose center distance is within the sum of their half
-	// extents (plus a small routing margin) are considered adjacent.
-	extent := (ua.Width + ua.Height() + ub.Width + ub.Height()) / 2
-	return d <= extent*0.75, nil
 }
 
 // Table 1 geometry of the execution cluster, from synthesizing BOOM
@@ -119,38 +44,4 @@ func ForwardingWireLength() Micron {
 	alu := Unit{Name: "alu", AreaUM: ALUArea, Width: ALUWidth}
 	rf := Unit{Name: "regfile", AreaUM: RegFileArea, Width: RegFileWidth}
 	return Micron(ALUCount)*alu.Height() + rf.Height()
-}
-
-// Skylake returns the Skylake-client-like core floorplan used by the
-// pipeline model: the execution stack (ALUs over the register file)
-// with the scheduler, rename/allocate block, decode block and frontend
-// placed around it, in the arrangement of the WikiChip die shot.
-// Coordinates are in µm; only relative distances matter.
-func Skylake() *Floorplan {
-	f := New("skylake-client-like")
-	aluH := Micron(ALUArea / ALUWidth)
-	rfH := Micron(RegFileArea / RegFileWidth)
-	// Execution stack at x=0: 8 ALUs stacked above the register file.
-	f.Place(Unit{Name: "regfile", AreaUM: RegFileArea, Width: RegFileWidth, X: 0, Y: 0})
-	for i := 0; i < ALUCount; i++ {
-		f.Place(Unit{
-			Name:   fmt.Sprintf("alu%d", i),
-			AreaUM: ALUArea, Width: ALUWidth,
-			X: 0, Y: rfH + Micron(i)*aluH,
-		})
-	}
-	// Scheduler (issue queue + wakeup/select CAM) beside the regfile.
-	f.Place(Unit{Name: "scheduler", AreaUM: 180000, Width: 300, X: 360, Y: 0})
-	// Rename/allocate above the scheduler.
-	f.Place(Unit{Name: "rename", AreaUM: 90000, Width: 300, X: 360, Y: 620})
-	// Decoders next to rename.
-	f.Place(Unit{Name: "decode", AreaUM: 110000, Width: 300, X: 360, Y: 930})
-	// Branch prediction + I-cache frontend at the top.
-	f.Place(Unit{Name: "btb", AreaUM: 70000, Width: 330, X: 680, Y: 1100})
-	f.Place(Unit{Name: "icache", AreaUM: 260000, Width: 420, X: 680, Y: 0})
-	f.Place(Unit{Name: "branchchecker", AreaUM: 40000, Width: 200, X: 680, Y: 880})
-	// Load/store unit + data cache on the far side.
-	f.Place(Unit{Name: "lsq", AreaUM: 120000, Width: 300, X: 1120, Y: 600})
-	f.Place(Unit{Name: "dcache", AreaUM: 300000, Width: 420, X: 1120, Y: 0})
-	return f
 }

@@ -27,27 +27,27 @@ func TestForwardingWireLength(t *testing.T) {
 }
 
 func TestSkylakeFloorplan(t *testing.T) {
-	f := Skylake()
-	if f.Units() < 10 {
-		t.Fatalf("Skylake floorplan has %d units, want the full core complement", f.Units())
+	f := skylake()
+	if len(f.units) < 10 {
+		t.Fatalf("Skylake floorplan has %d units, want the full core complement", len(f.units))
 	}
 	for _, name := range []string{"regfile", "alu0", "alu7", "scheduler", "rename", "decode", "btb", "icache", "branchchecker", "lsq", "dcache"} {
-		if _, err := f.Unit(name); err != nil {
+		if _, err := f.unit(name); err != nil {
 			t.Errorf("missing unit: %v", err)
 		}
 	}
-	if _, err := f.Unit("nonexistent"); err == nil {
+	if _, err := f.unit("nonexistent"); err == nil {
 		t.Error("expected error for unknown unit")
 	}
 }
 
 func TestDistanceSymmetricAndTriangle(t *testing.T) {
-	f := Skylake()
-	dab, err := f.Distance("regfile", "icache")
+	f := skylake()
+	dab, err := f.distance("regfile", "icache")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dba, _ := f.Distance("icache", "regfile")
+	dba, _ := f.distance("icache", "regfile")
 	if dab != dba {
 		t.Errorf("distance not symmetric: %v vs %v", dab, dba)
 	}
@@ -55,16 +55,16 @@ func TestDistanceSymmetricAndTriangle(t *testing.T) {
 		t.Errorf("distance regfile→icache = %v, want > 0", dab)
 	}
 	// Manhattan triangle inequality through an intermediate unit.
-	dac, _ := f.Distance("regfile", "decode")
-	dcb, _ := f.Distance("decode", "icache")
+	dac, _ := f.distance("regfile", "decode")
+	dcb, _ := f.distance("decode", "icache")
 	if dab > dac+dcb+1e-9 {
 		t.Errorf("triangle inequality violated: %v > %v + %v", dab, dac, dcb)
 	}
 }
 
 func TestDistanceSelfIsZero(t *testing.T) {
-	f := Skylake()
-	d, err := f.Distance("regfile", "regfile")
+	f := skylake()
+	d, err := f.distance("regfile", "regfile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestForwardingStackIsLong(t *testing.T) {
 	// The execution stack spans the forwarding-wire length: alu7 must be
 	// far from the register file — this is why the bypass wires dominate
 	// the backend critical paths.
-	f := Skylake()
-	d, err := f.Distance("regfile", "alu7")
+	f := skylake()
+	d, err := f.distance("regfile", "alu7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +88,9 @@ func TestForwardingStackIsLong(t *testing.T) {
 }
 
 func TestAdjacency(t *testing.T) {
-	f := Skylake()
+	f := skylake()
 	// Decode and rename abut (compiled together, Fig 7(b) path ②-1).
-	adj, err := f.Adjacent("decode", "rename")
+	adj, err := f.adjacent("decode", "rename")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestAdjacency(t *testing.T) {
 	}
 	// The regfile and the farthest ALU are not (path ②-2: Hspice-style
 	// inter-unit wire modeling).
-	adj, err = f.Adjacent("regfile", "alu7")
+	adj, err = f.adjacent("regfile", "alu7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +125,17 @@ func TestUnitHeightProperty(t *testing.T) {
 }
 
 func TestPlaceReplaces(t *testing.T) {
-	f := New("test")
-	f.Place(Unit{Name: "u", AreaUM: 100, Width: 10, X: 0, Y: 0})
-	f.Place(Unit{Name: "u", AreaUM: 200, Width: 10, X: 5, Y: 5})
-	u, err := f.Unit("u")
+	f := newFloorplan("test")
+	f.place(placed{Unit{Name: "u", AreaUM: 100, Width: 10}, 0, 0})
+	f.place(placed{Unit{Name: "u", AreaUM: 200, Width: 10}, 5, 5})
+	u, err := f.unit("u")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.AreaUM != 200 || u.X != 5 {
 		t.Errorf("Place should replace: got %+v", u)
 	}
-	if f.Units() != 1 {
-		t.Errorf("expected 1 unit after replace, got %d", f.Units())
+	if len(f.units) != 1 {
+		t.Errorf("expected 1 unit after replace, got %d", len(f.units))
 	}
 }

@@ -1,18 +1,10 @@
 // Package mem provides the memory-side timing models: the 300 K and
-// 77 K cache/DRAM hierarchies of Table 4 and a CACTI-NUCA-style layout
-// model that derives wire-link lengths for the NoC (§3.1.3). The 77 K
-// hierarchy reflects the prior cryogenic memory work the paper builds
-// on (CryoCache [43], CLL-DRAM [37]): twice-faster caches and
-// 3.8×-faster DRAM.
+// 77 K cache/DRAM hierarchies of Table 4. The 77 K hierarchy reflects
+// the prior cryogenic memory work the paper builds on (CryoCache [43],
+// CLL-DRAM [37]): twice-faster caches and 3.8×-faster DRAM.
 package mem
 
-import (
-	"fmt"
-	"math"
-
-	"cryowire/internal/phys"
-	"cryowire/internal/wire"
-)
+import "cryowire/internal/phys"
 
 // CacheSpec is one cache level's timing at the reference 4 GHz clock.
 type CacheSpec struct {
@@ -65,80 +57,4 @@ func ForTemp(t phys.Kelvin) Hierarchy {
 		return Mem77()
 	}
 	return Mem300()
-}
-
-// NUCALayout is the CACTI-NUCA-style physical layout of the shared L3:
-// n banks (one per core tile) arranged in a near-square grid. It
-// derives the geometric quantities the NoC model needs: tile pitch,
-// die side, and the wire-link segment lengths of each topology.
-type NUCALayout struct {
-	Banks       int
-	TileAreaMM2 float64 // core slice + 1 MB L3 bank
-}
-
-// DefaultNUCA returns the 64-tile layout of the paper's target system:
-// 2 mm tile pitch (the paper's 2 mm NoC hop) on a 16 mm die side.
-func DefaultNUCA() NUCALayout {
-	return NUCALayout{Banks: 64, TileAreaMM2: 4.0}
-}
-
-// GridSide returns the tile-grid dimension (√banks, rounded up).
-func (n NUCALayout) GridSide() int {
-	return int(math.Ceil(math.Sqrt(float64(n.Banks))))
-}
-
-// TilePitchMM returns the center-to-center tile spacing.
-func (n NUCALayout) TilePitchMM() float64 {
-	return math.Sqrt(n.TileAreaMM2)
-}
-
-// DieSideMM returns the edge length of the tile array.
-func (n NUCALayout) DieSideMM() float64 {
-	return float64(n.GridSide()) * n.TilePitchMM()
-}
-
-// HTreeSegmentMM returns the length of one contiguous H-tree bus
-// segment in the CryoBus layout: the tree spans quadrant hubs with
-// segments of a quarter die plus a hub offset — 6 mm on the 64-tile
-// die, the link length the wire-link model is validated at (Fig 10).
-func (n NUCALayout) HTreeSegmentMM() float64 {
-	return n.DieSideMM() * 3 / 8
-}
-
-// HTreeMaxHops returns the maximum core-to-core distance on the H-tree
-// bus in 2 mm hops: four segments (leaf→hub→root→hub→leaf) — 12 hops on
-// the 64-tile die versus 30 for the serpentine bus (§5.2.1).
-func (n NUCALayout) HTreeMaxHops() int {
-	segHops := int(math.Round(n.HTreeSegmentMM() / 2.0))
-	return 4 * segHops
-}
-
-// SerpentineMaxHops returns the maximum core-to-core distance of the
-// scaled conventional bidirectional bus: cores attach in dual-ported
-// pairs along a serpentine spine, so the span is banks/2 − 2 taps — 30
-// hops for 64 cores, matching §5.2.1.
-func (n NUCALayout) SerpentineMaxHops() int {
-	h := n.Banks/2 - 2
-	if h < 1 {
-		h = 1
-	}
-	return h
-}
-
-// LinkLatencyNS returns the latency of a wire link of the given length
-// at an operating point, via the validated wire-link model.
-func LinkLatencyNS(lengthMM float64, op phys.OperatingPoint, m *phys.MOSFET) float64 {
-	lk := wire.Link{HopMM: lengthMM, Driver: wire.DefaultDriver(), LatchFraction: 0.051}
-	return lk.HopDelay(op, m) * 1e9
-}
-
-// Validate sanity-checks the layout.
-func (n NUCALayout) Validate() error {
-	if n.Banks < 1 {
-		return fmt.Errorf("mem: NUCA layout needs ≥1 bank, have %d", n.Banks)
-	}
-	if n.TileAreaMM2 <= 0 {
-		return fmt.Errorf("mem: non-positive tile area %v", n.TileAreaMM2)
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cryowire/internal/phys"
-	"cryowire/internal/wire"
 )
 
 func TestTable4MemorySpecs(t *testing.T) {
@@ -49,70 +48,5 @@ func TestForTemp(t *testing.T) {
 		if h := ForTemp(temp); h.Name != "77K memory" {
 			t.Errorf("ForTemp(%vK) = %s, want 77K memory", temp, h.Name)
 		}
-	}
-}
-
-func TestDefaultNUCAGeometry(t *testing.T) {
-	n := DefaultNUCA()
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if n.GridSide() != 8 {
-		t.Errorf("grid side = %d, want 8", n.GridSide())
-	}
-	if p := n.TilePitchMM(); p != 2.0 {
-		t.Errorf("tile pitch = %v mm, want 2 (the paper's NoC hop)", p)
-	}
-	if s := n.DieSideMM(); s != 16.0 {
-		t.Errorf("die side = %v mm, want 16", s)
-	}
-	// §3.2.2: the CryoBus wire-link length is 6 mm.
-	if seg := n.HTreeSegmentMM(); seg != 6.0 {
-		t.Errorf("H-tree segment = %v mm, want 6", seg)
-	}
-	// §5.2.1: 12-hop max distance on the H-tree vs 30 on the serpentine.
-	if h := n.HTreeMaxHops(); h != 12 {
-		t.Errorf("H-tree max hops = %d, want 12", h)
-	}
-	if h := n.SerpentineMaxHops(); h != 30 {
-		t.Errorf("serpentine max hops = %d, want 30", h)
-	}
-}
-
-func TestNUCAScaling(t *testing.T) {
-	// 256-core hybrid system: four 64-tile clusters — each cluster keeps
-	// the 64-tile geometry; a flat 256-tile layout has doubled spans.
-	n := NUCALayout{Banks: 256, TileAreaMM2: 4.0}
-	if n.GridSide() != 16 {
-		t.Errorf("256-bank grid side = %d, want 16", n.GridSide())
-	}
-	if h := n.HTreeMaxHops(); h != 24 {
-		t.Errorf("256-tile flat H-tree max hops = %d, want 24", h)
-	}
-	small := NUCALayout{Banks: 1, TileAreaMM2: 4.0}
-	if h := small.SerpentineMaxHops(); h < 1 {
-		t.Errorf("degenerate serpentine hops = %d, want clamped ≥ 1", h)
-	}
-}
-
-func TestNUCAValidate(t *testing.T) {
-	bad := []NUCALayout{{Banks: 0, TileAreaMM2: 4}, {Banks: 64, TileAreaMM2: 0}}
-	for _, n := range bad {
-		if err := n.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", n)
-		}
-	}
-}
-
-func TestLinkLatency(t *testing.T) {
-	m := phys.DefaultMOSFET()
-	n300 := LinkLatencyNS(6.0, phys.Nominal45, m)
-	n77 := LinkLatencyNS(6.0, wire.At77(), m)
-	if n300 <= 0 || n77 <= 0 {
-		t.Fatalf("non-positive link latencies: %v %v", n300, n77)
-	}
-	ratio := n300 / n77
-	if math.Abs(ratio-3.05)/3.05 > 0.02 {
-		t.Errorf("6mm link speedup = %v, want 3.05 (Fig 10)", ratio)
 	}
 }

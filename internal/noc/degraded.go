@@ -109,11 +109,6 @@ func (d *DegradedHTree) Name() string {
 	return fmt.Sprintf("h-tree (%d dead segments)", len(d.failed))
 }
 
-// FailedSegments returns the dead-segment set.
-func (d *DegradedHTree) FailedSegments() []HTreeSegment {
-	return append([]HTreeSegment(nil), d.failed...)
-}
-
 // BroadcastHops implements BusLayout: the worst source climbs to the
 // root and the wavefront descends to the worst leaf, both over the
 // surviving topology. Healthy this is 2·6 = 12.

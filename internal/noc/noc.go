@@ -143,16 +143,5 @@ func (t Timing) WireCycles(tileHops int) int {
 	return c
 }
 
-// CyclesToNS converts NoC cycles to nanoseconds.
-func (t Timing) CyclesToNS(cycles float64) float64 {
-	return cycles / t.FreqGHz
-}
-
 // Op77 is the nominal-voltage 77 K point.
 func Op77() phys.OperatingPoint { return wire.At77() }
-
-// Op77Scaled is the voltage-optimized 77 K NoC/LLC point of Table 4
-// (Vdd 0.55 V / Vth 0.225 V).
-func Op77Scaled() phys.OperatingPoint {
-	return phys.OperatingPoint{T: phys.T77, Vdd: 0.55, Vth: 0.225}
-}

@@ -358,23 +358,6 @@ func (rn *RouterNet) computeZeroLoad() {
 	rn.zeroLoad = float64(total) / float64(nr*(nr-1))
 }
 
-// HopsBetween returns the router-hop count between two nodes (for
-// tests and topology diagnostics).
-func (rn *RouterNet) HopsBetween(a, b int) int {
-	cur, d := rn.nodeRouter(a), rn.nodeRouter(b)
-	nr := len(rn.routers)
-	hops := 0
-	for cur != d {
-		lnk := rn.routers[cur].links[rn.nextHop[cur*nr+d]]
-		cur = lnk.to
-		hops++
-		if hops > len(rn.routers) {
-			panic(fmt.Sprintf("noc: routing loop in %s between %d and %d", rn.name, a, b))
-		}
-	}
-	return hops
-}
-
 // defaultInputCap is the per-port buffering: 4 VCs × 3 flit-buffers as
 // in the Table 4 router configuration, at packet granularity.
 const defaultInputCap = 12

@@ -142,3 +142,20 @@ func TestRouterNetRejectsUnknownDestination(t *testing.T) {
 		}()
 	}
 }
+
+// hopsBetween returns the router-hop count between two nodes by
+// walking the next-hop table the constructor built from route.
+func hopsBetween(rn *RouterNet, a, b int) int {
+	cur, d := rn.nodeRouter(a), rn.nodeRouter(b)
+	nr := len(rn.routers)
+	hops := 0
+	for cur != d {
+		lnk := rn.routers[cur].links[rn.nextHop[cur*nr+d]]
+		cur = lnk.to
+		hops++
+		if hops > len(rn.routers) {
+			panic(fmt.Sprintf("noc: routing loop in %s between %d and %d", rn.name, a, b))
+		}
+	}
+	return hops
+}

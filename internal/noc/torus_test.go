@@ -8,7 +8,7 @@ import (
 func TestTorusWrapRouting(t *testing.T) {
 	tr := NewTorus(64, timing300(1))
 	// Corner to corner: the torus wraps, so (0,0)→(7,7) is 1+1 hops.
-	if h := tr.HopsBetween(0, 63); h != 2 {
+	if h := hopsBetween(tr, 0, 63); h != 2 {
 		t.Errorf("torus corner-to-corner hops = %d, want 2 (wrap)", h)
 	}
 	// Maximum distance is side/2 per dimension = 8.
@@ -17,7 +17,7 @@ func TestTorusWrapRouting(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if h := tr.HopsBetween(a, b); h > 8 {
+			if h := hopsBetween(tr, a, b); h > 8 {
 				t.Fatalf("torus hops %d→%d = %d, want ≤ 8", a, b, h)
 			}
 		}

@@ -39,12 +39,12 @@ func TestMobilityFactor4K(t *testing.T) {
 
 // TestMobilityFactorNo4KCard pins the satellite fix: a card without
 // 4 K calibration answers sub-77 K queries with the typed ErrNo4KCard
-// through the explicit API, while the legacy MobilityFactor keeps its
-// documented clamp for 77 K-and-above callers.
+// through ValidTemperature, while MobilityFactor keeps its documented
+// clamp for 77 K-and-above callers.
 func TestMobilityFactorNo4KCard(t *testing.T) {
-	m := &MOSFET{Alpha: 0.545, MobilityGain77: 1.08, SubthresholdN: 1.5, Ileak0: 100e-9}
-	if _, err := m.MobilityFactorAt(T4); !errors.Is(err, ErrNo4KCard) {
-		t.Fatalf("MobilityFactorAt(4K) on a 77 K card: err = %v, want ErrNo4KCard", err)
+	m := &MOSFET{Alpha: 0.545, MobilityGain77: 1.08, SubthresholdN: 1.5}
+	if err := m.ValidTemperature(T4); !errors.Is(err, ErrNo4KCard) {
+		t.Fatalf("ValidTemperature(4K) on a 77 K card: err = %v, want ErrNo4KCard", err)
 	}
 	if err := m.ValidTemperature(50); !errors.Is(err, ErrNo4KCard) {
 		t.Fatalf("ValidTemperature(50K) on a 77 K card: err = %v, want ErrNo4KCard", err)
@@ -52,9 +52,8 @@ func TestMobilityFactorNo4KCard(t *testing.T) {
 	if err := m.ValidTemperature(T77); err != nil {
 		t.Fatalf("ValidTemperature(77K) on a 77 K card: %v", err)
 	}
-	got, err := m.MobilityFactorAt(T77)
-	if err != nil || got != m.MobilityGain77 {
-		t.Fatalf("MobilityFactorAt(77K) = %v, %v; want %v, nil", got, err, m.MobilityGain77)
+	if got := m.MobilityFactor(T77); got != m.MobilityGain77 {
+		t.Fatalf("MobilityFactor(77K) = %v, want %v", got, m.MobilityGain77)
 	}
 	// The legacy clamp survives for callers that never go below 77 K.
 	if got := m.MobilityFactor(T4); got != m.MobilityGain77 {
@@ -62,19 +61,18 @@ func TestMobilityFactorNo4KCard(t *testing.T) {
 	}
 }
 
-// TestMobilityFactorAtDefaultCard checks the non-error path returns
-// the curve value.
+// TestMobilityFactorAtDefaultCard checks that the default card accepts
+// 4 K and returns the calibrated curve value there.
 func TestMobilityFactorAtDefaultCard(t *testing.T) {
 	m := DefaultMOSFET()
-	got, err := m.MobilityFactorAt(T4)
-	if err != nil {
+	if err := m.ValidTemperature(T4); err != nil {
 		t.Fatal(err)
 	}
-	if got != m.MobilityGain4 {
-		t.Fatalf("MobilityFactorAt(4K) = %v, want %v", got, m.MobilityGain4)
+	if got := m.MobilityFactor(T4); got != m.MobilityGain4 {
+		t.Fatalf("MobilityFactor(4K) = %v, want %v", got, m.MobilityGain4)
 	}
-	if _, err := m.MobilityFactorAt(-1); err == nil {
-		t.Fatal("MobilityFactorAt(-1K) must fail")
+	if err := m.ValidTemperature(-1); err == nil {
+		t.Fatal("ValidTemperature(-1K) must fail")
 	}
 }
 
@@ -105,7 +103,7 @@ func TestLeakage4KFiniteCollapsed(t *testing.T) {
 func TestLeakageFloorDoesNotPerturb77K(t *testing.T) {
 	with := DefaultMOSFET()
 	without := &MOSFET{Alpha: with.Alpha, MobilityGain77: with.MobilityGain77,
-		SubthresholdN: with.SubthresholdN, Ileak0: with.Ileak0}
+		SubthresholdN: with.SubthresholdN}
 	for _, tk := range []Kelvin{T300, 200, T135, T100, T77} {
 		for _, op := range []OperatingPoint{
 			{T: tk, Vdd: 1.25, Vth: 0.47},
@@ -228,14 +226,14 @@ func TestCoolingOverheadMonotone(t *testing.T) {
 // nominal leakage budget.
 func TestMinVth4K(t *testing.T) {
 	m := DefaultMOSFET()
-	vth, err := m.MinVth(T4, 1.0)
+	vth, err := minVth(m, T4, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vth <= 0 || vth >= Nominal45.Vth {
 		t.Fatalf("MinVth(4K, 1.0) = %v, want in (0, %v)", vth, Nominal45.Vth)
 	}
-	v77, err := m.MinVth(T77, 1.0)
+	v77, err := minVth(m, T77, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,6 @@ type MOSFET struct {
 	MobilityGain77 float64
 	// SubthresholdN is the subthreshold ideality factor n.
 	SubthresholdN float64
-	// Ileak0 is the leakage prefactor (A per µm of gate width) at the
-	// nominal 300 K operating point; only ratios matter for the paper's
-	// analyses but an absolute scale keeps power numbers dimensionful.
-	Ileak0 float64
 
 	// --- 4 K extension card (liquid-helium operation) -----------------
 	//
@@ -73,9 +69,8 @@ type MOSFET struct {
 	// CryoMOSFET_4K pipeline and the generic cryo-CMOS modeling
 	// platform (arXiv 2211.05309) calibrated against liquid-helium
 	// characterization (arXiv 1811.11497). A card with MobilityGain4
-	// == 0 has no 4 K data: sub-77 K queries through MobilityFactorAt
-	// and ValidTemperature return ErrNo4KCard instead of silently
-	// extrapolating.
+	// == 0 has no 4 K data: sub-77 K queries through ValidTemperature
+	// return ErrNo4KCard instead of silently extrapolating.
 
 	// MobilityGain4 is µ(4K)/µ(300K). Phonon scattering is gone at
 	// liquid helium; ionized-impurity and surface-roughness scattering
@@ -104,7 +99,6 @@ func DefaultMOSFET() *MOSFET {
 		Alpha:              0.545,
 		MobilityGain77:     1.08,
 		SubthresholdN:      1.5,
-		Ileak0:             100e-9,
 		MobilityGain4:      1.12,
 		SubthresholdFloorK: 35,
 	}
@@ -162,8 +156,8 @@ func (m *MOSFET) slopeTemperature(t Kelvin) Kelvin {
 // MobilityGain4) anchor and clamps below it (impurity scattering is
 // temperature-independent, so µ is flat under liquid helium); without
 // it the legacy clamp to MobilityGain77 applies. Callers that must
-// distinguish "calibrated curve" from "uncalibrated clamp" use
-// MobilityFactorAt, which returns ErrNo4KCard in the latter case.
+// distinguish "calibrated curve" from "uncalibrated clamp" check
+// ValidTemperature first, which returns ErrNo4KCard in the latter case.
 func (m *MOSFET) MobilityFactor(t Kelvin) float64 {
 	if t >= T300 {
 		return 1
@@ -182,18 +176,6 @@ func (m *MOSFET) MobilityFactor(t Kelvin) float64 {
 	// Log-linear interpolation in temperature between the anchors.
 	frac := math.Log(float64(T300)/float64(t)) / math.Log(float64(T300)/float64(T77))
 	return 1 + (m.MobilityGain77-1)*frac
-}
-
-// MobilityFactorAt is MobilityFactor with the sub-77 K contract made
-// explicit: a query below 77 K against a card without the 4 K
-// extension returns ErrNo4KCard instead of the silent MobilityGain77
-// clamp, so callers can never mistake an uncalibrated extrapolation
-// for a measured curve.
-func (m *MOSFET) MobilityFactorAt(t Kelvin) (float64, error) {
-	if err := m.ValidTemperature(t); err != nil {
-		return 0, err
-	}
-	return m.MobilityFactor(t), nil
 }
 
 // OnCurrentFactor returns Ion(op)/Ion(Nominal45) — the relative drive
@@ -220,6 +202,7 @@ func (m *MOSFET) GateDelayFactor(op OperatingPoint) float64 {
 // TransistorSpeedup returns the transistor-only speedup at op relative
 // to the nominal 300 K point (the reciprocal of GateDelayFactor). At
 // (77 K, nominal voltage) this is the paper's "8 %" number.
+// Kept for tests: it pins EXPERIMENTS.md's "transistor speed-up @77 K, nominal voltage" row.
 func (m *MOSFET) TransistorSpeedup(op OperatingPoint) float64 {
 	return 1 / m.GateDelayFactor(op)
 }
@@ -237,39 +220,4 @@ func (m *MOSFET) LeakageFactor(op OperatingPoint) float64 {
 	}
 	tempScale := math.Pow(float64(op.T)/float64(ref.T), 2)
 	return tempScale * math.Exp(exp(op)-exp(ref))
-}
-
-// LeakageCurrent returns the absolute leakage current (A/µm) at op.
-func (m *MOSFET) LeakageCurrent(op OperatingPoint) float64 {
-	return m.Ileak0 * m.LeakageFactor(op)
-}
-
-// ErrInfeasible is returned when no voltage assignment satisfies the
-// leakage budget.
-var ErrInfeasible = errors.New("phys: no feasible Vth under leakage budget")
-
-// MinVth returns the smallest threshold voltage at temperature t whose
-// leakage does not exceed budgetFactor times the nominal 300 K leakage.
-// This is the knob that lets cryogenic designs trade the leakage slack
-// for speed (§4.5): MinVth(77K, 1.0) is far below the 300 K nominal
-// 0.47 V.
-func (m *MOSFET) MinVth(t Kelvin, budgetFactor float64) (Volts, error) {
-	if budgetFactor <= 0 {
-		return 0, fmt.Errorf("phys: non-positive leakage budget %v", budgetFactor)
-	}
-	// Solve LeakageFactor(t, vth) = budgetFactor for vth analytically:
-	// tempScale·exp(−vth/(n·kT/q) + vthRef/(n·kTref/q)) = budget.
-	ref := Nominal45
-	tempScale := math.Pow(float64(t)/float64(ref.T), 2)
-	refExp := float64(ref.Vth) / (m.SubthresholdN * thermalVoltage(ref.T))
-	rhs := math.Log(budgetFactor/tempScale) - refExp
-	vth := Volts(-rhs * m.SubthresholdN * thermalVoltage(m.slopeTemperature(t)))
-	if vth <= 0 {
-		// Leakage budget is so loose that any positive Vth works.
-		return 0.01, nil
-	}
-	if vth >= ref.Vdd {
-		return 0, ErrInfeasible
-	}
-	return vth, nil
 }

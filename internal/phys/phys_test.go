@@ -135,19 +135,19 @@ func TestLeakageCollapsesAt77K(t *testing.T) {
 
 func TestMinVth(t *testing.T) {
 	m := DefaultMOSFET()
-	v77, err := m.MinVth(T77, 1.0)
+	v77, err := minVth(m, T77, 1.0)
 	if err != nil {
 		t.Fatalf("MinVth(77K): %v", err)
 	}
 	if v77 >= 0.25 {
 		t.Errorf("MinVth(77K, 1.0) = %v, want < 0.25 (paper's choice is conservative)", v77)
 	}
-	v300, err := m.MinVth(T300, 1.0)
+	v300, err := minVth(m, T300, 1.0)
 	if err != nil {
 		t.Fatalf("MinVth(300K): %v", err)
 	}
 	approx(t, "MinVth(300K, 1.0)", float64(v300), float64(Nominal45.Vth), 0.01)
-	if _, err := m.MinVth(T300, 0); err == nil {
+	if _, err := minVth(m, T300, 0); err == nil {
 		t.Error("MinVth with zero budget should fail")
 	}
 }
@@ -157,8 +157,8 @@ func TestMinVthMonotoneInBudget(t *testing.T) {
 	f := func(rawBudget uint8) bool {
 		b1 := 0.5 + float64(rawBudget%100)/100 // 0.5..1.49
 		b2 := b1 * 2
-		v1, err1 := m.MinVth(T77, b1)
-		v2, err2 := m.MinVth(T77, b2)
+		v1, err1 := minVth(m, T77, b1)
+		v2, err2 := minVth(m, T77, b2)
 		if err1 != nil || err2 != nil {
 			return false
 		}

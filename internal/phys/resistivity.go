@@ -140,6 +140,7 @@ func Resistivity(c WireClass, t Kelvin) float64 {
 // ResistanceRatio returns ρ(300K)/ρ(T) for the wire class — the factor
 // by which the wire's resistance (and, for RC-dominated wires, delay)
 // shrinks when cooled from 300 K to t.
+// Kept for tests: it pins EXPERIMENTS.md's fig5 "long local/semi-global wire speed-up @77 K (no repeaters)" rows.
 func ResistanceRatio(c WireClass, t Kelvin) float64 {
 	return Resistivity(c, T300) / Resistivity(c, t)
 }

@@ -231,13 +231,3 @@ func (md *Model) MaxFrequencyGHz(p Pipeline, op phys.OperatingPoint) float64 {
 	_, d := md.CriticalPath(p, op)
 	return baseGHz / d
 }
-
-// StageDelays returns every stage's delay at op in pipeline order —
-// the data behind Figs 12/13/14.
-func (md *Model) StageDelays(p Pipeline, op phys.OperatingPoint) []float64 {
-	out := make([]float64, len(p.Stages))
-	for i, s := range p.Stages {
-		out[i] = md.StageDelay(s, op)
-	}
-	return out
-}

@@ -1,9 +1,9 @@
 // Package platform is the shared derivation layer of the model stack.
 // A Platform owns one MOSFET card plus a memoized, concurrency-safe
 // cache of everything derivable from an operating point — validated
-// (temperature, Vdd, Vth) triples, per-class wire speed-ups and
-// repeater solutions, NoC Mesh/Bus timings, and the Table 3 core
-// frequency targets — so a 300K↔77K comparison derives each artifact
+// (temperature, Vdd, Vth) triples, per-class wire speed-ups with and
+// without repeaters, NoC Mesh/Bus timings, and the Table 3 core
+// columns — so a 300K↔77K comparison derives each artifact
 // exactly once instead of once per call site. Every layer above
 // (sim, core, experiments, the public facade) consumes one Platform
 // instead of re-running phys/wire/pipeline derivations from scratch,
@@ -13,7 +13,6 @@
 package platform
 
 import (
-	"fmt"
 	"sync"
 
 	"cryowire/internal/noc"
@@ -31,14 +30,11 @@ type Platform struct {
 	mosfet *phys.MOSFET
 	pipe   *pipeline.Model
 	pow    *power.Model
-	driver wire.Driver
 
 	ops      memo[phys.OperatingPoint, error]
 	mesh     memo[meshKey, noc.Timing]
 	bus      memo[phys.OperatingPoint, noc.Timing]
-	hops     memo[phys.OperatingPoint, int]
 	speedups memo[speedupKey, float64]
-	repeat   memo[lineKey, wire.Repeated]
 	forward  memo[phys.Kelvin, float64]
 	cores    memo[string, pipeline.CoreSpec]
 	derived  memo[derivedKey, derivedCore]
@@ -69,12 +65,6 @@ type speedupKey struct {
 	repeated   bool
 }
 
-type lineKey struct {
-	spec     wire.Spec
-	lengthMM float64
-	op       phys.OperatingPoint
-}
-
 // New builds a platform around the default calibrated MOSFET card.
 func New() *Platform { return NewWith(phys.DefaultMOSFET()) }
 
@@ -85,7 +75,6 @@ func NewWith(m *phys.MOSFET) *Platform {
 		mosfet: m,
 		pipe:   pipeline.NewModel(m),
 		pow:    power.NewModel(),
-		driver: wire.DefaultDriver(),
 	}
 }
 
@@ -152,16 +141,10 @@ func (p *Platform) BusTiming(op phys.OperatingPoint) noc.Timing {
 	})
 }
 
-// HopsPerCycle returns the memoized wire-link hop count per NoC cycle
-// at op (4 at 300 K, 12 at 77 K).
-func (p *Platform) HopsPerCycle(op phys.OperatingPoint) int {
-	return p.hops.get(op, func() int { return wire.NoCHopsPerCycle(op, p.mosfet) })
-}
-
 // WireSpeedup returns the memoized 300K→op speed-up of a driven wire in
 // spec at the given length and driver size. With repeated=true the line
 // carries latency-optimal repeaters re-optimized at each operating
-// point (the expensive discrete search this cache exists for).
+// point.
 func (p *Platform) WireSpeedup(spec wire.Spec, lengthMM, driverSize float64, op phys.OperatingPoint, repeated bool) float64 {
 	k := speedupKey{spec, lengthMM, driverSize, op, repeated}
 	return p.speedups.get(k, func() float64 {
@@ -187,14 +170,6 @@ func (p *Platform) WireSpeedupByClass(class string, lengthMM, tempK float64, rep
 		drv = 1
 	}
 	return p.WireSpeedup(spec, lengthMM, drv, op, repeated), nil
-}
-
-// OptimalRepeaters returns the memoized latency-optimal repeater
-// solution for a default-driver line of the spec and length at op.
-func (p *Platform) OptimalRepeaters(spec wire.Spec, lengthMM float64, op phys.OperatingPoint) wire.Repeated {
-	return p.repeat.get(lineKey{spec, lengthMM, op}, func() wire.Repeated {
-		return wire.OptimizeRepeaters(wire.NewLine(spec, lengthMM, 1), op, p.mosfet)
-	})
 }
 
 // ForwardingSpeedup returns the memoized 300K→t speed-up of the in-core
@@ -251,35 +226,13 @@ func (p *Platform) DerivedCore(splits int, analysisOp, op phys.OperatingPoint, s
 	return d.core, d.err
 }
 
-// FrequencyTarget returns the memoized clock of a named Table 3 core
-// column: "baseline300", "superpipeline77", "superpipelineCryoCore77",
-// "cryoSP" or "chpCore".
-func (p *Platform) FrequencyTarget(core string) (float64, error) {
-	switch core {
-	case "baseline300":
-		return p.Baseline300().FreqGHz, nil
-	case "superpipeline77":
-		return p.Superpipeline77().FreqGHz, nil
-	case "superpipelineCryoCore77":
-		return p.SuperpipelineCryoCore77().FreqGHz, nil
-	case "cryoSP":
-		return p.CryoSP().FreqGHz, nil
-	case "chpCore":
-		return p.CHPCore().FreqGHz, nil
-	default:
-		return 0, fmt.Errorf("platform: unknown core column %q", core)
-	}
-}
-
 // Stats reports cache effectiveness across every memo table.
 func (p *Platform) Stats() CacheStats {
 	var s CacheStats
 	s.add(p.ops.stats())
 	s.add(p.mesh.stats())
 	s.add(p.bus.stats())
-	s.add(p.hops.stats())
 	s.add(p.speedups.stats())
-	s.add(p.repeat.stats())
 	s.add(p.forward.stats())
 	s.add(p.cores.stats())
 	s.add(p.derived.stats())

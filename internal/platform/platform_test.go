@@ -7,6 +7,7 @@ import (
 
 	"cryowire/internal/noc"
 	"cryowire/internal/phys"
+	"cryowire/internal/pipeline"
 	"cryowire/internal/wire"
 )
 
@@ -53,7 +54,6 @@ func TestMemoizeConcurrentFirstAccess(t *testing.T) {
 			p.MeshTiming(op77, 1)
 			p.MeshTiming(op300, 1)
 			p.BusTiming(op77)
-			p.HopsPerCycle(op77)
 			p.ForwardingSpeedup(phys.T77)
 			if err := p.ValidateOp(op77); err != nil {
 				t.Errorf("ValidateOp(77K): %v", err)
@@ -62,12 +62,12 @@ func TestMemoizeConcurrentFirstAccess(t *testing.T) {
 	}
 	wg.Wait()
 
-	// 6 distinct keys across the tables, hit goroutines*6 - 6 times.
+	// 5 distinct keys across the tables, hit goroutines*5 - 5 times.
 	s := p.Stats()
-	if s.Misses != 6 {
-		t.Fatalf("concurrent access derived %d artifacts, want 6 (stats %+v)", s.Misses, s)
+	if s.Misses != 5 {
+		t.Fatalf("concurrent access derived %d artifacts, want 5 (stats %+v)", s.Misses, s)
 	}
-	if want := uint64(goroutines*6 - 6); s.Hits != want {
+	if want := uint64(goroutines*5 - 5); s.Hits != want {
 		t.Fatalf("hits = %d, want %d (stats %+v)", s.Hits, want, s)
 	}
 }
@@ -97,19 +97,16 @@ func TestCoreDerivationsConcurrent(t *testing.T) {
 
 func TestFrequencyTarget(t *testing.T) {
 	p := New()
-	for _, name := range []string{
-		"baseline300", "superpipeline77", "superpipelineCryoCore77", "cryoSP", "chpCore",
+	for name, core := range map[string]func() pipeline.CoreSpec{
+		"baseline300":             p.Baseline300,
+		"superpipeline77":         p.Superpipeline77,
+		"superpipelineCryoCore77": p.SuperpipelineCryoCore77,
+		"cryoSP":                  p.CryoSP,
+		"chpCore":                 p.CHPCore,
 	} {
-		f, err := p.FrequencyTarget(name)
-		if err != nil {
-			t.Fatalf("FrequencyTarget(%q): %v", name, err)
+		if f := core().FreqGHz; f <= 0 || math.IsNaN(f) {
+			t.Fatalf("%s clock = %v, want positive", name, f)
 		}
-		if f <= 0 || math.IsNaN(f) {
-			t.Fatalf("FrequencyTarget(%q) = %v, want positive", name, f)
-		}
-	}
-	if _, err := p.FrequencyTarget("warpCore"); err == nil {
-		t.Fatal("FrequencyTarget accepted an unknown column")
 	}
 }
 

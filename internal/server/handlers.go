@@ -266,7 +266,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err.Error())
 		return
 	}
-	canonical := canonicalKey("experiment", id, canonBool(dto.Quick), canonInt(opt.Workers),
+	// Workers is a scheduling knob and excluded from the key: reports
+	// are byte-identical at any worker count.
+	canonical := canonicalKey("experiment", id, canonBool(dto.Quick),
 		canonInt(opt.Sim.WarmupCycles), canonInt(opt.Sim.MeasureCycles), canonInt64(opt.Sim.Seed))
 	s.serveCached(w, r, canonical, func(ctx context.Context) ([]byte, error) {
 		rep, err := s.runExperiment(ctx, id, opt)

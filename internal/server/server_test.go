@@ -167,6 +167,28 @@ func TestExperimentJSONParity(t *testing.T) {
 	}
 }
 
+// TestExperimentCacheIgnoresWorkers: the worker count never changes a
+// report's bytes, so a request that differs only in workers must be
+// served from the entry the first request cached.
+func TestExperimentCacheIgnoresWorkers(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	rec := do(t, h, "POST", "/v1/experiments/fig22", `{"quick":true}`)
+	if rec.Code != 200 {
+		t.Fatalf("status = %d, body: %s", rec.Code, rec.Body)
+	}
+	rec2 := do(t, h, "POST", "/v1/experiments/fig22", `{"quick":true,"workers":2}`)
+	if rec2.Code != 200 {
+		t.Fatalf("status = %d, body: %s", rec2.Code, rec2.Body)
+	}
+	if got := rec2.Header().Get("X-Cache"); got != "hit" {
+		t.Fatalf("workers-only variant X-Cache = %q, want hit", got)
+	}
+	if !bytes.Equal(rec2.Body.Bytes(), rec.Body.Bytes()) {
+		t.Fatal("workers-only variant served different bytes")
+	}
+}
+
 // countingRunner is an injectable experiment runner that counts real
 // computations and can block until released.
 type countingRunner struct {

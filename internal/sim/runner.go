@@ -47,8 +47,8 @@ func (e *LaneError) Unwrap() error { return e.Err }
 // fingerprint canonicalizes the spec for dedup. Evaluation is a pure
 // function of (Design, Profile, Config) — the determinism contract the
 // golden fixtures pin — so two specs with equal fingerprints produce
-// byte-identical Results. The context and Workers knobs never change
-// the output bytes and are excluded; Fault is dereferenced so equal
+// byte-identical Results. The context never changes the output bytes
+// and is excluded; Fault is dereferenced so equal
 // scenarios match regardless of pointer identity. Every reachable
 // field is a value type (strings, numbers, bools, fixed structs), so
 // %#v renders a canonical string: Go's float formatting is
@@ -56,7 +56,6 @@ func (e *LaneError) Unwrap() error { return e.Err }
 func (sp LaneSpec) fingerprint() string {
 	cfg := sp.Config
 	cfg.ctx = nil
-	cfg.Workers = 0
 	var fc fault.Config
 	hasFault := cfg.Fault != nil
 	if hasFault {
@@ -164,7 +163,7 @@ type BatchRunner struct {
 	//
 	// Deprecated: specs no longer share a lockstep cycle loop, so
 	// there is no batch width to set. The field stays only so callers
-	// written against the lockstep engine (the bench harness sets it)
+	// written against the lockstep engine (bench/registry.go sets it)
 	// still compile.
 	Lanes int
 	// Workers bounds concurrent simulations; 0 or 1 runs them serially.
@@ -253,7 +252,8 @@ type BatchStats struct {
 	// Batches counts RunCtx calls that simulated at least one spec.
 	Batches uint64
 	// Lanes counts specs simulated; Lanes / Batches is the mean number
-	// of simulations per call. It always equals CacheMisses.
+	// of simulations per call. It always equals CacheMisses; it stays
+	// because bench/simlong.go reads it.
 	Lanes uint64
 	// CacheHits counts specs served by dedup (result cache, a
 	// concurrent caller's in-flight run, or an in-call duplicate);

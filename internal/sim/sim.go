@@ -177,11 +177,6 @@ type Config struct {
 	// Watchdog configures deadlock/livelock detection; the zero value
 	// enables it with defaults.
 	Watchdog Watchdog
-	// Workers bounds the fan-out of grid evaluations built on this
-	// config (core.Evaluate, the experiment sweeps). Each simulation
-	// still runs single-threaded with its own rng seeded from Seed, so
-	// results are identical at any worker count; 0 or 1 runs serially.
-	Workers int
 	// ctx carries the caller's cancellation signal into Run and into
 	// every grid evaluation built on this config; nil never cancels.
 	// Set with WithContext (the field stays unexported so the zero

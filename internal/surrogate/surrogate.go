@@ -97,9 +97,6 @@ func Fit(samples []Sample, k int) (*Model, error) {
 	return &Model{k: k, dim: dim, nvals: nvals, samples: out}, nil
 }
 
-// Len returns the number of distinct fitted samples.
-func (m *Model) Len() int { return len(m.samples) }
-
 // Predict interpolates the target values at coords and reports a
 // confidence in [0,1]: 1 at a fitted sample (the prediction is exact),
 // falling toward 0 as the query moves away from everything observed.

@@ -162,8 +162,8 @@ func TestFitRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 2 {
-		t.Fatalf("duplicates not collapsed: Len = %d, want 2", m.Len())
+	if n := len(m.samples); n != 2 {
+		t.Fatalf("duplicates not collapsed: %d samples, want 2", n)
 	}
 }
 

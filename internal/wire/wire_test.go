@@ -103,7 +103,7 @@ func TestOptimizeRepeatersBeatsUnrepeated(t *testing.T) {
 	m := phys.DefaultMOSFET()
 	ref := phys.Nominal45
 	l := NewLine(Global, 6.22, 1)
-	rep := OptimizeRepeaters(l, ref, m)
+	rep := optimizeRepeaters(l, ref, m)
 	if rep.Delay(ref, m) >= l.ElmoreDelay(ref, m) {
 		t.Error("optimal repeaters should beat the unrepeated long wire")
 	}
@@ -117,7 +117,7 @@ func TestDiscreteOptimumNearAnalytic(t *testing.T) {
 	ref := phys.Nominal45
 	for _, length := range []float64{2, 4, 6.22, 10} {
 		l := NewLine(Global, length, 1)
-		discrete := OptimizeRepeaters(l, ref, m).Delay(ref, m)
+		discrete := optimizeRepeaters(l, ref, m).Delay(ref, m)
 		analytic := OptimalRepeatedDelay(l, ref, m)
 		ratio := discrete / analytic
 		if ratio < 0.6 || ratio > 1.4 {
@@ -130,7 +130,7 @@ func TestRepeatedDelayPositiveProperty(t *testing.T) {
 	m := phys.DefaultMOSFET()
 	f := func(rawLen, rawSeg, rawSize uint8) bool {
 		l := NewLine(Global, 0.1+float64(rawLen)/25, 1)
-		r := Repeated{Line: l, Segments: 1 + int(rawSeg)%40, Size: 1 + float64(rawSize)}
+		r := repeated{Line: l, Segments: 1 + int(rawSeg)%40, Size: 1 + float64(rawSize)}
 		return r.Delay(phys.Nominal45, m) > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -163,7 +163,7 @@ func TestNoCHopsPerCycle(t *testing.T) {
 
 func TestHopDelayComponentsScale(t *testing.T) {
 	m := phys.DefaultMOSFET()
-	lk := DefaultLink()
+	lk := CryoBusLink()
 	d300 := lk.HopDelay(phys.Nominal45, m)
 	d77 := lk.HopDelay(At77(), m)
 	if d77 >= d300 {
@@ -193,7 +193,7 @@ func TestRepeatedDelayPanicsOnZeroSegments(t *testing.T) {
 		}
 	}()
 	m := phys.DefaultMOSFET()
-	r := Repeated{Line: NewLine(Global, 1, 1), Segments: 0, Size: 1}
+	r := repeated{Line: NewLine(Global, 1, 1), Segments: 0, Size: 1}
 	r.Delay(phys.Nominal45, m)
 }
 

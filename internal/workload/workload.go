@@ -130,17 +130,6 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// ValidateAll validates every profile in the list, failing on the
-// first offender.
-func ValidateAll(ps []Profile) error {
-	for _, p := range ps {
-		if err := p.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Parsec returns the 13 PARSEC 2.1 profiles. Memory intensity and
 // sharing follow the published PARSEC characterization (Bienia et al.):
 // canneal is the pointer-chasing cache-buster, streamcluster the

@@ -236,12 +236,14 @@ func TestValidateRejects(t *testing.T) {
 }
 
 func TestValidateAll(t *testing.T) {
-	if err := ValidateAll(allProfiles()); err != nil {
-		t.Fatalf("built-in suites: %v", err)
+	for _, p := range allProfiles() {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("built-in suites: %v", err)
+		}
 	}
-	bad := allProfiles()
-	bad[3].LockMPKI = -1
-	if err := ValidateAll(bad); err == nil {
-		t.Fatal("ValidateAll accepted a corrupted profile")
+	bad := allProfiles()[3]
+	bad.LockMPKI = -1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("Validate accepted a corrupted profile")
 	}
 }
