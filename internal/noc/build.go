@@ -127,9 +127,13 @@ func NewByName(name string, nodes int, mesh, bus Timing) (Network, error) {
 // link set. Routing is unchanged — the spare follows the same path —
 // so connectivity, deadlock-freedom and the next-hop table hold. The
 // domain string namespaces this network's fault pattern (defaults to
-// the network name). Call before traffic starts; a nil or inactive
-// injector is a no-op.
+// the network name). Call before traffic starts: it panics once a
+// packet was injected or a cycle stepped, because Step's schedule is
+// sized from the link latencies. A nil or inactive injector is a no-op.
 func (rn *RouterNet) ApplyFaults(inj *fault.Injector, domain string) {
+	if rn.now > 0 || rn.queued() {
+		panic(fmt.Sprintf("noc: %s: ApplyFaults after traffic started (cycle %d); degrade links before the first TryInject or Step", rn.name, rn.now))
+	}
 	if inj == nil || !inj.Config().Active() {
 		return
 	}
@@ -150,6 +154,19 @@ func (rn *RouterNet) ApplyFaults(inj *fault.Injector, domain string) {
 		}
 	}
 	if degraded {
+		rn.sizeSchedule()
 		rn.computeZeroLoad()
 	}
+}
+
+// queued reports whether any input port holds a packet.
+func (rn *RouterNet) queued() bool {
+	for ri := range rn.routers {
+		for pi := range rn.routers[ri].ports {
+			if rn.routers[ri].ports[pi].n > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -188,6 +188,10 @@ func TestRouterNetApplyFaults(t *testing.T) {
 		t.Errorf("faulted mesh zero-load %.2f not worse than healthy %.2f",
 			faulted.ZeroLoadLatency(), healthy.ZeroLoadLatency())
 	}
+	// Step's schedule must reach the slow spares' arrival times.
+	if faulted.dueMask <= healthy.dueMask {
+		t.Errorf("faulted mesh schedule has %d slots, healthy %d", faulted.dueMask+1, healthy.dueMask+1)
+	}
 	// Traffic still drains: the spare wires are slow, not dead.
 	rng := rand.New(rand.NewSource(3))
 	var id int64

@@ -7,11 +7,13 @@ import (
 
 // arrival is a queued packet with the cycle it becomes visible to the
 // router (covers router pipeline + link traversal) and its next hop
-// there, computed once when the packet is queued.
+// there, computed once when the packet is queued. The destination
+// router is resolved once, at injection.
 type arrival struct {
 	p       *Packet
 	readyAt int64
-	out     int // output link at the holding router; -1 ejects here
+	dst     int32 // destination router
+	out     int32 // output link at the holding router; -1 ejects here
 }
 
 // rlink is a directed router-to-router link.
@@ -77,7 +79,6 @@ type router struct {
 	ports   []port
 	rr      []int // round-robin arbiter state per output link
 	outBusy []int64
-	live    int // queued packets across all ports; Step skips a router at 0
 }
 
 // maxPorts bounds a router's input ports: Step's switch allocator keeps
@@ -104,7 +105,20 @@ type RouterNet struct {
 	nextHop []uint8
 	// want is Step's switch-allocation scratch: bit pi of want[li] is
 	// set while input port pi's head is ready and bound for link li.
-	want   []uint64
+	want []uint64
+	// due is Step's schedule, a timing wheel of router bitsets: bit ri
+	// of slot t&dueMask (dueWords words from index slot*dueWords) is
+	// set when router ri must be visited at cycle t. Every input-port
+	// head is scheduled at its readyAt, or at the next cycle Step runs
+	// when it is already ready, so Step visits only routers that can
+	// move a packet. The wheel has more slots than the longest
+	// router-plus-wire latency, the furthest ahead a head can be.
+	due      []uint64
+	dueMask  int64
+	dueWords int
+	// cur is the router Step is visiting, -1 outside Step. TryInject
+	// reads it to tell whether this cycle's visit to a router is past.
+	cur    int
 	timing Timing
 	now    int64
 	stats  Stats
@@ -161,14 +175,14 @@ func (rn *RouterNet) addLink(from, to, wireCycles, tileHops int) {
 	src.outBusy = append(src.outBusy, 0)
 }
 
-// outFor returns p's output link at router ri, or -1 when p ejects
-// there.
-func (rn *RouterNet) outFor(ri int, p *Packet) int {
-	hop := rn.nextHop[ri*len(rn.routers)+rn.nodeRouter(p.Dst)]
+// outFor returns the output link at router ri toward router dst, or -1
+// when the packet ejects there.
+func (rn *RouterNet) outFor(ri int, dst int32) int32 {
+	hop := rn.nextHop[ri*len(rn.routers)+int(dst)]
 	if hop == ejectHop {
 		return -1
 	}
-	return int(hop)
+	return int32(hop)
 }
 
 // TryInject implements Network.
@@ -190,97 +204,157 @@ func (rn *RouterNet) TryInject(p *Packet) bool {
 	}
 	// InjectedAt is owned by the caller (it may predate this cycle when
 	// the packet waited in a source queue).
-	inj.push(arrival{p: p, readyAt: rn.now, out: rn.outFor(ri, p)})
-	r.live++
+	dst := int32(rn.nodeRouter(p.Dst))
+	out := rn.outFor(ri, dst)
+	if inj.n == 0 {
+		// The packet is the port's new head, ready now. Step has
+		// already scanned port 0 of the routers up to the one it is
+		// visiting, so there it is due next cycle; at the router being
+		// visited (a delivery hook injecting) it still requests its
+		// link this cycle, as a scan after the ejections would have.
+		at := rn.now
+		if ri <= rn.cur {
+			at++
+			if ri == rn.cur && out >= 0 {
+				rn.want[out] |= 1
+			}
+		}
+		rn.wake(ri, at)
+	}
+	inj.push(arrival{p: p, readyAt: rn.now, dst: dst, out: out})
 	return true
 }
 
+// wake schedules router ri for a visit at cycle at, which must lie
+// within the wheel: rn.now ≤ at < rn.now+len(due)/dueWords.
+func (rn *RouterNet) wake(ri int, at int64) {
+	rn.due[int(at&rn.dueMask)*rn.dueWords+ri>>6] |= 1 << uint(ri&63)
+}
+
 // Step implements Network: one cycle of routing, switch arbitration and
-// link traversal across all routers. Work is done only where packets
-// are: a router with nothing queued changes no state and is skipped,
-// and each queued packet carries its next hop, so allocation compares
-// ints instead of re-routing every head for every output link.
+// link traversal. Work is done only where packets are ready: Step
+// visits, in ascending index order, the routers in this cycle's slot
+// of the due wheel, which holds every router with a head whose readyAt
+// has come. A router not in the slot has no ready head, so visiting it
+// would change no state. Each queued packet carries its next hop, so
+// allocation compares ints instead of re-routing every head for every
+// output link.
 func (rn *RouterNet) Step() {
 	now := rn.now
 	want := rn.want
-	for ri := range rn.routers {
-		r := &rn.routers[ri]
-		if r.live == 0 {
-			continue
-		}
-		// Ejection first: deliver any head packet destined here. The
-		// ejection port is modeled with infinite sink bandwidth per
-		// router cycle for each input port. A delivery hook may inject
-		// into this router's port 0, so requests are gathered after.
-		for pi := range r.ports {
-			pt := &r.ports[pi]
-			for pt.n > 0 && pt.front().readyAt <= now && pt.front().out < 0 {
-				rn.deliver(pt.front().p, now)
-				pt.pop()
-				r.live--
-			}
-		}
-		for pi := range r.ports {
-			pt := &r.ports[pi]
-			if pt.n > 0 {
-				if h := pt.front(); h.readyAt <= now && h.out >= 0 {
-					want[h.out] |= 1 << pi
-				}
-			}
-		}
-		// Switch allocation: one grant per output link per cycle, in
-		// link order, round-robin over the requesting input ports.
-		n := len(r.ports)
-		for li := range r.links {
-			m := want[li]
-			if m == 0 {
-				continue
-			}
-			want[li] = 0
-			if r.outBusy[li] > now {
-				continue
-			}
-			lnk := r.links[li]
-			dpt := &rn.routers[lnk.to].ports[lnk.dstPort]
-			if dpt.occupancy() >= rn.inCap {
-				continue // no credit downstream
-			}
-			// First requester at or after the arbiter pointer, wrapping.
-			granted := bits.TrailingZeros64(m)
-			if above := m >> uint(r.rr[li]); above != 0 {
-				granted = r.rr[li] + bits.TrailingZeros64(above)
-			}
-			pt := &r.ports[granted]
-			a := pt.pop()
-			r.live--
-			r.rr[li] = (granted + 1) % n
-			// The port's new head competes for a later link this cycle;
-			// links up to li have had their turn.
-			if pt.n > 0 {
-				if h := pt.front(); h.readyAt <= now && h.out > li {
-					want[h.out] |= 1 << granted
-				}
-			}
-			flits := a.p.Flits
-			if flits < 1 {
-				flits = 1
-			}
-			r.outBusy[li] = now + int64(flits)
-			rn.energy.RouterTraversals++
-			rn.energy.BufferWrites++
-			rn.energy.WireMMFlits += float64(lnk.tileHops) * tileMM * float64(flits)
-			// The packet becomes visible downstream after the router
-			// pipeline and the wire flight time; the buffer slot is
-			// held from the send (conservative credit accounting).
-			lat := int64(rn.timing.RouterCycles + lnk.wireCycles)
-			if lat < 1 {
-				lat = 1
-			}
-			dpt.push(arrival{p: a.p, readyAt: now + lat, out: rn.outFor(lnk.to, a.p)})
-			rn.routers[lnk.to].live++
+	slot := rn.due[int(now&rn.dueMask)*rn.dueWords:][:rn.dueWords]
+	// The slot is re-read after every visit: a delivery hook's
+	// TryInject may add a router above the current one, which is then
+	// visited this cycle, as the full walk would have.
+	for w := range slot {
+		for slot[w] != 0 {
+			ri := w<<6 | bits.TrailingZeros64(slot[w])
+			slot[w] &= slot[w] - 1
+			rn.cur = ri
+			rn.visit(ri, now, want)
 		}
 	}
+	rn.cur = -1
 	rn.now++
+}
+
+// visit runs one router's cycle and keeps its schedule: every head it
+// leaves behind is woken at its readyAt, or next cycle if it is ready
+// but was not served.
+func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
+	r := &rn.routers[ri]
+	// Ejection first: deliver any head packet destined here. The
+	// ejection port is modeled with infinite sink bandwidth per router
+	// cycle for each input port. The head left behind requests its
+	// output link, or is woken when it becomes ready. A delivery hook
+	// that injects into an empty port 0 here has TryInject request for
+	// it, as a gather after all ejections would have.
+	for pi := range r.ports {
+		pt := &r.ports[pi]
+		for pt.n > 0 {
+			h := pt.front()
+			if h.readyAt > now {
+				rn.wake(ri, h.readyAt)
+				break
+			}
+			if h.out >= 0 {
+				want[h.out] |= 1 << pi
+				break
+			}
+			rn.deliver(h.p, now)
+			pt.pop()
+		}
+	}
+	// Switch allocation: one grant per output link per cycle, in link
+	// order, round-robin over the requesting input ports. A ready head
+	// left without a grant is due again next cycle.
+	again := false
+	n := len(r.ports)
+	for li := range r.links {
+		m := want[li]
+		if m == 0 {
+			continue
+		}
+		want[li] = 0
+		if r.outBusy[li] > now {
+			again = true
+			continue
+		}
+		lnk := r.links[li]
+		dpt := &rn.routers[lnk.to].ports[lnk.dstPort]
+		if dpt.occupancy() >= rn.inCap {
+			again = true
+			continue // no credit downstream
+		}
+		// First requester at or after the arbiter pointer, wrapping.
+		granted := bits.TrailingZeros64(m)
+		if above := m >> uint(r.rr[li]); above != 0 {
+			granted = r.rr[li] + bits.TrailingZeros64(above)
+		}
+		if m&^(1<<granted) != 0 {
+			again = true // lost arbitration
+		}
+		pt := &r.ports[granted]
+		a := pt.pop()
+		r.rr[li] = granted + 1
+		if r.rr[li] == n {
+			r.rr[li] = 0
+		}
+		// The port's new head competes for a later link this cycle;
+		// links up to li have had their turn.
+		if pt.n > 0 {
+			h := pt.front()
+			switch {
+			case h.readyAt > now:
+				rn.wake(ri, h.readyAt)
+			case int(h.out) > li:
+				want[h.out] |= 1 << granted
+			default:
+				again = true
+			}
+		}
+		flits := max(a.p.Flits, 1)
+		r.outBusy[li] = now + int64(flits)
+		rn.energy.RouterTraversals++
+		rn.energy.BufferWrites++
+		rn.energy.WireMMFlits += float64(lnk.tileHops) * tileMM * float64(flits)
+		// The packet becomes visible downstream after the router
+		// pipeline and the wire flight time; the buffer slot is held
+		// from the send (conservative credit accounting).
+		lat := int64(rn.timing.RouterCycles + lnk.wireCycles)
+		if lat < 1 {
+			lat = 1
+		}
+		if dpt.n == 0 {
+			rn.wake(lnk.to, now+lat)
+		}
+		a.readyAt = now + lat
+		a.out = rn.outFor(lnk.to, a.dst)
+		dpt.push(a)
+	}
+	if again {
+		rn.wake(ri, now+1)
+	}
 }
 
 // ZeroLoadLatency implements Network: the all-pairs average of
@@ -312,7 +386,27 @@ func (rn *RouterNet) finish() {
 		}
 	}
 	rn.want = make([]uint64, maxLinks)
+	rn.sizeSchedule()
 	rn.computeZeroLoad()
+}
+
+// sizeSchedule allocates the due wheel: a power-of-two slot count above
+// the longest router-plus-wire latency, so a packet sent this cycle is
+// scheduled in a slot other than the one Step is walking.
+func (rn *RouterNet) sizeSchedule() {
+	maxLat := 1
+	for ri := range rn.routers {
+		for _, lnk := range rn.routers[ri].links {
+			maxLat = max(maxLat, rn.timing.RouterCycles+lnk.wireCycles)
+		}
+	}
+	slots := 2
+	for slots <= maxLat {
+		slots *= 2
+	}
+	rn.dueWords = (len(rn.routers) + 63) / 64
+	rn.dueMask = int64(slots - 1)
+	rn.due = make([]uint64, slots*rn.dueWords)
 }
 
 // computeZeroLoad averages every ordered router pair's path cost plus
@@ -372,6 +466,7 @@ func newRouterNet(name string, nodes, conc int, timing Timing) *RouterNet {
 		conc:   conc,
 		timing: timing,
 		inCap:  defaultInputCap,
+		cur:    -1,
 	}
 	rn.routers = make([]router, nr)
 	for i := range rn.routers {

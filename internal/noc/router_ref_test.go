@@ -85,7 +85,7 @@ func (rn *RouterNet) refStep() {
 }
 
 // delivery is one entry of a twin's ordered delivery log. replied
-// records whether the hook's re-entrant reply was offered (0 no, 1
+// records whether the hook's re-entrant injection was offered (0 no, 1
 // accepted, 2 refused), so a divergent TryInject inside Step shows up
 // in the log too.
 type delivery struct {
@@ -99,18 +99,25 @@ type twin struct {
 	log []delivery
 }
 
-// replyBit marks reply packets; replies are not answered again.
+// replyBit marks hook-injected packets; they are not answered again.
 const replyBit = int64(1) << 40
 
 // hook records every delivery into the network's stats and the log,
-// and answers every third request with a reply injected into the same
-// network from inside Step — the re-entrant path the simulator's hooks
-// are allowed to take.
+// and injects into the same network from inside Step, the re-entrant
+// path the simulator's hooks are allowed to take: every third request
+// is answered with a reply from the delivering router, which Step is
+// visiting, and another third is forwarded from the node half the
+// network away, a router below the current one for deliveries in the
+// upper half and above it for the lower half.
 func (tw *twin) hook(p *Packet, now int64) {
 	tw.rn.Stats().Record(p, now)
 	d := delivery{id: p.ID, at: now}
-	if p.ID&replyBit == 0 && p.ID%3 == 0 {
-		r := &Packet{ID: p.ID | replyBit, Src: p.Dst, Dst: p.Src, Flits: 1, InjectedAt: now}
+	if p.ID&replyBit == 0 && p.ID%3 != 2 {
+		src := p.Dst
+		if p.ID%3 == 1 {
+			src = (p.Dst + tw.rn.Nodes()/2) % tw.rn.Nodes()
+		}
+		r := &Packet{ID: p.ID | replyBit, Src: src, Dst: p.Src, Flits: 1, InjectedAt: now}
 		d.replied = 2
 		if tw.rn.TryInject(r) {
 			d.replied = 1
@@ -155,9 +162,12 @@ func equivNets(t *testing.T) []struct {
 // with the same seeded open-loop traffic and compares their whole state
 // after every cycle: the ordered delivery log, Stats, Energy, every
 // arbiter pointer and output-busy horizon, and every input port's
-// occupancy (its full contents every 16th cycle and at the end). Rates
-// run from far below to far past saturation; each run ends with a
-// drain so routers go idle again.
+// occupancy (its full contents every 16th cycle and at the end). It
+// also checks Step's schedule every cycle: each input-port head must be
+// due at its readyAt, or on the next Step when it is already ready.
+// Rates run from far below to far past saturation. Each run drains,
+// sits idle for longer than the schedule's horizon so the wheel wraps
+// around, then takes a second burst of traffic and drains again.
 func TestStepMatchesReference(t *testing.T) {
 	patterns := []Pattern{Uniform{}, Transpose{}, Hotspot{}, BitReverse{}, Burst{}}
 	rates := []float64{0.001, 0.01, 0.1, 0.6}
@@ -184,10 +194,15 @@ func TestStepMatchesReference(t *testing.T) {
 }
 
 // runTwins runs one (network, pattern, packet mix, rate) point and
-// returns the number of packets delivered.
+// returns the number of packets delivered. A first burst of traffic is
+// generated for warmCycles; the twins then step until they are empty,
+// idle for twice the schedule's horizon plus one cycle, generate for
+// genCycles and drain for drainCycles. Ring and torus have no dateline
+// virtual channels and can deadlock past saturation, so the first
+// drain also ends after stuckCycles cycles without a delivery.
 func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate float64) int64 {
 	t.Helper()
-	const genCycles, drainCycles = 200, 100
+	const warmCycles, genCycles, drainCycles, stuckCycles = 20, 200, 100, 500
 	fast, ref := &twin{rn: mk()}, &twin{rn: mk()}
 	fast.rn.OnDeliver, ref.rn.OnDeliver = fast.hook, ref.hook
 	nodes := fast.rn.Nodes()
@@ -197,9 +212,20 @@ func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate 
 	pending := make([][]pair, nodes)
 	burstOn := make([]bool, nodes)
 	var id int64
-	for cyc := 0; cyc < genCycles+drainCycles; cyc++ {
+	waiting := func() bool {
+		for _, q := range pending {
+			if len(q) > 0 {
+				return true
+			}
+		}
+		return fast.rn.queued()
+	}
+	// cycle generates this cycle's traffic when gen is set, offers the
+	// source queues to both twins, steps both once and compares them;
+	// last adds the full port-contents comparison.
+	cycle := func(gen, last bool) {
 		now := fast.rn.Cycle()
-		for s := 0; s < nodes && cyc < genCycles; s++ {
+		for s := 0; s < nodes && gen; s++ {
 			genRate := rate
 			if bursty {
 				p := burst.onProb()
@@ -227,7 +253,7 @@ func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate 
 			for len(pending[s]) > 0 {
 				okF, okR := fast.rn.TryInject(pending[s][0].fast), ref.rn.TryInject(pending[s][0].ref)
 				if okF != okR {
-					t.Fatalf("rate %g cycle %d: TryInject at node %d = %v, reference %v", rate, cyc, s, okF, okR)
+					t.Fatalf("rate %g cycle %d: TryInject at node %d = %v, reference %v", rate, now, s, okF, okR)
 				}
 				if !okF {
 					break
@@ -237,17 +263,39 @@ func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate 
 		}
 		fast.rn.Step()
 		ref.rn.refStep()
-		last := cyc == genCycles+drainCycles-1
-		if err := compareTwins(fast, ref, last || cyc%16 == 0); err != nil {
-			t.Fatalf("rate %g cycle %d: %v", rate, cyc, err)
+		err := compareTwins(fast, ref, last || now%16 == 0)
+		if err == nil {
+			err = checkSchedule(fast.rn)
 		}
+		if err != nil {
+			t.Fatalf("rate %g cycle %d: %v", rate, now, err)
+		}
+	}
+	for i := 0; i < warmCycles; i++ {
+		cycle(true, false)
+	}
+	for stuck := 0; waiting() && stuck < stuckCycles; stuck++ {
+		before := len(fast.log)
+		cycle(false, false)
+		if len(fast.log) > before {
+			stuck = -1
+		}
+	}
+	idle := 2*len(fast.rn.due)/fast.rn.dueWords + 1
+	for i := 0; i < idle; i++ {
+		cycle(false, i == idle-1)
+	}
+	for i := 0; i < genCycles; i++ {
+		cycle(true, false)
+	}
+	for i := 0; i < drainCycles; i++ {
+		cycle(false, i == drainCycles-1)
 	}
 	return fast.rn.Stats().Delivered
 }
 
-// compareTwins reports the first difference between the two sides, or
-// a fast-side live count that disagrees with its queues; contents adds
-// a packet-by-packet comparison of every input port.
+// compareTwins reports the first difference between the two sides;
+// contents adds a packet-by-packet comparison of every input port.
 func compareTwins(fast, ref *twin, contents bool) error {
 	a, b := fast.rn, ref.rn
 	if a.now != b.now {
@@ -275,10 +323,8 @@ func compareTwins(fast, ref *twin, contents bool) error {
 					ri, li, ra.rr[li], ra.outBusy[li], rb.rr[li], rb.outBusy[li])
 			}
 		}
-		queued := 0
 		for pi := range ra.ports {
 			pa, pb := &ra.ports[pi], &rb.ports[pi]
-			queued += pa.n
 			if pa.occupancy() != pb.occupancy() {
 				return fmt.Errorf("router %d port %d: occupancy %d, reference %d", ri, pi, pa.occupancy(), pb.occupancy())
 			}
@@ -291,8 +337,29 @@ func compareTwins(fast, ref *twin, contents bool) error {
 				}
 			}
 		}
-		if ra.live != queued {
-			return fmt.Errorf("router %d: live count %d, %d packets queued", ri, ra.live, queued)
+	}
+	return nil
+}
+
+// checkSchedule reports the first input-port head Step's schedule would
+// miss: a head must be due at max(readyAt, now), so every router holding
+// a ready head is visited by the next Step and every other head's router
+// is visited the cycle it becomes ready. Entries beyond these (stale
+// ones) are allowed; they cost a no-op visit.
+func checkSchedule(rn *RouterNet) error {
+	for ri := range rn.routers {
+		for pi := range rn.routers[ri].ports {
+			pt := &rn.routers[ri].ports[pi]
+			if pt.n == 0 {
+				continue
+			}
+			at := max(pt.front().readyAt, rn.now)
+			if at-rn.now > rn.dueMask {
+				return fmt.Errorf("router %d port %d: head ready at %d, beyond the %d-slot wheel at cycle %d", ri, pi, at, rn.dueMask+1, rn.now)
+			}
+			if rn.due[int(at&rn.dueMask)*rn.dueWords+ri>>6]&(1<<uint(ri&63)) == 0 {
+				return fmt.Errorf("router %d port %d: head ready at %d is not due at cycle %d", ri, pi, pt.front().readyAt, at)
+			}
 		}
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"cryowire/internal/fault"
 )
 
 // stepRig drives one RouterNet with uniform open-loop traffic without
@@ -62,17 +64,40 @@ func (g *stepRig) cycle() {
 	g.rn.Step()
 }
 
-// stepRates are the Mesh-256 loads the benchmark and the allocation
-// gate use: sparse (most routers idle each cycle), moderate, and close
-// to the mesh's saturation rate.
-var stepRates = []float64{0.002, 0.02, 0.3}
+// stepCases are the networks and loads the benchmark and the
+// allocation gate use: Mesh-256 sparse (most routers idle each cycle),
+// moderate and close to its saturation rate; Mesh-64 at a sparse load,
+// the regime the system simulator runs in; and a fault-degraded
+// Mesh-64, whose schedule ApplyFaults re-sized for its slower links.
+var stepCases = []struct {
+	name string
+	mk   func() *RouterNet
+	rate float64
+}{
+	{"Mesh-256", func() *RouterNet { return NewMesh(256, timing77(1)) }, 0.002},
+	{"Mesh-256", func() *RouterNet { return NewMesh(256, timing77(1)) }, 0.02},
+	{"Mesh-256", func() *RouterNet { return NewMesh(256, timing77(1)) }, 0.3},
+	{"Mesh-64", func() *RouterNet { return NewMesh(64, timing77(1)) }, 0.01},
+	{"Mesh-64-faulted", faultedMesh64, 0.01},
+}
 
-// BenchmarkRouterNetStep times one Mesh-256 cycle (traffic generation
-// plus Step) in steady state at each of stepRates.
+// faultedMesh64 is a Mesh-64 with a fifth of its links on slow spares.
+func faultedMesh64() *RouterNet {
+	inj, err := fault.New(fault.Config{Seed: 2, LinkFailureRate: 0.2})
+	if err != nil {
+		panic(err)
+	}
+	m := NewMesh(64, timing77(1))
+	m.ApplyFaults(inj, "mesh")
+	return m
+}
+
+// BenchmarkRouterNetStep times one cycle (traffic generation plus
+// Step) in steady state on each of stepCases.
 func BenchmarkRouterNetStep(b *testing.B) {
-	for _, rate := range stepRates {
-		b.Run(fmt.Sprintf("rate=%g", rate), func(b *testing.B) {
-			g := newStepRig(NewMesh(256, timing77(1)), rate, 3000)
+	for _, tc := range stepCases {
+		b.Run(fmt.Sprintf("%s/rate=%g", tc.name, tc.rate), func(b *testing.B) {
+			g := newStepRig(tc.mk(), tc.rate, 3000)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -83,16 +108,42 @@ func BenchmarkRouterNetStep(b *testing.B) {
 }
 
 // TestRouterNetStepAllocs asserts the router cycle's zero-alloc
-// contract: once the port rings have grown, a Step allocates nothing.
+// contract on each of stepCases: once the port rings have grown, a Step
+// allocates nothing.
 func TestRouterNetStepAllocs(t *testing.T) {
-	for _, rate := range stepRates {
-		g := newStepRig(NewMesh(256, timing77(1)), rate, 3000)
+	for _, tc := range stepCases {
+		g := newStepRig(tc.mk(), tc.rate, 3000)
 		if allocs := testing.AllocsPerRun(500, g.cycle); allocs != 0 {
-			t.Errorf("rate %g: warmed Mesh-256 cycle allocates %v times, want 0", rate, allocs)
+			t.Errorf("%s rate %g: warmed cycle allocates %v times, want 0", tc.name, tc.rate, allocs)
 		}
 		if g.rn.Stats().Delivered == 0 {
-			t.Errorf("rate %g: nothing delivered", rate)
+			t.Errorf("%s rate %g: nothing delivered", tc.name, tc.rate)
 		}
+	}
+}
+
+// TestApplyFaultsRejectsLateCalls: the schedule Step keeps is sized
+// from the link latencies, so degrading links once a packet was
+// injected, or a cycle stepped, panics instead of overrunning it.
+func TestApplyFaultsRejectsLateCalls(t *testing.T) {
+	inj := mustInjector(t, fault.Config{Seed: 2, LinkFailureRate: 0.2})
+	for _, tc := range []struct {
+		name  string
+		start func(m *RouterNet)
+	}{
+		{"after an injection", func(m *RouterNet) { m.TryInject(&Packet{Src: 0, Dst: 63, Flits: 1}) }},
+		{"after a step", func(m *RouterNet) { m.Step() }},
+	} {
+		m := NewMesh(64, timing77(1))
+		tc.start(m)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "after traffic started") {
+					t.Errorf("%s: ApplyFaults panicked with %v, want a message that traffic started", tc.name, r)
+				}
+			}()
+			m.ApplyFaults(inj, "mesh")
+		}()
 	}
 }
 
