@@ -211,19 +211,24 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		// Journal and report in proposal order once the batch lands.
-		// Checkpoint granularity is one strategy batch: a kill mid-batch
-		// re-simulates the in-flight batch on resume. Served candidates
-		// are already on disk and are not re-appended; journal replay is
-		// keyed by index, so the line sequence does not affect resume.
+		// Checkpoint granularity is one strategy batch, appended with one
+		// write and one fsync: a kill mid-batch re-simulates the
+		// in-flight batch on resume. Served candidates are already on
+		// disk and are not re-appended; journal replay is keyed by index,
+		// so the line sequence does not affect resume.
+		var lines []journalLine
+		for k := range fresh {
+			if errs[k] == nil && !served[k] {
+				lines = append(lines, journalLine{Index: fresh[k], Eval: evals[k]})
+			}
+		}
+		if err := jl.record(lines); err != nil {
+			return nil, err
+		}
 		completed := len(hist)
 		for k := range fresh {
 			if errs[k] != nil {
 				continue
-			}
-			if !served[k] {
-				if err := jl.record(fresh[k], evals[k]); err != nil {
-					return nil, err
-				}
 			}
 			completed++
 			if cfg.Progress != nil {

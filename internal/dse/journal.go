@@ -18,9 +18,9 @@ import (
 // (point, config), the journal is only a memo — resuming replays the
 // seeded strategy from scratch and serves journaled indexes from the
 // cache, so a resumed run's output is byte-identical to an
-// uninterrupted one. Lines are appended with O_APPEND and synced per
-// evaluation, as each completes; a truncated trailing line (killed
-// mid-write) is ignored.
+// uninterrupted one. Lines are appended with O_APPEND, one write and one
+// sync per checkpoint (a strategy batch, as it lands); a truncated
+// trailing line (killed mid-write) is ignored.
 
 // journalHeader is the first line of a journal file.
 type journalHeader struct {
@@ -230,18 +230,22 @@ func (j *journal) lookup(i int) (Eval, bool) {
 	return e, ok
 }
 
-// record appends one completed evaluation and syncs it to disk so a
-// kill after record never loses the work.
-func (j *journal) record(i int, e Eval) error {
-	if j == nil {
+// record appends completed evaluations with one write and syncs them
+// to disk with one fsync, so a kill after record never loses the work.
+func (j *journal) record(entries []journalLine) error {
+	if j == nil || len(entries) == 0 {
 		return nil
 	}
-	j.cache[i] = e
-	b, err := json.Marshal(journalLine{Index: i, Eval: e})
-	if err != nil {
-		return err
+	var buf []byte
+	for _, l := range entries {
+		j.cache[l.Index] = l.Eval
+		b, err := json.Marshal(l)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, b...), '\n')
 	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("dse: append journal: %w", err)
 	}
 	return j.f.Sync()

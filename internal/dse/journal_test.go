@@ -69,3 +69,44 @@ func FuzzParseJournal(f *testing.F) {
 		}
 	})
 }
+
+// TestJournalBytesIndependentOfCheckpoint: a checkpoint appends its
+// batch with one write, and the journal holds the same bytes whether
+// each evaluation is its own checkpoint or batches of several are.
+// Progress still sees every evaluation, in order.
+func TestJournalBytesIndependentOfCheckpoint(t *testing.T) {
+	const budget = 8
+	var want []byte
+	for _, every := range []int{1, 3, 0} {
+		jpath := filepath.Join(t.TempDir(), "dse.jsonl")
+		var seen []int
+		cfg := Config{
+			Space:           DefaultSpace(true),
+			Strategy:        StrategyGrid,
+			Budget:          budget,
+			Sim:             quickSim(),
+			Workers:         2,
+			CheckpointEvery: every,
+			Journal:         jpath,
+			Progress:        func(evaluated, _ int) { seen = append(seen, evaluated) },
+		}
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(got, []byte("\n")); n != 1+budget {
+			t.Fatalf("checkpoint every %d: journal has %d lines, want %d", every, n, 1+budget)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("checkpoint every %d: journal differs from one checkpoint per evaluation:\n%s\nwant\n%s", every, got, want)
+		}
+		if fmt.Sprint(seen) != "[1 2 3 4 5 6 7 8]" {
+			t.Errorf("checkpoint every %d: Progress saw %v, want 1..%d in order", every, seen, budget)
+		}
+	}
+}

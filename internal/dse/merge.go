@@ -132,7 +132,7 @@ func (w *JournalWriter) Record(e JournalEntry) error {
 	if _, ok := w.j.lookup(e.Index); ok {
 		return nil
 	}
-	return w.j.record(e.Index, e.Eval)
+	return w.j.record([]journalLine{e})
 }
 
 // Close releases the journal file.

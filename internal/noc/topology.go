@@ -111,7 +111,10 @@ func NewCMesh(nodes int, timing Timing) *RouterNet {
 
 // NewRing builds a bidirectional ring — the NoC of the commercial
 // validation CPUs (§3.2.1: Sandy Bridge through Skylake use ring
-// buses). Shortest-direction routing; router pitch one tile.
+// buses). Shortest-direction routing; router pitch one tile. The
+// wrap-around link has no dateline virtual channel, so past saturation
+// the ring can deadlock and hold packets forever (EXPERIMENTS.md,
+// "Known deviations and their causes").
 func NewRing(nodes int, timing Timing) *RouterNet {
 	rn := newRouterNet(fmt.Sprintf("Ring-%d", nodes), nodes, 1, timing)
 	hop := timing.WireCycles(1)

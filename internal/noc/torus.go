@@ -4,7 +4,10 @@ import "fmt"
 
 // NewTorus builds a 2D folded torus: a mesh with wrap-around links,
 // halving the average hop count at the cost of longer (folded) links —
-// a useful design-space companion to the Fig 15 topologies.
+// a useful design-space companion to the Fig 15 topologies. The
+// wrap-around links have no dateline virtual channel, so past
+// saturation a row or column ring can deadlock and hold packets forever
+// (EXPERIMENTS.md, "Known deviations and their causes").
 func NewTorus(nodes int, timing Timing) *RouterNet {
 	side := gridSide(nodes)
 	if side*side != nodes {

@@ -12,6 +12,8 @@ package phys
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // Kelvin is a temperature in kelvin.
@@ -41,6 +43,7 @@ func blochGruneisen(t Kelvin) float64 {
 	if t <= 0 {
 		return 0
 	}
+	bgIntegrals.Add(1)
 	upper := DebyeTemperatureCu / float64(t)
 	// Integrand x^5 / ((e^x-1)(1-e^-x)); near 0 behaves as x^3.
 	f := func(x float64) float64 {
@@ -64,12 +67,55 @@ func blochGruneisen(t Kelvin) float64 {
 	return math.Pow(float64(t)/DebyeTemperatureCu, 5) * integral
 }
 
+// bgIntegrals counts the Bloch–Grüneisen integrals evaluated, so tests
+// can see what the memo saves.
+var bgIntegrals atomic.Int64
+
+// bgMemoCap bounds how many temperatures the memo holds. A derivation
+// visits a handful (300, 150, 135, 100, 77, 4 K), but temperatures also
+// arrive as request input, so an unbounded memo would grow with every
+// distinct value a client sends.
+const bgMemoCap = 64
+
+// bgMemo holds G(T) per temperature for the life of the process: every
+// wire, link and NoC-timing derivation needs it, and each integral is
+// 2,001 integrand evaluations. It is package state rather than part of
+// a platform because wire.ElmoreDelay, OptimalDelayPerMM and
+// OptimalSegmentation reach it with no platform in hand; G is a pure
+// function of T, so sharing it cannot change a result.
+var bgMemo = struct {
+	mu sync.Mutex
+	g  map[Kelvin]float64
+}{g: make(map[Kelvin]float64, bgMemoCap)}
+
+// cachedBlochGruneisen returns blochGruneisen(t), integrating at most
+// once per temperature while the memo has room. NaN and t ≤ 0 are never
+// stored; past the cap a temperature is integrated on every call.
+func cachedBlochGruneisen(t Kelvin) float64 {
+	if !(t > 0) {
+		return blochGruneisen(t)
+	}
+	bgMemo.mu.Lock()
+	g, ok := bgMemo.g[t]
+	bgMemo.mu.Unlock()
+	if ok {
+		return g
+	}
+	g = blochGruneisen(t)
+	bgMemo.mu.Lock()
+	if len(bgMemo.g) < bgMemoCap {
+		bgMemo.g[t] = g
+	}
+	bgMemo.mu.Unlock()
+	return g
+}
+
 // PhononResistivityFactor returns ρ_ph(T)/ρ_ph(300K), the fraction of
 // room-temperature phonon-limited resistivity that remains at T.
 // For copper this is ≈ 0.117 at 77 K, matching the bulk resistivity
 // drop from 1.72 µΩ·cm to ≈ 0.21 µΩ·cm reported by Matula.
 func PhononResistivityFactor(t Kelvin) float64 {
-	return blochGruneisen(t) / blochGruneisen(T300)
+	return cachedBlochGruneisen(t) / cachedBlochGruneisen(T300)
 }
 
 // WireClass identifies one of the three metal-stack wire families of a

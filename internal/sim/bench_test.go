@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"cryowire/internal/platform"
 	"cryowire/internal/workload"
 )
 
@@ -81,5 +82,20 @@ func BenchmarkSystemRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColdDerive times deriving the five evaluation designs on a
+// fresh platform: every core, wire and NoC-timing derivation misses the
+// platform cache, as a process's first set-up does. The Bloch–Grüneisen
+// memo in phys lives for the process, so only the first iteration
+// integrates (twice: at 300 K and 77 K).
+func BenchmarkColdDerive(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pf := platform.New()
+		if ds := NewFactoryWith(pf).Evaluation(); len(ds) == 0 {
+			b.Fatal("no evaluation designs")
+		}
 	}
 }
