@@ -177,7 +177,8 @@ func WireClassNames() []string { return wire.ClassNames() }
 // wire carries latency-optimal repeaters re-optimized at each
 // temperature. Unknown classes and unphysical temperatures are errors.
 // Results are memoized on the shared Platform, so sweeping the same
-// class/length grid twice pays the repeater search only once.
+// class/length grid twice derives each speed-up only once; repeaters
+// are sized in closed form (wire.OptimalSegmentation).
 func WireSpeedupAt(class string, lengthMM, tempK float64, repeated bool) (float64, error) {
 	return platform.Default().WireSpeedupByClass(class, lengthMM, tempK, repeated)
 }

@@ -275,8 +275,8 @@ func TestWireClassesAllDocumented(t *testing.T) {
 // sweeps successfully.
 func TestNoCDesignNamesDriveLoadLatency(t *testing.T) {
 	names := NoCDesignNames()
-	if len(names) != 8 {
-		t.Fatalf("NoCDesignNames() = %v, want 8 designs", names)
+	if len(names) != 6 {
+		t.Fatalf("NoCDesignNames() = %v, want 6 designs", names)
 	}
 	for _, name := range names {
 		pts, err := NoCLoadLatency(name, "uniform", 77, []float64{0.001})

@@ -103,21 +103,8 @@ type line struct {
 // bitset tracks up to 256 sharer cores.
 type bitset [4]uint64
 
-func (b *bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b *bitset) clear()         { *b = bitset{} }
-func (b *bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// count returns the number of set bits.
-func (b *bitset) count() int {
-	n := 0
-	for _, w := range b {
-		for w != 0 {
-			w &= w - 1
-			n++
-		}
-	}
-	return n
-}
+func (b *bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b *bitset) clear()    { *b = bitset{} }
 
 func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 
@@ -162,29 +149,13 @@ func (d *Directory) get(addr uint64) *line {
 	return l
 }
 
-// State reports the tracked state of addr (Invalid if untracked).
-func (d *Directory) State(addr uint64) (State, int, int) {
-	l, ok := d.lines[addr]
-	if !ok {
-		return Invalid, -1, 0
-	}
-	return l.state, l.owner, l.sharers.count()
-}
-
-// Access performs a read (write=false) or write (write=true) by core
-// against the line whose L3 home slice is home, returning the message
-// sequence. l3Hit tells the protocol whether the home L3 slice holds
-// the line when no cache owns it.
-func (d *Directory) Access(addr uint64, core, home int, write, l3Hit bool) Transaction {
-	var tx Transaction
-	d.AccessInto(&tx, addr, core, home, write, l3Hit)
-	return tx
-}
-
-// AccessInto is Access writing into a caller-owned Transaction: the
-// transaction is reset and its slices reused, so a caller that recycles
-// Transactions (the simulator's txn pool) generates no garbage per
-// access. The produced sequence is identical to Access.
+// AccessInto performs a read (write=false) or write (write=true) by
+// core against the line whose L3 home slice is home, writing the
+// message sequence into a caller-owned Transaction. l3Hit tells the
+// protocol whether the home L3 slice holds the line when no cache owns
+// it. The transaction is reset and its slices reused, so a caller that
+// recycles Transactions (the simulator's txn pool) generates no garbage
+// per access.
 func (d *Directory) AccessInto(tx *Transaction, addr uint64, core, home int, write, l3Hit bool) {
 	l := d.get(addr)
 	tx.reset()
@@ -257,30 +228,6 @@ func (d *Directory) AccessInto(tx *Transaction, addr uint64, core, home int, wri
 	}
 }
 
-// CheckInvariants verifies the MESI global invariants over all tracked
-// lines; it returns the first violation found.
-func (d *Directory) CheckInvariants() error {
-	for addr, l := range d.lines {
-		switch l.state {
-		case Modified, Exclusive:
-			if l.owner < 0 {
-				return fmt.Errorf("coherence: line %#x in %v without owner", addr, l.state)
-			}
-			if l.sharers.count() != 0 {
-				return fmt.Errorf("coherence: line %#x in %v with %d sharers", addr, l.state, l.sharers.count())
-			}
-		case Shared:
-			if l.owner != -1 {
-				return fmt.Errorf("coherence: line %#x Shared with owner %d", addr, l.owner)
-			}
-			if l.sharers.count() == 0 {
-				return fmt.Errorf("coherence: line %#x Shared with no sharers", addr)
-			}
-		}
-	}
-	return nil
-}
-
 // Snoop is the broadcast-based MESI engine for the CryoBus designs:
 // every L2 miss broadcasts on the bus; the owner (or the home L3
 // slice) answers with a directed data transfer that CryoBus's dynamic
@@ -318,16 +265,10 @@ func (s *Snoop) get(addr uint64) *line {
 	return l
 }
 
-// Access performs the snooping transaction. The broadcast request is
-// one bus transaction; the data reply is a directed transfer.
-func (s *Snoop) Access(addr uint64, core, home int, write, l3Hit bool) Transaction {
-	var tx Transaction
-	s.AccessInto(&tx, addr, core, home, write, l3Hit)
-	return tx
-}
-
-// AccessInto is Access writing into a caller-owned Transaction (see
-// Directory.AccessInto): reset-and-reuse semantics, identical sequence.
+// AccessInto performs the snooping transaction into a caller-owned
+// Transaction, with Directory.AccessInto's reset-and-reuse semantics.
+// The broadcast request is one bus transaction; the data reply is a
+// directed transfer.
 func (s *Snoop) AccessInto(tx *Transaction, addr uint64, core, home int, write, l3Hit bool) {
 	l := s.get(addr)
 	tx.reset()
@@ -372,19 +313,4 @@ func (s *Snoop) AccessInto(tx *Transaction, addr uint64, core, home int, write, 
 			l.sharers.set(core)
 		}
 	}
-}
-
-// State reports the tracked state of addr.
-func (s *Snoop) State(addr uint64) (State, int, int) {
-	l, ok := s.lines[addr]
-	if !ok {
-		return Invalid, -1, 0
-	}
-	return l.state, l.owner, l.sharers.count()
-}
-
-// CheckInvariants verifies the MESI invariants for the snooping engine.
-func (s *Snoop) CheckInvariants() error {
-	d := Directory{lines: s.lines}
-	return d.CheckInvariants()
 }

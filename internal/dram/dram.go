@@ -188,6 +188,3 @@ func (m *Memory) Access(addr uint64, nowNS float64) float64 {
 	}
 	return done
 }
-
-// Stats returns accumulated row-buffer statistics.
-func (m *Memory) Stats() Stats { return m.stats }

@@ -134,3 +134,6 @@ func TestAccessKindString(t *testing.T) {
 		t.Error("unknown kind should stringify")
 	}
 }
+
+// Stats returns accumulated row-buffer statistics.
+func (m *Memory) Stats() Stats { return m.stats }

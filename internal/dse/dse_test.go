@@ -224,3 +224,15 @@ func TestRunBudgetAndUnknownStrategy(t *testing.T) {
 		t.Fatalf("budget ignored: evaluated %d", res.Evaluated)
 	}
 }
+
+// A staged candidate whose temperatures the cooling chain rejects must
+// fail, not be priced as if it were unstaged. Space.Validate keeps such
+// points out of every search, so only a direct call reaches this path.
+func TestFinishEvalReturnsStagedPricingError(t *testing.T) {
+	pf := platform.New()
+	pt := Point{TempK: 77, Mode: "cryosp", Depth: 14, Net: NetCryoBus, Workload: "x264", StageK: 400}
+	_, err := finishEval(pf, pt, pf.CryoSP(), sim.Result{IPC: 1, Performance: 1})
+	if err == nil || !strings.Contains(err.Error(), "above the 300 K host") {
+		t.Fatalf("finishEval(%s) error = %v, want the stage chain's rejection", pt, err)
+	}
+}

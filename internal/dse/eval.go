@@ -139,7 +139,7 @@ func candidateDesign(pf *platform.Platform, pt Point) (sim.Design, pipeline.Core
 
 // finishEval attaches the cooling-inclusive power metrics to a
 // candidate's simulation result.
-func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim.Result) Eval {
+func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim.Result) (Eval, error) {
 	pw := pf.PowerModel()
 	e := Eval{
 		FreqGHz:         core.FreqGHz,
@@ -154,19 +154,20 @@ func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim
 		// the staged cooling chain (per-stage Carnot overheads + cable
 		// heatloads) instead of the flat (1+CO) product, and report the
 		// chain's effective overhead. Space.Validate guarantees the
-		// temperatures are chain-legal, so the error path is
-		// unreachable for validated spaces; if it ever fires the flat
-		// lift above stands.
-		if _, wall, err := stage.TierWall(pw.Cooling, e.DevicePower*stage.DefaultWattsPerUnit, pt.TempK, pt.StageK); err == nil {
-			e.TotalPower = wall / stage.DefaultWattsPerUnit
-			e.CoolingOverhead = e.TotalPower/e.DevicePower - 1
+		// temperatures are chain-legal, so validated spaces never see
+		// the error.
+		_, wall, err := stage.TierWall(pw.Cooling, e.DevicePower*stage.DefaultWattsPerUnit, pt.TempK, pt.StageK)
+		if err != nil {
+			return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
 		}
+		e.TotalPower = wall / stage.DefaultWattsPerUnit
+		e.CoolingOverhead = e.TotalPower/e.DevicePower - 1
 	}
 	if e.Performance > 0 && e.TotalPower > 0 {
 		e.PerfPerWatt = e.Performance / e.TotalPower
 		e.Energy = e.TotalPower / e.Performance
 	}
-	return e
+	return e, nil
 }
 
 // evaluate runs one candidate end to end: candidateDesign → System.Run
@@ -188,7 +189,7 @@ func evaluate(ctx context.Context, pf *platform.Platform, pt Point, prof workloa
 	if err != nil {
 		return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
 	}
-	return finishEval(pf, pt, core, res), nil
+	return finishEval(pf, pt, core, res)
 }
 
 // evaluateFresh evaluates the non-served candidates of one strategy

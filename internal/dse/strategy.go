@@ -34,8 +34,6 @@ func Strategies() []string {
 // iteration order or completion order — so that a resumed run replays
 // the exact proposal sequence of an uninterrupted one.
 type Strategy interface {
-	// Name returns the canonical strategy name.
-	Name() string
 	// Next proposes the next batch of candidate indexes.
 	Next(s Space, hist []HistoryEntry, remaining int) []int
 }
@@ -80,8 +78,6 @@ const defaultCheckpointEvery = 64
 // exactly the indexes it has proposed, so the next index is its length.
 type gridStrategy struct{}
 
-func (gridStrategy) Name() string { return StrategyGrid }
-
 func (gridStrategy) Next(s Space, hist []HistoryEntry, remaining int) []int {
 	next := len(hist)
 	n := s.Size() - next
@@ -107,8 +103,6 @@ type randomStrategy struct {
 	perm   []int
 	cursor int
 }
-
-func (r *randomStrategy) Name() string { return StrategyRandom }
 
 func (r *randomStrategy) Next(s Space, hist []HistoryEntry, remaining int) []int {
 	if r.perm == nil {
@@ -154,8 +148,6 @@ type hillClimbStrategy struct {
 	rng     *rand.Rand
 	visited map[int]bool // proposed at least once
 }
-
-func (h *hillClimbStrategy) Name() string { return StrategyHillClimb }
 
 // best returns the history index of the best candidate by
 // perf-per-watt, ties broken toward the lowest point index so replay

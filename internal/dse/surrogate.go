@@ -299,8 +299,6 @@ type surrogateHillStrategy struct {
 	sur surrogateModel
 }
 
-func (h *surrogateHillStrategy) Name() string { return StrategySurrogateHill }
-
 func (h *surrogateHillStrategy) initSurrogate(priors []JournalEntry, _ float64) {
 	h.sur.init(priors)
 }
@@ -421,8 +419,6 @@ type eiStrategy struct {
 	sur     surrogateModel
 }
 
-func (e *eiStrategy) Name() string { return StrategyEI }
-
 func (e *eiStrategy) initSurrogate(priors []JournalEntry, _ float64) {
 	e.sur.init(priors)
 }
@@ -521,8 +517,6 @@ const (
 	screenBoot
 	screenVerify
 )
-
-func (sc *screenStrategy) Name() string { return StrategyScreen }
 
 func (sc *screenStrategy) initSurrogate(priors []JournalEntry, margin float64) {
 	sc.sur.init(priors)

@@ -45,14 +45,6 @@ func BuildCMesh(nodes int, timing Timing) (*RouterNet, error) {
 	return NewCMesh(nodes, timing), nil
 }
 
-// BuildRing is the validating variant of NewRing.
-func BuildRing(nodes int, timing Timing) (*RouterNet, error) {
-	if nodes < 2 {
-		return nil, fmt.Errorf("noc: ring needs at least 2 nodes, got %d", nodes)
-	}
-	return NewRing(nodes, timing), nil
-}
-
 // BuildFlattenedButterfly is the validating variant of
 // NewFlattenedButterfly.
 func BuildFlattenedButterfly(nodes int, timing Timing) (*RouterNet, error) {
@@ -66,14 +58,6 @@ func BuildFlattenedButterfly(nodes int, timing Timing) (*RouterNet, error) {
 	return NewFlattenedButterfly(nodes, timing), nil
 }
 
-// BuildTorus is the validating variant of NewTorus.
-func BuildTorus(nodes int, timing Timing) (*RouterNet, error) {
-	if err := validSquare("torus", nodes); err != nil {
-		return nil, err
-	}
-	return NewTorus(nodes, timing), nil
-}
-
 // designBuilders is the single name→constructor table behind both
 // DesignNames and NewByName (and, through them, the public facade's
 // NoCDesignNames/NoCLoadLatency), so the advertised list can never
@@ -83,8 +67,6 @@ var designBuilders = []struct {
 	mk   func(nodes int, mesh, bus Timing) (Network, error)
 }{
 	{"mesh", func(n int, m, _ Timing) (Network, error) { return BuildMesh(n, m) }},
-	{"torus", func(n int, m, _ Timing) (Network, error) { return BuildTorus(n, m) }},
-	{"ring", func(n int, m, _ Timing) (Network, error) { return BuildRing(n, m) }},
 	{"cmesh", func(n int, m, _ Timing) (Network, error) { return BuildCMesh(n, m) }},
 	{"fbfly", func(n int, m, _ Timing) (Network, error) { return BuildFlattenedButterfly(n, m) }},
 	{"sharedbus", func(n int, _, b Timing) (Network, error) { return NewSharedBus77(n, b), nil }},

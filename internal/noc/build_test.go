@@ -18,7 +18,7 @@ func factoryTimings() (mesh, bus Timing) {
 // facade's NoCDesignNames reads this list, so drift here breaks the
 // public contract.
 func TestDesignNamesComplete(t *testing.T) {
-	want := []string{"mesh", "torus", "ring", "cmesh", "fbfly", "sharedbus", "cryobus", "cryobus-2way"}
+	want := []string{"mesh", "cmesh", "fbfly", "sharedbus", "cryobus", "cryobus-2way"}
 	got := DesignNames()
 	if len(got) != len(want) {
 		t.Fatalf("DesignNames() = %v, want %v", got, want)
@@ -53,8 +53,13 @@ func TestNewByNameBuildsEveryDesign(t *testing.T) {
 
 func TestNewByNameErrors(t *testing.T) {
 	meshT, busT := factoryTimings()
-	if _, err := NewByName("hypercube", 64, meshT, busT); err == nil {
-		t.Error("NewByName accepted an unknown design name")
+	// A name outside the table, ring and torus included, is an error
+	// that lists the designs that exist.
+	for _, name := range []string{"hypercube", "ring", "torus"} {
+		_, err := NewByName(name, 64, meshT, busT)
+		if err == nil || !strings.Contains(err.Error(), "cryobus-2way") {
+			t.Errorf("NewByName(%q) error = %v, want one listing the designs", name, err)
+		}
 	}
 	for _, nodes := range []int{0, -8} {
 		if _, err := NewByName("mesh", nodes, meshT, busT); err == nil {
@@ -62,7 +67,7 @@ func TestNewByNameErrors(t *testing.T) {
 		}
 	}
 	// Mesh-family designs need a square (or 4·k²) layout; 60 is neither.
-	for _, name := range []string{"mesh", "torus", "cmesh", "fbfly"} {
+	for _, name := range []string{"mesh", "cmesh", "fbfly"} {
 		if _, err := NewByName(name, 60, meshT, busT); err == nil {
 			t.Errorf("NewByName(%q, 60) accepted a non-square node count", name)
 		}

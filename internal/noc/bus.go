@@ -68,7 +68,6 @@ func (a *MatrixArbiter) Grant(mask []uint64) (int, error) {
 
 // BusLayout describes the physical shape of a bus in 2 mm tile hops.
 type BusLayout interface {
-	Name() string
 	// BroadcastHops is the span a broadcast must cover (the max
 	// core-to-core distance).
 	BroadcastHops() int
@@ -91,9 +90,6 @@ type SerpentineLayout struct {
 func NewSerpentine(n int) SerpentineLayout {
 	return SerpentineLayout{NodesN: n, Side: gridSide(n)}
 }
-
-// Name implements BusLayout.
-func (s SerpentineLayout) Name() string { return "serpentine" }
 
 // tap returns the bus tap index of a node.
 func (s SerpentineLayout) tap(node int) int {
@@ -147,9 +143,6 @@ type HTreeLayout struct {
 func NewHTree(n int) HTreeLayout {
 	return HTreeLayout{NodesN: n, Side: gridSide(n)}
 }
-
-// Name implements BusLayout.
-func (h HTreeLayout) Name() string { return "h-tree" }
 
 // levelHops are the per-level climb costs: leaf→L1 hub, L1→L2, L2→root.
 var levelHops = [3]int{1, 2, 3}
@@ -610,9 +603,6 @@ func NewInterleavedBus(k int, mk func() *Bus) *InterleavedBus {
 	ib.name = fmt.Sprintf("%s (%d-way)", ib.buses[0].Name(), k)
 	return ib
 }
-
-// Name implements Network.
-func (ib *InterleavedBus) Name() string { return ib.name }
 
 // Nodes implements Network.
 func (ib *InterleavedBus) Nodes() int { return ib.buses[0].Nodes() }

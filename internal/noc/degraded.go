@@ -104,11 +104,6 @@ func degradeHTreeWith(base HTreeLayout, inj *fault.Injector, domain string) *Deg
 	return d
 }
 
-// Name implements BusLayout.
-func (d *DegradedHTree) Name() string {
-	return fmt.Sprintf("h-tree (%d dead segments)", len(d.failed))
-}
-
 // BroadcastHops implements BusLayout: the worst source climbs to the
 // root and the wavefront descends to the worst leaf, both over the
 // surviving topology. Healthy this is 2·6 = 12.
@@ -162,11 +157,6 @@ func degradeSerpentineWith(base SerpentineLayout, inj *fault.Injector, domain st
 		return nil
 	}
 	return &DegradedSerpentine{base: base, failedAt: failed, surcharge: detourHops(1) - 1}
-}
-
-// Name implements BusLayout.
-func (d *DegradedSerpentine) Name() string {
-	return fmt.Sprintf("serpentine (%d dead segments)", len(d.failedAt))
 }
 
 // deadBetween counts dead segments strictly inside [lo, hi).

@@ -194,9 +194,6 @@ func (h *HybridCryoBus) Step() {
 	h.now++
 }
 
-// Name implements Network.
-func (h *HybridCryoBus) Name() string { return h.name }
-
 // Nodes implements Network.
 func (h *HybridCryoBus) Nodes() int { return 4 * clusterSize }
 

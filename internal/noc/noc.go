@@ -37,7 +37,6 @@ const Broadcast = -1
 
 // Network is a steppable cycle-level interconnect.
 type Network interface {
-	Name() string
 	Nodes() int
 	// TryInject offers a packet at its source this cycle; it reports
 	// false when the source queue is full (back-pressure).
@@ -74,14 +73,6 @@ func (s *Stats) Record(p *Packet, now int64) {
 	if lat > s.MaxLatency {
 		s.MaxLatency = lat
 	}
-}
-
-// AvgLatency returns the mean packet latency in cycles.
-func (s *Stats) AvgLatency() float64 {
-	if s.Delivered == 0 {
-		return 0
-	}
-	return float64(s.TotalLatency) / float64(s.Delivered)
 }
 
 // Timing captures the temperature-dependent NoC clocking of Table 4.

@@ -124,36 +124,6 @@ func (b Burst) onProb() float64 {
 	return b.OnProb
 }
 
-// Tornado sends each node halfway around its row — the classic
-// adversarial pattern for rings and tori.
-type Tornado struct{}
-
-// Name implements Pattern.
-func (Tornado) Name() string { return "tornado" }
-
-// Dest implements Pattern.
-func (Tornado) Dest(src, nodes int, _ *rand.Rand) int {
-	side := gridSide(nodes)
-	x, y := src%side, src/side
-	d := y*side + (x+side/2-1)%side
-	if d == src {
-		d = (src + 1) % nodes
-	}
-	return d
-}
-
-// Neighbor sends to the next node — the friendliest possible pattern,
-// the bandwidth upper bound for mesh-class networks.
-type Neighbor struct{}
-
-// Name implements Pattern.
-func (Neighbor) Name() string { return "neighbor" }
-
-// Dest implements Pattern.
-func (Neighbor) Dest(src, nodes int, _ *rand.Rand) int {
-	return (src + 1) % nodes
-}
-
 // gridSide returns the square-grid side for n nodes.
 func gridSide(n int) int {
 	s := 1
@@ -163,24 +133,19 @@ func gridSide(n int) int {
 	return s
 }
 
-// PatternByName looks up a pattern for the CLI and experiments.
+// patterns is the name→pattern table behind PatternByName, in
+// canonical order.
+var patterns = []Pattern{Uniform{}, Transpose{}, BitReverse{}, Hotspot{}, Burst{}}
+
+// PatternByName looks up a pattern for the CLI and experiments; an
+// unknown name is an error that lists the valid ones.
 func PatternByName(name string) (Pattern, error) {
-	switch name {
-	case "uniform":
-		return Uniform{}, nil
-	case "transpose":
-		return Transpose{}, nil
-	case "bitreverse":
-		return BitReverse{}, nil
-	case "hotspot":
-		return Hotspot{}, nil
-	case "burst":
-		return Burst{}, nil
-	case "tornado":
-		return Tornado{}, nil
-	case "neighbor":
-		return Neighbor{}, nil
-	default:
-		return nil, fmt.Errorf("noc: unknown traffic pattern %q", name)
+	names := make([]string, len(patterns))
+	for i, p := range patterns {
+		if p.Name() == name {
+			return p, nil
+		}
+		names[i] = p.Name()
 	}
+	return nil, fmt.Errorf("noc: unknown traffic pattern %q (have %v)", name, names)
 }

@@ -140,9 +140,6 @@ func (rn *RouterNet) deliver(p *Packet, now int64) {
 	rn.stats.Record(p, now)
 }
 
-// Name implements Network.
-func (rn *RouterNet) Name() string { return rn.name }
-
 // Nodes implements Network.
 func (rn *RouterNet) Nodes() int { return rn.nodes }
 

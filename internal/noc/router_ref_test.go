@@ -151,8 +151,6 @@ func equivNets(t *testing.T) []struct {
 		{"CMesh-256", func() *RouterNet { return NewCMesh(256, timing300(3)) }},
 		{"FB-64", func() *RouterNet { return NewFlattenedButterfly(64, timing77(1)) }},
 		{"FB-256", func() *RouterNet { return NewFlattenedButterfly(256, timing300(1)) }},
-		{"Ring-16", func() *RouterNet { return NewRing(16, timing77(1)) }},
-		{"Torus-64", func() *RouterNet { return NewTorus(64, timing300(1)) }},
 		{"Mesh-64-faulted", degraded},
 		{"hybrid-global-mesh", global},
 	}
@@ -197,12 +195,12 @@ func TestStepMatchesReference(t *testing.T) {
 // returns the number of packets delivered. A first burst of traffic is
 // generated for warmCycles; the twins then step until they are empty,
 // idle for twice the schedule's horizon plus one cycle, generate for
-// genCycles and drain for drainCycles. Ring and torus have no dateline
-// virtual channels and can deadlock past saturation, so the first
-// drain also ends after stuckCycles cycles without a delivery.
+// genCycles and drain for drainCycles. Every topology here is
+// deadlock-free, so the first drain failing to empty within maxDrain
+// cycles fails the test.
 func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate float64) int64 {
 	t.Helper()
-	const warmCycles, genCycles, drainCycles, stuckCycles = 20, 200, 100, 500
+	const warmCycles, genCycles, drainCycles, maxDrain = 20, 200, 100, 20000
 	fast, ref := &twin{rn: mk()}, &twin{rn: mk()}
 	fast.rn.OnDeliver, ref.rn.OnDeliver = fast.hook, ref.hook
 	nodes := fast.rn.Nodes()
@@ -274,12 +272,11 @@ func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate 
 	for i := 0; i < warmCycles; i++ {
 		cycle(true, false)
 	}
-	for stuck := 0; waiting() && stuck < stuckCycles; stuck++ {
-		before := len(fast.log)
-		cycle(false, false)
-		if len(fast.log) > before {
-			stuck = -1
+	for i := 0; waiting(); i++ {
+		if i == maxDrain {
+			t.Fatalf("rate %g: still holding packets after %d drain cycles", rate, maxDrain)
 		}
+		cycle(false, false)
 	}
 	idle := 2*len(fast.rn.due)/fast.rn.dueWords + 1
 	for i := 0; i < idle; i++ {
@@ -417,8 +414,6 @@ func TestZeroLoadMatchesReference(t *testing.T) {
 				netCase{fmt.Sprintf("Mesh-%d/%s", n, tm.name), NewMesh(n, tm.t)},
 				netCase{fmt.Sprintf("CMesh-%d/%s", n, tm.name), NewCMesh(n, tm.t)},
 				netCase{fmt.Sprintf("FB-%d/%s", n, tm.name), NewFlattenedButterfly(n, tm.t)},
-				netCase{fmt.Sprintf("Ring-%d/%s", n, tm.name), NewRing(n, tm.t)},
-				netCase{fmt.Sprintf("Torus-%d/%s", n, tm.name), NewTorus(n, tm.t)},
 			)
 		}
 	}

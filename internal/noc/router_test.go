@@ -210,3 +210,11 @@ func hopsBetween(rn *RouterNet, a, b int) int {
 	}
 	return hops
 }
+
+// AvgLatency returns the mean packet latency in cycles.
+func (s *Stats) AvgLatency() float64 {
+	if s.Delivered == 0 {
+		return 0
+	}
+	return float64(s.TotalLatency) / float64(s.Delivered)
+}

@@ -109,34 +109,6 @@ func NewCMesh(nodes int, timing Timing) *RouterNet {
 	return rn
 }
 
-// NewRing builds a bidirectional ring — the NoC of the commercial
-// validation CPUs (§3.2.1: Sandy Bridge through Skylake use ring
-// buses). Shortest-direction routing; router pitch one tile. The
-// wrap-around link has no dateline virtual channel, so past saturation
-// the ring can deadlock and hold packets forever (EXPERIMENTS.md,
-// "Known deviations and their causes").
-func NewRing(nodes int, timing Timing) *RouterNet {
-	rn := newRouterNet(fmt.Sprintf("Ring-%d", nodes), nodes, 1, timing)
-	hop := timing.WireCycles(1)
-	cw := make([]int, nodes)  // clockwise link index per router
-	ccw := make([]int, nodes) // counter-clockwise link index
-	for r := 0; r < nodes; r++ {
-		cw[r] = len(rn.routers[r].links)
-		rn.addLink(r, (r+1)%nodes, hop, 1)
-		ccw[r] = len(rn.routers[r].links)
-		rn.addLink(r, (r+nodes-1)%nodes, hop, 1)
-	}
-	rn.route = func(cur, dst int) int {
-		fwd := (dst - cur + nodes) % nodes
-		if fwd <= nodes/2 {
-			return cw[cur]
-		}
-		return ccw[cur]
-	}
-	rn.finish()
-	return rn
-}
-
 // NewFlattenedButterfly builds a 2D flattened butterfly (Fig 15(b)):
 // 4 nodes per router on a 4×4 router grid, with direct links between
 // every pair of routers sharing a row or a column — at most 2 hops,

@@ -9,7 +9,7 @@
 // instead of re-running phys/wire/pipeline derivations from scratch,
 // which is what makes the parallel experiment engine cheap: dozens of
 // concurrent runners share a single warm cache instead of each paying
-// the repeater searches and superpipeline derivations again.
+// the superpipeline derivations again.
 package platform
 
 import (
@@ -35,7 +35,6 @@ type Platform struct {
 	mesh     memo[meshKey, noc.Timing]
 	bus      memo[phys.OperatingPoint, noc.Timing]
 	speedups memo[speedupKey, float64]
-	forward  memo[phys.Kelvin, float64]
 	cores    memo[string, pipeline.CoreSpec]
 	derived  memo[derivedKey, derivedCore]
 }
@@ -172,12 +171,6 @@ func (p *Platform) WireSpeedupByClass(class string, lengthMM, tempK float64, rep
 	return p.WireSpeedup(spec, lengthMM, drv, op, repeated), nil
 }
 
-// ForwardingSpeedup returns the memoized 300K→t speed-up of the in-core
-// data-forwarding wires (2.81× at 77 K).
-func (p *Platform) ForwardingSpeedup(t phys.Kelvin) float64 {
-	return p.forward.get(t, func() float64 { return wire.ForwardingSpeedup(t, p.mosfet) })
-}
-
 // --- core frequency targets (Table 3 columns) -------------------------------
 
 // Core derivations run the §4 superpipelining methodology plus the
@@ -233,7 +226,6 @@ func (p *Platform) Stats() CacheStats {
 	s.add(p.mesh.stats())
 	s.add(p.bus.stats())
 	s.add(p.speedups.stats())
-	s.add(p.forward.stats())
 	s.add(p.cores.stats())
 	s.add(p.derived.stats())
 	return s

@@ -54,7 +54,7 @@ func TestMemoizeConcurrentFirstAccess(t *testing.T) {
 			p.MeshTiming(op77, 1)
 			p.MeshTiming(op300, 1)
 			p.BusTiming(op77)
-			p.ForwardingSpeedup(phys.T77)
+			p.Baseline300()
 			if err := p.ValidateOp(op77); err != nil {
 				t.Errorf("ValidateOp(77K): %v", err)
 			}
@@ -166,8 +166,5 @@ func TestTimingsMatchDirectDerivation(t *testing.T) {
 	}
 	if got, want := p.BusTiming(op), noc.BusTiming(op, p.MOSFET()); got != want {
 		t.Errorf("BusTiming: platform %+v, direct %+v", got, want)
-	}
-	if got, want := p.ForwardingSpeedup(phys.T77), wire.ForwardingSpeedup(phys.T77, p.MOSFET()); got != want {
-		t.Errorf("ForwardingSpeedup: platform %v, direct %v", got, want)
 	}
 }

@@ -106,7 +106,6 @@ type Server struct {
 	draining atomic.Bool
 
 	httpSrv *http.Server
-	boundTo atomic.Value // string: actual listen address
 
 	// Model entry points, injectable so tests can count/stall/observe
 	// computations without running real physics.
@@ -278,20 +277,11 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 	return s.Serve(ctx, ln)
 }
 
-// Addr reports the bound listen address ("" before Serve).
-func (s *Server) Addr() string {
-	if v, ok := s.boundTo.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
 // Serve accepts on ln until ctx is canceled, then shuts down
 // gracefully: the listener closes, readyz flips to 503, in-flight
 // requests run to completion (bounded by RequestTimeout), new requests
 // get 503.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	s.boundTo.Store(ln.Addr().String())
 	s.httpSrv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

@@ -102,6 +102,9 @@ func TestEndpointStatuses(t *testing.T) {
 		{"wire ok", "GET", "/v1/wire/speedup?class=local&length_mm=0.5&temp_k=77", "", 200, "\"speedup\""},
 		{"noc missing design", "GET", "/v1/noc/load-latency", "", 400, "design is required"},
 		{"noc bad rates", "GET", "/v1/noc/load-latency?design=mesh&rates=a,b", "", 400, "not a number"},
+		{"noc removed torus", "GET", "/v1/noc/load-latency?design=torus&rates=0.01", "", 400, "cryobus-2way"},
+		{"noc removed ring", "GET", "/v1/noc/load-latency?design=ring&rates=0.01", "", 400, "unknown NoC design"},
+		{"noc removed tornado", "GET", "/v1/noc/load-latency?design=mesh&pattern=tornado&rates=0.01", "", 400, "uniform"},
 		{"temp sweep bad list", "GET", "/v1/temperature-sweep?temps_k=77,", "", 400, "not a number"},
 		{"temp sweep ok", "GET", "/v1/temperature-sweep?temps_k=300,77", "", 200, "\"points\""},
 		{"pprof off", "GET", "/debug/pprof/", "", 404, ""},

@@ -679,9 +679,6 @@ type idealNet struct {
 
 func newIdealNet(nodes int) *idealNet { return &idealNet{nodes: nodes} }
 
-// Name implements noc.Network.
-func (n *idealNet) Name() string { return "Ideal" }
-
 // Nodes implements noc.Network.
 func (n *idealNet) Nodes() int { return n.nodes }
 
