@@ -1,6 +1,6 @@
 # Tier-1 verification lives behind `make check`: vet, a full build, and
 # the test suite under the race detector with a shuffled test order (the
-# cycle-level simulator, the shared platform cache and the parallel
+# cycle-level simulator, the shared platform and the parallel
 # experiment engine are the concurrency-sensitive parts).
 #
 #   make test        - quick gate: build + tests (the ROADMAP tier-1 command)

@@ -90,18 +90,6 @@ the output. Example:
 			priors = append(priors, p)
 		}
 	}
-	if len(priors) > 0 && !dse.IsSurrogateStrategy(*strategy) {
-		fmt.Fprintf(os.Stderr, "cryowire dse: -prior requires a surrogate strategy (surrogate-hillclimb, ei or screen), got %q\n", *strategy)
-		return 2
-	}
-	if *screenMargin != 0 && *strategy != dse.StrategyScreen {
-		fmt.Fprintf(os.Stderr, "cryowire dse: -screen-margin requires -strategy screen, got %q\n", *strategy)
-		return 2
-	}
-	if *screenMargin < 0 {
-		fmt.Fprintln(os.Stderr, "cryowire dse: -screen-margin must be >= 0")
-		return 2
-	}
 
 	space := cryowire.DefaultDSESpace(*quick)
 	if err := overrideSpace(&space, *temps, *modes, *depths, *nets, *workloads); err != nil {
@@ -139,6 +127,10 @@ the output. Example:
 		Priors:       priors,
 		ScreenMargin: *screenMargin,
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "cryowire dse: %v\n", err)
+		return 2
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -160,8 +152,8 @@ the output. Example:
 	return 0
 }
 
-// overrideSpace replaces any axis the user supplied. Validation of the
-// assembled space happens inside the engine.
+// overrideSpace replaces any axis the user supplied. The assembled
+// space is checked with the rest of the options by DSEConfig.Validate.
 func overrideSpace(s *dse.Space, temps, modes, depths, nets, workloadNames string) error {
 	split := func(raw string) []string {
 		parts := strings.Split(raw, ",")

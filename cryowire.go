@@ -49,10 +49,8 @@ type (
 )
 
 // New builds the default calibrated model suite. Every New call — and
-// every other top-level entry point in this package — shares one
-// process-wide Platform, a memoized derivation cache over the device
-// models, so repeated calls never re-derive wire solutions, NoC timings
-// or core specifications.
+// every other top-level entry point in this package — derives on one
+// process-wide Platform, the calibrated device models.
 func New() *CryoWire { return core.New() }
 
 // Experiment plumbing.
@@ -176,9 +174,8 @@ func WireClassNames() []string { return wire.ClassNames() }
 // given class (see WireClassNames) and length. With repeated=true the
 // wire carries latency-optimal repeaters re-optimized at each
 // temperature. Unknown classes and unphysical temperatures are errors.
-// Results are memoized on the shared Platform, so sweeping the same
-// class/length grid twice derives each speed-up only once; repeaters
-// are sized in closed form (wire.OptimalSegmentation).
+// Each call derives afresh and keeps nothing; repeaters are sized in
+// closed form (wire.OptimalSegmentation).
 func WireSpeedupAt(class string, lengthMM, tempK float64, repeated bool) (float64, error) {
 	return platform.Default().WireSpeedupByClass(class, lengthMM, tempK, repeated)
 }
@@ -197,8 +194,8 @@ func NoCDesignNames() []string { return noc.DesignNames() }
 // NoCLoadLatency sweeps injection rates over a named 64-core NoC at the
 // given temperature under a named traffic pattern ("uniform",
 // "transpose", "hotspot", "bitreverse", "burst"). Designs are resolved
-// by the shared noc factory (see NoCDesignNames); timings come memoized
-// from the shared Platform.
+// by the shared noc factory (see NoCDesignNames); timings are derived
+// on the shared Platform.
 func NoCLoadLatency(design, pattern string, tempK float64, rates []float64) ([]LoadLatencyPoint, error) {
 	return NoCLoadLatencyCtx(context.Background(), design, pattern, tempK, rates)
 }

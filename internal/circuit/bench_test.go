@@ -22,8 +22,8 @@ func BenchmarkDelay50(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateLinkDelay measures one repeatered wire-link hop —
-// the platform cache's miss path.
+// BenchmarkSimulateLinkDelay measures one repeatered wire-link hop
+// through the transient solver.
 func BenchmarkSimulateLinkDelay(b *testing.B) {
 	m := phys.DefaultMOSFET()
 	lk := wire.CryoBusLink()

@@ -252,9 +252,9 @@ func (s *Solver) Delay50(ld Ladder) (float64, error) {
 	return 0, &ErrNoCrossing{Steps: maxSteps, LastVoltage: prev}
 }
 
-// solverPool backs the convenience Ladder.Delay50 so hot callers (the
-// platform derivation cache, sweeps) reuse scratch without threading a
-// Solver through every call site.
+// solverPool backs the convenience Ladder.Delay50 so hot callers
+// (sweeps) reuse scratch without threading a Solver through every call
+// site.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 // Delay50 integrates the ladder's step response using a pooled Solver;

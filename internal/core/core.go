@@ -19,7 +19,7 @@ import (
 )
 
 // CryoWire is the top-level model suite. All its models are views onto
-// one shared Platform, so derivations memoize across the whole suite.
+// one shared Platform.
 type CryoWire struct {
 	Platform *platform.Platform
 	MOSFET   *phys.MOSFET

@@ -150,16 +150,9 @@ func (c *Channel) Access(addr uint64, nowNS float64) (doneNS float64, kind Acces
 	return done + t.TCtrl, kind
 }
 
-// Stats summarizes a channel's row-buffer behaviour for tests and
-// experiments.
-type Stats struct {
-	Hits, Misses, Conflicts int64
-}
-
 // Memory is a multi-channel main memory front end.
 type Memory struct {
 	Channels []*Channel
-	stats    Stats
 }
 
 // NewMemory builds the default organization: nChannels × nBanks.
@@ -177,14 +170,6 @@ func NewMemory(t Timing, nChannels, nBanks int) *Memory {
 // Access routes an address to its channel and issues the read.
 func (m *Memory) Access(addr uint64, nowNS float64) float64 {
 	ch := m.Channels[(addr/64)%uint64(len(m.Channels))]
-	done, kind := ch.Access(addr, nowNS)
-	switch kind {
-	case RowHit:
-		m.stats.Hits++
-	case RowMiss:
-		m.stats.Misses++
-	default:
-		m.stats.Conflicts++
-	}
+	done, _ := ch.Access(addr, nowNS)
 	return done
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"cryowire/internal/platform"
 	"cryowire/internal/sim"
 )
 
@@ -62,11 +61,8 @@ func TestPreStageJournalCompat(t *testing.T) {
 	}
 
 	// Any attempt to actually evaluate is a compatibility failure: the
-	// journal holds the complete search. Every evaluation starts by
-	// deriving its core on the platform, so a fresh platform that
-	// records no derivation proves nothing was re-simulated.
-	pf := platform.New()
-	cfg.Platform = pf
+	// journal holds the complete search.
+	before := evaluations.Load()
 	got, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +75,8 @@ func TestPreStageJournalCompat(t *testing.T) {
 	if !bytes.Equal(gb, wantResult) {
 		t.Fatalf("resumed result diverged from the pre-stage fixture:\n--- want ---\n%s\n--- got ---\n%s", wantResult, gb)
 	}
-	if st := pf.Stats(); st.Misses != 0 {
-		t.Errorf("%d platform derivations during a complete pre-stage journal replay: candidates were re-evaluated", st.Misses)
+	if n := evaluations.Load() - before; n != 0 {
+		t.Errorf("%d candidates evaluated during a complete pre-stage journal replay, want 0", n)
 	}
 
 	// A fully-replayed journal must not grow.

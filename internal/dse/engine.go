@@ -40,8 +40,8 @@ type Config struct {
 	// and can never change result bytes, because history order is
 	// proposal order at any batch size.
 	CheckpointEvery int
-	// Platform supplies the shared derivation cache; nil means
-	// platform.Default().
+	// Platform supplies the calibrated models candidates are derived
+	// on; nil means platform.Default().
 	Platform *platform.Platform
 	// Journal, when non-empty, is the path of the JSON-lines checkpoint
 	// journal. Evaluations are appended as they complete; with Resume a
@@ -86,10 +86,39 @@ type Result struct {
 	Frontier []Candidate `json:"frontier"`
 }
 
-// Run executes one design-space search: it validates the space, replays
+// Validate checks the search options before anything runs: the space,
+// the strategy name (empty means the grid), priors only with a
+// surrogate strategy, and a screen margin only with the screen strategy
+// and never negative. Run calls it; the CLI and the server call it
+// first so a bad request is a usage error, not a failed search.
+func (cfg Config) Validate() error {
+	if err := cfg.Space.Validate(); err != nil {
+		return err
+	}
+	strategy := cfg.Strategy
+	if strategy == "" {
+		strategy = StrategyGrid
+	}
+	if _, err := NewStrategy(strategy, cfg.Seed); err != nil {
+		return err
+	}
+	if len(cfg.Priors) > 0 && !isSurrogateStrategy(strategy) {
+		return fmt.Errorf("dse: priors require a surrogate strategy (%s, %s or %s), got %q",
+			StrategySurrogateHill, StrategyEI, StrategyScreen, strategy)
+	}
+	if cfg.ScreenMargin != 0 && strategy != StrategyScreen {
+		return fmt.Errorf("dse: a screen margin requires the %q strategy, got %q", StrategyScreen, strategy)
+	}
+	if cfg.ScreenMargin < 0 {
+		return fmt.Errorf("dse: screen margin must be non-negative, got %g", cfg.ScreenMargin)
+	}
+	return nil
+}
+
+// Run executes one design-space search: it validates cfg, replays
 // any resumed journal, drives the strategy until the budget or the
 // space is exhausted, evaluates each proposed batch on a pool of
-// Workers goroutines over the shared platform cache, and extracts the
+// Workers goroutines sharing one platform, and extracts the
 // Pareto frontier. Evaluations are journaled (and reported via
 // cfg.Progress) in proposal order when their strategy batch lands, so
 // a kill mid-batch re-simulates only that batch on resume. A failed
@@ -100,7 +129,7 @@ type Result struct {
 // and, with the same seed, produces byte-identical output to an
 // uninterrupted run — at any Workers setting.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Space.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Strategy == "" {
@@ -130,20 +159,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if stratKey, err = surrogateStrategyKey(cfg, priors); err != nil {
 			return nil, err
 		}
-	} else {
-		if len(cfg.Priors) > 0 {
-			return nil, fmt.Errorf("dse: priors require a surrogate strategy (%s, %s or %s), got %q",
-				StrategySurrogateHill, StrategyEI, StrategyScreen, cfg.Strategy)
-		}
-		if cfg.ScreenMargin != 0 {
-			return nil, fmt.Errorf("dse: a screen margin requires the %q strategy, got %q", StrategyScreen, cfg.Strategy)
-		}
-	}
-	if cfg.ScreenMargin != 0 && cfg.Strategy != StrategyScreen {
-		return nil, fmt.Errorf("dse: a screen margin requires the %q strategy, got %q", StrategyScreen, cfg.Strategy)
-	}
-	if cfg.ScreenMargin < 0 {
-		return nil, fmt.Errorf("dse: screen margin must be non-negative, got %g", cfg.ScreenMargin)
 	}
 	size := cfg.Space.Size()
 	budget := cfg.Budget

@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"cryowire/internal/mem"
 	"cryowire/internal/par"
@@ -96,9 +97,8 @@ func nocPowerKind(pt Point) power.NoCKind {
 const evalCores = 64
 
 // candidateDesign derives the system a candidate simulates: the core at
-// the point's depth/voltage and the design on the shared platform's
-// memoized NoC timings. The returned CoreSpec feeds finishEval's power
-// metrics.
+// the point's depth/voltage and the design on the platform's NoC
+// timings. The returned CoreSpec feeds finishEval's power metrics.
 func candidateDesign(pf *platform.Platform, pt Point) (sim.Design, pipeline.CoreSpec, error) {
 	nomOp, err := pf.OpAt(pt.TempK)
 	if err != nil {
@@ -170,10 +170,15 @@ func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim
 	return e, nil
 }
 
+// evaluations counts the candidates evaluate has started, so tests can
+// see that a journal replay or a canceled search simulated nothing.
+var evaluations atomic.Int64
+
 // evaluate runs one candidate end to end: candidateDesign → System.Run
 // → finishEval. Deterministic: the simulator seeds from cfg alone, so
 // equal (point, cfg) pairs produce bit-equal Evals at any worker count.
 func evaluate(ctx context.Context, pf *platform.Platform, pt Point, prof workload.Profile, cfg sim.Config) (Eval, error) {
+	evaluations.Add(1)
 	d, core, err := candidateDesign(pf, pt)
 	if err != nil {
 		return Eval{}, err

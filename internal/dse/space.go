@@ -9,7 +9,7 @@
 // mixed-radix enumeration (every candidate has a stable integer index),
 // seeded search Strategies behind one interface (exhaustive grid,
 // random sampling, adaptive hill-climbing), parallel candidate
-// evaluation on par.ForCtx over the shared memoized Platform, and a
+// evaluation on par.ForCtx over one shared Platform, and a
 // JSON-lines checkpoint journal that makes a killed run resumable —
 // with the same seed a resumed run produces byte-identical output to an
 // uninterrupted one, because every evaluation is a pure function of

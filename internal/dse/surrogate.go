@@ -35,10 +35,9 @@ const (
 	StrategyScreen = "screen"
 )
 
-// IsSurrogateStrategy reports whether the named strategy consumes
-// priors — the gate for Config.Priors/ScreenMargin and
-// for the strategy-specific journal key extension.
-func IsSurrogateStrategy(name string) bool {
+// isSurrogateStrategy reports whether the named strategy consumes
+// priors — Config.Validate's gate for Config.Priors.
+func isSurrogateStrategy(name string) bool {
 	switch name {
 	case StrategySurrogateHill, StrategyEI, StrategyScreen:
 		return true

@@ -100,8 +100,8 @@ func TestRunAllMatchesSerial(t *testing.T) {
 }
 
 // Every registered experiment must run clean under QuickOptions with
-// the registry fanned out via t.Parallel — this is what hammers the
-// shared platform cache concurrently under `make check`'s -race run.
+// the registry fanned out via t.Parallel — this is what hammers one
+// shared platform concurrently under `make check`'s -race run.
 func TestFullRegistryParallel(t *testing.T) {
 	pf := platform.New()
 	for _, id := range IDs() {

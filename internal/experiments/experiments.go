@@ -85,10 +85,9 @@ type Options struct {
 	Sim sim.Config
 	// Quick shrinks sweeps for tests and benchmarks.
 	Quick bool
-	// Platform supplies the shared derivation cache every experiment
-	// draws its physics from; nil uses the process-wide default. RunAll
-	// and parallel sweeps only pay each derivation once because all
-	// runners share this one platform.
+	// Platform supplies the calibrated models every experiment draws
+	// its physics from; nil uses the process-wide default. RunAll and
+	// parallel sweeps share this one platform.
 	Platform *platform.Platform
 	// Workers bounds the fan-out of RunAll and of each experiment's
 	// internal design×workload×rate sweeps; 0 or 1 runs everything

@@ -29,7 +29,7 @@ type nocUnderTest struct {
 
 // figNoCs builds the Fig 15/21 design list at 77 K with the given
 // router pipeline depth variants, all clocked off the shared platform's
-// memoized timings.
+// timings.
 func figNoCs(pf *platform.Platform) []nocUnderTest {
 	op := noc.Op77()
 	mesh1 := pf.MeshTiming(op, 1)

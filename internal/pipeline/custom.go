@@ -73,9 +73,10 @@ func CustomCore(md *Model, splits int, analysisOp, op phys.OperatingPoint, sz Si
 		delay float64
 	}
 	var cands []cand
+	sc := md.scaleAt(analysisOp)
 	for i, s := range p.Stages {
 		if s.Frontend && s.Pipelinable && len(s.Split) > 0 {
-			cands = append(cands, cand{i, md.StageDelay(s, analysisOp)})
+			cands = append(cands, cand{i, sc.delay(s)})
 		}
 	}
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].delay > cands[b].delay })

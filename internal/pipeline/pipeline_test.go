@@ -275,9 +275,9 @@ func TestWireSpeedupKinds(t *testing.T) {
 	if short < 1.5 || short > 2.3 {
 		t.Errorf("short-wire speedup = %v, want a modest local-wire gain", short)
 	}
-	// Cached path returns identical values.
+	// A repeated derivation returns the identical value.
 	if md.WireSpeedup(LongWire, phys.T77) != long {
-		t.Error("cache changed the long-wire value")
+		t.Error("a second derivation changed the long-wire value")
 	}
 }
 

@@ -16,7 +16,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
 
 	"cryowire/internal/phys"
 	"cryowire/internal/wire"
@@ -153,25 +152,15 @@ func BOOM() Pipeline {
 	return Pipeline{Name: "BOOM-Skylake-8i", Stages: boomStages(), Depth: 14}
 }
 
-// Model evaluates stage delays at operating points. One Model is
-// shared by every runner of a Platform, so its caches are guarded for
-// concurrent use.
+// Model evaluates stage delays at operating points around one MOSFET
+// card. It holds no other state, so one Model is safely shared by every
+// runner of a Platform.
 type Model struct {
 	MOSFET *phys.MOSFET
-	// shortWire and longWire cache per-temperature wire speed-ups.
-	mu         sync.Mutex
-	shortCache map[phys.Kelvin]float64
-	longCache  map[phys.Kelvin]float64
 }
 
 // NewModel builds a pipeline delay model around the MOSFET card.
-func NewModel(m *phys.MOSFET) *Model {
-	return &Model{
-		MOSFET:     m,
-		shortCache: make(map[phys.Kelvin]float64),
-		longCache:  make(map[phys.Kelvin]float64),
-	}
-}
+func NewModel(m *phys.MOSFET) *Model { return &Model{MOSFET: m} }
 
 // shortWireLenMM is the representative intra-unit local-wire run whose
 // speed-up scales the ShortWire stage components.
@@ -179,25 +168,13 @@ const shortWireLenMM = 0.3
 
 // WireSpeedup returns the 300K→T wire-delay reduction for the kind.
 func (md *Model) WireSpeedup(kind WireKind, t phys.Kelvin) float64 {
-	md.mu.Lock()
-	defer md.mu.Unlock()
 	switch kind {
 	case LongWire:
-		if v, ok := md.longCache[t]; ok {
-			return v
-		}
-		v := wire.ForwardingSpeedup(t, md.MOSFET)
-		md.longCache[t] = v
-		return v
+		return wire.ForwardingSpeedup(t, md.MOSFET)
 	case ShortWire:
-		if v, ok := md.shortCache[t]; ok {
-			return v
-		}
 		l := wire.NewLine(wire.Local, shortWireLenMM, 4)
 		op := phys.OperatingPoint{T: t, Vdd: phys.Nominal45.Vdd, Vth: phys.Nominal45.Vth}
-		v := wire.Speedup(l, op, md.MOSFET, false)
-		md.shortCache[t] = v
-		return v
+		return wire.Speedup(l, op, md.MOSFET, false)
 	default:
 		panic(fmt.Sprintf("pipeline: unknown wire kind %d", kind))
 	}
@@ -208,15 +185,40 @@ func (md *Model) WireSpeedup(kind WireKind, t phys.Kelvin) float64 {
 // temperature and voltage), the wire part with the wire speed-up
 // (temperature only — the bypass and CAM wires are RC-limited).
 func (md *Model) StageDelay(s Stage, op phys.OperatingPoint) float64 {
-	return s.Tr*md.MOSFET.GateDelayFactor(op) + s.Wire/md.WireSpeedup(s.Kind, op.T)
+	return md.scaleAt(op).delay(s)
+}
+
+// stageScale holds the three factors an operating point applies to
+// every stage. Loops over a pipeline's stages derive it once, so a
+// pipeline evaluation costs three device derivations, not three per
+// stage.
+type stageScale struct {
+	gate float64
+	wire [2]float64 // speed-up per WireKind
+}
+
+func (md *Model) scaleAt(op phys.OperatingPoint) stageScale {
+	return stageScale{
+		gate: md.MOSFET.GateDelayFactor(op),
+		wire: [2]float64{
+			ShortWire: md.WireSpeedup(ShortWire, op.T),
+			LongWire:  md.WireSpeedup(LongWire, op.T),
+		},
+	}
+}
+
+// delay is StageDelay at the operating point sc was derived for.
+func (sc stageScale) delay(s Stage) float64 {
+	return s.Tr*sc.gate + s.Wire/sc.wire[s.Kind]
 }
 
 // CriticalPath returns the slowest stage and its delay at op.
 func (md *Model) CriticalPath(p Pipeline, op phys.OperatingPoint) (Stage, float64) {
+	sc := md.scaleAt(op)
 	var worst Stage
 	max := 0.0
 	for _, s := range p.Stages {
-		if d := md.StageDelay(s, op); d > max {
+		if d := sc.delay(s); d > max {
 			max = d
 			worst = s
 		}

@@ -28,12 +28,13 @@ type SuperpipelineResult struct {
 // 16 representative stages (17 deep) of CryoSP.
 func (md *Model) Superpipeline(p Pipeline, op phys.OperatingPoint) SuperpipelineResult {
 	res := SuperpipelineResult{Target: 0}
+	sc := md.scaleAt(op)
 	// Step 1: target = slowest un-pipelinable backend stage.
 	for _, s := range p.Stages {
 		if s.Frontend || s.Pipelinable {
 			continue
 		}
-		if d := md.StageDelay(s, op); d > res.Target {
+		if d := sc.delay(s); d > res.Target {
 			res.Target = d
 			res.TargetStage = s.Name
 		}
@@ -44,7 +45,7 @@ func (md *Model) Superpipeline(p Pipeline, op phys.OperatingPoint) Superpipeline
 		Depth: p.Depth,
 	}
 	for _, s := range p.Stages {
-		if s.Frontend && s.Pipelinable && len(s.Split) > 0 && md.StageDelay(s, op) > res.Target {
+		if s.Frontend && s.Pipelinable && len(s.Split) > 0 && sc.delay(s) > res.Target {
 			out.Stages = append(out.Stages, s.Split...)
 			out.Depth += len(s.Split) - 1
 			res.SplitStages = append(res.SplitStages, s.Name)

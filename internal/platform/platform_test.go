@@ -2,96 +2,67 @@ package platform
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
-	"cryowire/internal/noc"
 	"cryowire/internal/phys"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/wire"
 )
 
-// Every repeated lookup must be served from the cache: one miss per
-// distinct key, hits for everything after.
-func TestMemoizeOnce(t *testing.T) {
-	p := New()
-	op := p.NominalOp(phys.T77)
-
-	first := p.MeshTiming(op, 1)
-	s0 := p.Stats()
-	if s0.Misses != 1 || s0.Hits != 0 {
-		t.Fatalf("after first MeshTiming: stats = %+v, want 1 miss 0 hits", s0)
-	}
-	second := p.MeshTiming(op, 1)
-	s1 := p.Stats()
-	if s1.Misses != 1 || s1.Hits != 1 {
-		t.Fatalf("after second MeshTiming: stats = %+v, want 1 miss 1 hit", s1)
-	}
-	if first != second {
-		t.Fatalf("memoized MeshTiming changed: %+v vs %+v", first, second)
-	}
-
-	// A different key is a fresh derivation, not a hit.
-	p.MeshTiming(op, 3)
-	if s := p.Stats(); s.Misses != 2 || s.Hits != 1 {
-		t.Fatalf("after distinct key: stats = %+v, want 2 misses 1 hit", s)
-	}
-}
-
-// Concurrent first access to the same keys must derive each artifact
-// exactly once (run under -race via make check).
-func TestMemoizeConcurrentFirstAccess(t *testing.T) {
-	p := New()
-	op77 := p.NominalOp(phys.T77)
-	op300 := p.NominalOp(phys.T300)
-
-	const goroutines = 16
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			defer wg.Done()
-			p.MeshTiming(op77, 1)
-			p.MeshTiming(op300, 1)
-			p.BusTiming(op77)
-			p.Baseline300()
-			if err := p.ValidateOp(op77); err != nil {
-				t.Errorf("ValidateOp(77K): %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// 5 distinct keys across the tables, hit goroutines*5 - 5 times.
-	s := p.Stats()
-	if s.Misses != 5 {
-		t.Fatalf("concurrent access derived %d artifacts, want 5 (stats %+v)", s.Misses, s)
-	}
-	if want := uint64(goroutines*5 - 5); s.Hits != want {
-		t.Fatalf("hits = %d, want %d (stats %+v)", s.Hits, want, s)
-	}
-}
-
-// Concurrent core derivations (the expensive superpipeline searches)
-// must also collapse to one derivation per column.
+// Concurrent core derivations (the superpipeline searches) must agree
+// with serial ones: a shared Platform holds no state a derivation could
+// race on (run under -race via make check).
 func TestCoreDerivationsConcurrent(t *testing.T) {
 	p := New()
+	columns := []func() pipeline.CoreSpec{
+		p.Baseline300, p.Superpipeline77, p.SuperpipelineCryoCore77, p.CryoSP, p.CHPCore,
+	}
+	want := make([]pipeline.CoreSpec, len(columns))
+	for i, col := range columns {
+		want[i] = col()
+	}
+	if want[3].FreqGHz <= want[0].FreqGHz {
+		t.Fatal("CryoSP is not faster than the 300K baseline")
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if p.CryoSP().FreqGHz <= p.Baseline300().FreqGHz {
-				t.Error("CryoSP is not faster than the 300K baseline")
+			for i, col := range columns {
+				if got := col(); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("column %d: concurrent derivation %+v, serial %+v", i, got, want[i])
+				}
 			}
-			p.CHPCore()
-			p.Superpipeline77()
-			p.SuperpipelineCryoCore77()
 		}()
 	}
 	wg.Wait()
-	if s := p.cores.stats(); s.Misses != 5 {
-		t.Fatalf("core table derived %d columns, want 5 (stats %+v)", s.Misses, s)
+}
+
+// A Platform keeps nothing per query: the HTTP server answers arbitrary
+// lengths on the process-wide platform, so 20,000 distinct wire
+// queries must leave no more than noise on the heap.
+func TestDistinctQueriesRetainNoHeap(t *testing.T) {
+	p := New()
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := 0; i < 20000; i++ {
+		if _, err := p.WireSpeedupByClass("global", 0.5+float64(i)*1e-4, 77, i%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := heap() - before
+	runtime.KeepAlive(p)
+	if retained > 1<<20 {
+		t.Fatalf("20,000 distinct queries retained %.2f MB of heap, want < 1 MB", float64(retained)/(1<<20))
 	}
 }
 
@@ -153,18 +124,5 @@ func TestWireSpeedupByClass(t *testing.T) {
 func TestDefaultIsShared(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default() returned distinct platforms")
-	}
-}
-
-// Platform-derived NoC timings must agree with the direct derivations
-// they memoize.
-func TestTimingsMatchDirectDerivation(t *testing.T) {
-	p := New()
-	op := p.NominalOp(phys.T77)
-	if got, want := p.MeshTiming(op, 1), noc.MeshTiming(op, p.MOSFET(), 1); got != want {
-		t.Errorf("MeshTiming: platform %+v, direct %+v", got, want)
-	}
-	if got, want := p.BusTiming(op), noc.BusTiming(op, p.MOSFET()); got != want {
-		t.Errorf("BusTiming: platform %+v, direct %+v", got, want)
 	}
 }

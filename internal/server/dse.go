@@ -98,7 +98,23 @@ func (d dseDTO) dseConfig() (dse.Config, error) {
 	if len(d.StageTempsK) > 0 {
 		space = space.WithStages(d.StageTempsK)
 	}
-	if err := space.Validate(); err != nil {
+	strategy := d.Strategy
+	if strategy == "" {
+		strategy = dse.StrategyGrid
+	}
+	search := dse.Config{
+		Space:        space,
+		Strategy:     strategy,
+		Budget:       d.Budget,
+		Seed:         d.Seed,
+		Workers:      d.Workers,
+		Priors:       d.Prior,
+		ScreenMargin: d.ScreenMargin,
+	}
+	// Reject bad options at parse time (400), not from inside the cached
+	// computation. An unknown strategy's error lists every accepted
+	// strategy — surrogate trio included.
+	if err := search.Validate(); err != nil {
 		return dse.Config{}, badRequest("%v", err)
 	}
 	evals := space.Size()
@@ -108,49 +124,20 @@ func (d dseDTO) dseConfig() (dse.Config, error) {
 	if evals > dseSpaceBudget {
 		return dse.Config{}, badRequest("request would evaluate %d candidates, server cap is %d; cap the budget, or run `cryowire dse` locally (-workers spreads it over the CPUs; -journal f checkpoints it and -resume continues a killed run)", evals, dseSpaceBudget)
 	}
-	cfg := sim.DefaultConfig()
+	search.Sim = sim.DefaultConfig()
 	if d.Quick {
-		cfg = experiments.QuickOptions().Sim
+		search.Sim = experiments.QuickOptions().Sim
 	}
 	if d.Config.WarmupCycles > 0 {
-		cfg.WarmupCycles = d.Config.WarmupCycles
+		search.Sim.WarmupCycles = d.Config.WarmupCycles
 	}
 	if d.Config.MeasureCycles > 0 {
-		cfg.MeasureCycles = d.Config.MeasureCycles
+		search.Sim.MeasureCycles = d.Config.MeasureCycles
 	}
 	if d.Config.Seed != 0 {
-		cfg.Seed = d.Config.Seed
+		search.Sim.Seed = d.Config.Seed
 	}
-	strategy := d.Strategy
-	if strategy == "" {
-		strategy = dse.StrategyGrid
-	}
-	// Reject unknown strategy names at parse time (400), not from
-	// inside the cached computation. The error lists every accepted
-	// strategy — surrogate trio included.
-	if _, err := dse.NewStrategy(strategy, d.Seed); err != nil {
-		return dse.Config{}, badRequest("%v", err)
-	}
-	if len(d.Prior) > 0 && !dse.IsSurrogateStrategy(strategy) {
-		return dse.Config{}, badRequest("prior journals require a surrogate strategy (%s, %s or %s), got %q",
-			dse.StrategySurrogateHill, dse.StrategyEI, dse.StrategyScreen, strategy)
-	}
-	if d.ScreenMargin != 0 && strategy != dse.StrategyScreen {
-		return dse.Config{}, badRequest("screen_margin requires the %q strategy, got %q", dse.StrategyScreen, strategy)
-	}
-	if d.ScreenMargin < 0 {
-		return dse.Config{}, badRequest("screen_margin must be >= 0")
-	}
-	return dse.Config{
-		Space:        space,
-		Strategy:     strategy,
-		Budget:       d.Budget,
-		Seed:         d.Seed,
-		Sim:          cfg,
-		Workers:      d.Workers,
-		Priors:       d.Prior,
-		ScreenMargin: d.ScreenMargin,
-	}, nil
+	return search, nil
 }
 
 // canonicalDSE renders the resolved search canonically for the cache

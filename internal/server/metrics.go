@@ -23,7 +23,7 @@ var latencyBuckets = []float64{
 }
 
 // metrics aggregates the serving-side counters exposed on /metrics in
-// Prometheus text format. Platform-cache and LRU numbers are pulled
+// Prometheus text format. LRU, simulator and surrogate numbers are pulled
 // from their owners at render time, so this struct only tracks what
 // the HTTP layer itself observes.
 type metrics struct {
@@ -73,15 +73,9 @@ func (m *metrics) meanLatency() float64 {
 	return m.latSum / float64(m.latCount)
 }
 
-// platformStats is the derivation-cache view /metrics needs; the
-// platform package's Stats method satisfies it via a closure.
-type platformStats struct {
-	Hits, Misses uint64
-}
-
 // renderProm writes the whole exposition in Prometheus text format.
 // Series within a metric are sorted so scrapes are deterministic.
-func (m *metrics) renderProm(lru lruStats, pf platformStats) string {
+func (m *metrics) renderProm(lru lruStats) string {
 	var b strings.Builder
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -126,8 +120,12 @@ func (m *metrics) renderProm(lru lruStats, pf platformStats) string {
 	gauge("cryowire_response_cache_entries", "Responses currently held by the LRU cache.", float64(lru.Entries))
 	gauge("cryowire_response_cache_bytes", "Body bytes currently held by the LRU cache.", float64(lru.Bytes))
 
-	counter("cryowire_platform_cache_hits_total", "Model-derivation calls served from the shared platform cache.", pf.Hits)
-	counter("cryowire_platform_cache_misses_total", "Model artifacts actually derived by the shared platform cache.", pf.Misses)
+	// The platform no longer caches derivations. These two series stay,
+	// always 0, only because the benchmark's serve-mixed workload
+	// (bench/serve.go) checks that /metrics names the misses series; they
+	// go with that check.
+	counter("cryowire_platform_cache_hits_total", "Deprecated, always 0: the platform no longer caches derivations.", 0)
+	counter("cryowire_platform_cache_misses_total", "Deprecated, always 0: the platform no longer caches derivations.", 0)
 
 	bs := sim.ReadBatchStats()
 	counter("cryowire_sim_batches_total", "Simulation runner calls that simulated at least one spec.", bs.Batches)

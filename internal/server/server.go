@@ -33,7 +33,6 @@ import (
 
 	"cryowire/internal/dse"
 	"cryowire/internal/experiments"
-	"cryowire/internal/platform"
 	"cryowire/internal/sim"
 	"cryowire/internal/stage"
 	"cryowire/internal/workload"
@@ -141,12 +140,6 @@ func New(cfg Config) (*Server, error) {
 		return sys.Run()
 	}
 	return s, nil
-}
-
-// platformStats snapshots the shared derivation cache for /metrics.
-func (s *Server) platformStats() platformStats {
-	st := platform.Default().Stats()
-	return platformStats{Hits: st.Hits, Misses: st.Misses}
 }
 
 // Handler returns the fully wired HTTP handler (also usable under

@@ -80,8 +80,8 @@ func TestEndpointStatuses(t *testing.T) {
 		{"dse unknown strategy", "POST", "/v1/dse", `{"strategy":"annealing"}`, 400, "unknown strategy"},
 		{"dse strategy list names surrogates", "POST", "/v1/dse", `{"strategy":"annealing"}`, 400, "surrogate-hillclimb, ei, screen"},
 		{"dse prior without surrogate strategy", "POST", "/v1/dse", `{"strategy":"grid","prior":["a.jsonl"]}`, 400, "surrogate strategy"},
-		{"dse margin without screen", "POST", "/v1/dse", `{"strategy":"ei","screen_margin":0.2}`, 400, "screen_margin requires"},
-		{"dse negative margin", "POST", "/v1/dse", `{"strategy":"screen","screen_margin":-0.5}`, 400, "screen_margin must be"},
+		{"dse margin without screen", "POST", "/v1/dse", `{"strategy":"ei","screen_margin":0.2}`, 400, "screen margin requires"},
+		{"dse negative margin", "POST", "/v1/dse", `{"strategy":"screen","screen_margin":-0.5}`, 400, "screen margin must be"},
 		{"dse negative budget", "POST", "/v1/dse", `{"budget":-1}`, 400, "budget"},
 		{"dse unknown workload", "POST", "/v1/dse", `{"workloads":["nope"]}`, 404, ""},
 		{"dse bad depth", "POST", "/v1/dse", `{"depths":[3]}`, 400, "derivable range"},
@@ -525,8 +525,6 @@ func TestMetricsRendering(t *testing.T) {
 		`cryowire_http_requests_total{route="/v1/experiments",code="200"} 1`,
 		"cryowire_http_request_duration_seconds_bucket{le=\"+Inf\"}",
 		"cryowire_http_request_duration_seconds_count",
-		"cryowire_platform_cache_hits_total",
-		"cryowire_platform_cache_misses_total",
 		"cryowire_response_cache_entries",
 		"cryowire_http_inflight 0",
 	} {

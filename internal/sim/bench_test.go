@@ -86,10 +86,10 @@ func BenchmarkSystemRun(b *testing.B) {
 }
 
 // BenchmarkColdDerive times deriving the five evaluation designs on a
-// fresh platform: every core, wire and NoC-timing derivation misses the
-// platform cache, as a process's first set-up does. The Bloch–Grüneisen
-// memo in phys lives for the process, so only the first iteration
-// integrates (twice: at 300 K and 77 K).
+// fresh platform: every core, wire and NoC-timing derivation runs, as a
+// process's first set-up does. The Bloch–Grüneisen memo in phys lives
+// for the process, so only the first iteration integrates (twice: at
+// 300 K and 77 K).
 func BenchmarkColdDerive(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -7,9 +7,8 @@ import (
 	"cryowire/internal/platform"
 )
 
-// Factory builds the evaluation designs of Table 4 on top of a shared
-// Platform, so every design reuses the memoized core derivations and
-// NoC timings instead of re-running them per design.
+// Factory builds the evaluation designs of Table 4 from the core
+// derivations and NoC timings of one Platform.
 type Factory struct {
 	P     *platform.Platform
 	Cores int

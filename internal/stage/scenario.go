@@ -192,7 +192,7 @@ func TierWall(cool phys.CoolingModel, tierWatts float64, tierK, memK float64) ([
 
 // SweepOptions tunes a staged sweep.
 type SweepOptions struct {
-	// Platform supplies the shared derivation cache; nil uses Default.
+	// Platform supplies the calibrated models; nil uses Default.
 	Platform *platform.Platform
 	// Sim is the simulation config (run lengths, seed).
 	Sim sim.Config

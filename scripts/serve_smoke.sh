@@ -48,8 +48,8 @@ echo "serve-smoke: serving on $URL"
 fetch "$URL/healthz" | grep -q '"status": "ok"' || { echo "serve-smoke: /healthz broken"; exit 1; }
 fetch "$URL/healthz" | grep -q '"go": "go' || { echo "serve-smoke: /healthz missing build info"; exit 1; }
 [ "$(fetch "$URL/readyz")" = "ready" ] || { echo "serve-smoke: /readyz broken"; exit 1; }
-fetch "$URL/metrics" | grep -q cryowire_platform_cache_misses_total || {
-    echo "serve-smoke: /metrics missing platform cache series"; exit 1; }
+fetch "$URL/metrics" | grep -q cryowire_response_cache_misses_total || {
+    echo "serve-smoke: /metrics missing response cache series"; exit 1; }
 
 # 2. The experiment endpoint must match the CLI byte for byte.
 post "$URL/v1/experiments/fig22" '{"quick":true}' >"$TMP/server.json"
