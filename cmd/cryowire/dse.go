@@ -93,8 +93,7 @@ the output. Example:
 
 	space := cryowire.DefaultDSESpace(*quick)
 	if err := overrideSpace(&space, *temps, *modes, *depths, *nets, *workloads); err != nil {
-		fmt.Fprintf(os.Stderr, "cryowire dse: %v\n", err)
-		return 2
+		return dseFail(err, 2)
 	}
 	if *stages != "" {
 		var ts []float64
@@ -128,28 +127,33 @@ the output. Example:
 		ScreenMargin: *screenMargin,
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "cryowire dse: %v\n", err)
-		return 2
+		return dseFail(err, 2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	res, err := cryowire.RunDSE(ctx, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cryowire dse: %v\n", err)
-		return 1
+		return dseFail(err, 1)
 	}
 	if *jsonFlag {
 		b, err := res.JSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cryowire dse: %v\n", err)
-			return 1
+			return dseFail(err, 1)
 		}
 		fmt.Println(string(b))
 		return 0
 	}
 	fmt.Print(res.Render())
 	return 0
+}
+
+// dseFail prints err under the command's name and returns the exit
+// code. The engine's errors carry their package's "dse: " prefix, which
+// the command name already says, so it is printed once.
+func dseFail(err error, code int) int {
+	fmt.Fprintf(os.Stderr, "cryowire dse: %s\n", strings.TrimPrefix(err.Error(), "dse: "))
+	return code
 }
 
 // overrideSpace replaces any axis the user supplied. The assembled

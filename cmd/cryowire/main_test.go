@@ -87,3 +87,40 @@ func TestStartProfilesWritesFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestDSEErrorsCarryOnePrefix pins what `cryowire dse` prints for an
+// engine error, a rejected configuration (exit 2) and a failed search
+// (exit 1): the command name once, not followed by the engine's own
+// "dse: " prefix.
+func TestDSEErrorsCarryOnePrefix(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.jsonl")
+	_, openErr := os.Open(missing)
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-strategy", "bogus"}, 2,
+			`cryowire dse: unknown strategy "bogus" (have grid, random, hillclimb, surrogate-hillclimb, ei, screen)` + "\n"},
+		{[]string{"-quick", "-strategy", "ei", "-prior", missing}, 1,
+			"cryowire dse: prior journal " + missing + ": " + openErr.Error() + "\n"},
+	} {
+		out, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = out
+		code := dseMain(tc.args)
+		os.Stderr = stderr
+		got, err := os.ReadFile(out.Name())
+		out.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != tc.code || string(got) != tc.want {
+			t.Errorf("cryowire dse %s: exit %d, printed %q; want exit %d, %q",
+				strings.Join(tc.args, " "), code, got, tc.code, tc.want)
+		}
+	}
+}

@@ -95,6 +95,7 @@ func (tx *Transaction) reset() {
 // line is the tracked global state of one cache line. Sharers are a
 // bitset so iteration is deterministic (simulation reproducibility).
 type line struct {
+	addr    uint64
 	state   State
 	owner   int
 	sharers bitset
@@ -108,46 +109,158 @@ func (b *bitset) clear()    { *b = bitset{} }
 
 func trailingZeros(w uint64) int { return bits.TrailingZeros64(w) }
 
-// Directory is the home-node-based MESI protocol engine. One Directory
-// instance tracks all lines; the home node of a line is supplied by the
-// caller (address interleaving across L3 slices).
-type Directory struct {
-	lines    map[uint64]*line
-	order    []uint64 // FIFO eviction order (deterministic)
+// LineTable is the bounded table of tracked line states. The two
+// protocol engines are views of it (Directory and Snoop read and write
+// the same entries through their own transitions), so a caller that
+// reuses a table across simulations (Reset) keeps one whichever
+// protocol the next simulation runs.
+//
+// At capacity the oldest line is evicted silently, mimicking finite
+// L3/directory capacity. Entries are stored in insertion order until
+// the table fills, so the eviction order is a fixed ring over the
+// entries: the victim is always the entry at next, and the new line
+// takes its place. Entries live in fixed pages, so a growing table
+// never copies or drops them, and the address index is an
+// open-addressing hash table that only grows (a Go map re-allocates as
+// deletions wear it), so a full table churns addresses without
+// allocating.
+type LineTable struct {
+	// pages hold the entries, linePage a page; n counts the entries in
+	// use.
+	pages []*[linePage]line
+	n     int
+	next  int
+	// slots is the address index, linear probing at load at most 1/2:
+	// entry+1 per slot, 0 for an empty slot. It has 2^(64-shift)
+	// slots.
+	slots    []int32
+	shift    uint
 	capLines int
 }
 
-// NewDirectory builds a directory bounded to about capLines tracked
-// lines (older lines are evicted silently, mimicking finite L3/
-// directory capacity).
-func NewDirectory(capLines int) *Directory {
+// linePage is the number of entries a page holds. Simulations at
+// quick run lengths track a few hundred to two thousand lines and at
+// CLI lengths up to about five and a half thousand, so a table sized
+// for capLines up front would mostly sit empty.
+const (
+	pageBits = 9
+	linePage = 1 << pageBits
+)
+
+// minIndexBits sizes a new table's index: 2^8 slots, doubled as the
+// table fills.
+const minIndexBits = 8
+
+// NewLineTable builds a table bounded to capLines tracked lines (a
+// default of 2^16 when capLines <= 0).
+func NewLineTable(capLines int) *LineTable {
 	if capLines <= 0 {
 		capLines = 1 << 16
 	}
-	return &Directory{lines: make(map[uint64]*line), capLines: capLines}
+	return &LineTable{slots: make([]int32, 1<<minIndexBits), shift: 64 - minIndexBits, capLines: capLines}
 }
 
-// get fetches or creates the line entry. At capacity the oldest line is
-// evicted and its entry recycled, so a full directory churns addresses
-// without allocating.
-func (d *Directory) get(addr uint64) *line {
-	l, ok := d.lines[addr]
-	if !ok {
-		for len(d.lines) >= d.capLines && len(d.order) > 0 {
-			victim := d.order[0]
-			d.order = d.order[1:]
-			l = d.lines[victim]
-			delete(d.lines, victim)
+// Reset empties the table in place, keeping its storage, so the next
+// simulation starts from untracked lines exactly as a new table would.
+func (t *LineTable) Reset() {
+	clear(t.slots)
+	t.n = 0
+	t.next = 0
+}
+
+// Directory returns the directory-protocol view of the table.
+func (t *LineTable) Directory() Directory { return Directory{t} }
+
+// Snoop returns the snooping-protocol view of the table.
+func (t *LineTable) Snoop() Snoop { return Snoop{t} }
+
+// entry returns entry e.
+func (t *LineTable) entry(e int) *line {
+	return &t.pages[e>>pageBits][e&(linePage-1)]
+}
+
+// home is addr's first probe slot (Fibonacci hashing: line addresses
+// are multiples of 64 with structured high bits, so their low bits
+// alone would cluster).
+func (t *LineTable) home(addr uint64) int {
+	return int((addr * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// find returns addr's slot in the index, or the empty slot where it
+// would go.
+func (t *LineTable) find(addr uint64) (slot int, ok bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(addr); ; i = (i + 1) & mask {
+		e := t.slots[i]
+		if e == 0 {
+			return i, false
 		}
-		if l == nil {
-			l = &line{}
+		if t.entry(int(e)-1).addr == addr {
+			return i, true
 		}
-		*l = line{state: Invalid, owner: -1}
-		d.lines[addr] = l
-		d.order = append(d.order, addr)
 	}
+}
+
+// unindex empties an index slot, shifting later entries of its probe
+// run back so every lookup still finds them (deletion without
+// tombstones).
+func (t *LineTable) unindex(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if h := t.home(t.entry(int(t.slots[j]) - 1).addr); (j-h)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = 0
+}
+
+// grow doubles the index and re-inserts every entry.
+func (t *LineTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	t.shift--
+	for e := 0; e < t.n; e++ {
+		slot, _ := t.find(t.entry(e).addr)
+		t.slots[slot] = int32(e + 1)
+	}
+}
+
+// get fetches or creates the line entry; a created entry is Invalid
+// with no owner.
+func (t *LineTable) get(addr uint64) *line {
+	slot, ok := t.find(addr)
+	if ok {
+		return t.entry(int(t.slots[slot]) - 1)
+	}
+	e := t.next
+	if t.n < t.capLines {
+		e = t.n
+		t.n++
+		if e>>pageBits == len(t.pages) {
+			t.pages = append(t.pages, new([linePage]line))
+		}
+	} else {
+		t.next = (e + 1) % t.capLines
+		victim, _ := t.find(t.entry(e).addr)
+		t.unindex(victim)
+	}
+	l := t.entry(e)
+	*l = line{addr: addr, state: Invalid, owner: -1}
+	if 2*t.n > len(t.slots) {
+		t.grow()
+	}
+	// Unindexing or growing may have moved the free slot.
+	slot, _ = t.find(addr)
+	t.slots[slot] = int32(e + 1)
 	return l
 }
+
+// Directory is the home-node-based MESI protocol engine over a
+// LineTable. One Directory tracks all lines; the home node of a line
+// is supplied by the caller (address interleaving across L3 slices).
+type Directory struct{ lines *LineTable }
 
 // AccessInto performs a read (write=false) or write (write=true) by
 // core against the line whose L3 home slice is home, writing the
@@ -156,8 +269,8 @@ func (d *Directory) get(addr uint64) *line {
 // it. The transaction is reset and its slices reused, so a caller that
 // recycles Transactions (the simulator's txn pool) generates no garbage
 // per access.
-func (d *Directory) AccessInto(tx *Transaction, addr uint64, core, home int, write, l3Hit bool) {
-	l := d.get(addr)
+func (d Directory) AccessInto(tx *Transaction, addr uint64, core, home int, write, l3Hit bool) {
+	l := d.lines.get(addr)
 	tx.reset()
 	req := Leg{From: core, To: home, Kind: Request}
 	tx.Legs = append(tx.Legs, req)
@@ -228,49 +341,18 @@ func (d *Directory) AccessInto(tx *Transaction, addr uint64, core, home int, wri
 	}
 }
 
-// Snoop is the broadcast-based MESI engine for the CryoBus designs:
-// every L2 miss broadcasts on the bus; the owner (or the home L3
-// slice) answers with a directed data transfer that CryoBus's dynamic
-// link connection routes point-to-point (§5.2.3).
-type Snoop struct {
-	lines    map[uint64]*line
-	order    []uint64
-	capLines int
-}
-
-// NewSnoop builds the snooping engine.
-func NewSnoop(capLines int) *Snoop {
-	if capLines <= 0 {
-		capLines = 1 << 16
-	}
-	return &Snoop{lines: make(map[uint64]*line), capLines: capLines}
-}
-
-func (s *Snoop) get(addr uint64) *line {
-	l, ok := s.lines[addr]
-	if !ok {
-		for len(s.lines) >= s.capLines && len(s.order) > 0 {
-			victim := s.order[0]
-			s.order = s.order[1:]
-			l = s.lines[victim]
-			delete(s.lines, victim)
-		}
-		if l == nil {
-			l = &line{}
-		}
-		*l = line{state: Invalid, owner: -1}
-		s.lines[addr] = l
-		s.order = append(s.order, addr)
-	}
-	return l
-}
+// Snoop is the broadcast-based MESI engine for the CryoBus designs,
+// over a LineTable: every L2 miss broadcasts on the bus; the owner (or
+// the home L3 slice) answers with a directed data transfer that
+// CryoBus's dynamic link connection routes point-to-point (§5.2.3).
+type Snoop struct{ lines *LineTable }
 
 // AccessInto performs the snooping transaction into a caller-owned
 // Transaction, with Directory.AccessInto's reset-and-reuse semantics.
 // The broadcast request is one bus transaction; the data reply is a
 // directed transfer.
-func (s *Snoop) AccessInto(tx *Transaction, addr uint64, core, home int, write, l3Hit bool) {
-	l := s.get(addr)
+func (s Snoop) AccessInto(tx *Transaction, addr uint64, core, home int, write, l3Hit bool) {
+	l := s.lines.get(addr)
 	tx.reset()
 	// Snoop broadcast: the request itself reaches every cache.
 	tx.Legs = append(tx.Legs, Leg{From: core, To: -1, Kind: Request})

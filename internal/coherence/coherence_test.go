@@ -1,7 +1,10 @@
 package coherence
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -190,8 +193,8 @@ func TestCapacityEviction(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		d.Access(uint64(i)*64, i%8, 3, false, true)
 	}
-	if len(d.lines) > 16 {
-		t.Errorf("directory grew to %d lines, cap 16", len(d.lines))
+	if n := d.lines.n; n > 16 {
+		t.Errorf("directory grew to %d lines, cap 16", n)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -206,5 +209,68 @@ func TestStateString(t *testing.T) {
 	}
 	if State(42).String() == "" {
 		t.Error("unknown state should stringify")
+	}
+}
+
+// TestFullTableChurnsWithoutAllocating checks that a full table
+// evicts and inserts without allocating: the eviction order is a fixed
+// ring, not a slice popped from the front and appended to (which cost
+// 45 B per access at this size, re-allocating on every wrap). Measured
+// with MemStats.TotalAlloc over many accesses, since AllocsPerRun
+// rounds an allocation every few thousand accesses down to 0.
+func TestFullTableChurnsWithoutAllocating(t *testing.T) {
+	const capLines, accesses = 1 << 15, 1 << 18
+	d := NewDirectory(capLines)
+	var tx Transaction
+	addr := uint64(0)
+	access := func(n int) {
+		for i := 0; i < n; i++ {
+			d.AccessInto(&tx, addr, int(addr/64)%64, 3, i%4 == 0, true)
+			addr += 64
+		}
+	}
+	// Fill the table and churn through it twice, so its index reaches
+	// its steady size before the measurement.
+	access(3 * capLines)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	access(accesses)
+	runtime.ReadMemStats(&after)
+	if n := d.lines.n; n != capLines {
+		t.Fatalf("table tracks %d lines, want %d", n, capLines)
+	}
+	if perAccess := (after.TotalAlloc - before.TotalAlloc) / accesses; perAccess != 0 {
+		t.Errorf("full table allocates %d B per access, want 0", perAccess)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestResetTableMatchesNew checks that a reset table carries nothing
+// over: after churning it through one protocol's traffic, a reset table
+// run through the other view produces the transactions and states a
+// new table does.
+func TestResetTableMatchesNew(t *testing.T) {
+	traffic := func(access func(addr uint64, core int, write bool) Transaction, seed int64) string {
+		rng := rand.New(rand.NewSource(seed))
+		var out strings.Builder
+		for i := 0; i < 5000; i++ {
+			tx := access(uint64(rng.Intn(300))*64, rng.Intn(16), rng.Float64() < 0.3)
+			fmt.Fprintf(&out, "%v", tx)
+		}
+		return out.String()
+	}
+	used := NewLineTable(128)
+	traffic(func(a uint64, c int, w bool) Transaction { return used.Directory().Access(a, c, 3, w, true) }, 1)
+	used.Reset()
+	got := traffic(func(a uint64, c int, w bool) Transaction { return used.Snoop().Access(a, c, 3, w, true) }, 2)
+	fresh := NewSnoop(128)
+	want := traffic(func(a uint64, c int, w bool) Transaction { return fresh.Access(a, c, 3, w, true) }, 2)
+	if got != want {
+		t.Error("a reset table's transactions differ from a new table's")
+	}
+	if err := used.Snoop().CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

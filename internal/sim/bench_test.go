@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"cryowire/internal/platform"
@@ -98,4 +100,51 @@ func BenchmarkColdDerive(b *testing.B) {
 			b.Fatal("no evaluation designs")
 		}
 	}
+}
+
+// passWorkloads are the PARSEC profiles of the sim-long benchmark
+// workload, which runs each evaluation design on every one of them.
+var passWorkloads = []string{"blackscholes", "ferret", "streamcluster", "x264"}
+
+// passSpecs returns one sim-long-shaped pass: the five evaluation
+// designs × passWorkloads at the CLI's run lengths (4000 warm-up +
+// 16000 measured cycles), design-major.
+func passSpecs(tb testing.TB, seed int64) []LaneSpec {
+	tb.Helper()
+	cfg := Config{WarmupCycles: 4000, MeasureCycles: 16000, Seed: seed}
+	var specs []LaneSpec
+	for _, d := range NewFactory().Evaluation() {
+		for _, wl := range passWorkloads {
+			p, err := workload.ByName(wl)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			specs = append(specs, LaneSpec{Design: d, Profile: p, Config: cfg})
+		}
+	}
+	return specs
+}
+
+// BenchmarkBatchRunnerPass times one sim-long-shaped pass of 20
+// simulations in one BatchRunner call at two workers, and reports its
+// allocation and the collections it set off (gcs/op): the garbage each
+// pass leaves for the collector, and what that costs.
+func BenchmarkBatchRunnerPass(b *testing.B) {
+	specs := passSpecs(b, 1)
+	br := &BatchRunner{Workers: 2}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, errs := br.RunCtx(context.Background(), specs)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }

@@ -61,15 +61,19 @@ type commitTable struct {
 }
 
 // newCommitTable returns the table for a run of planned entries (one
-// per core phase plus the start), holding its first chunk. planned
-// comes from the caller's cycle counts, which may be far larger than
-// memory, so at most commitReserve entries are reserved up front.
-func newCommitTable(rate float64, planned int) commitTable {
+// per core phase plus the start), holding its first chunk, in buf's
+// storage when buf can hold the reservation. planned comes from the
+// caller's cycle counts, which may be far larger than memory, so at
+// most commitReserve entries are reserved up front.
+func newCommitTable(rate float64, planned int, buf []float64) commitTable {
 	size := commitReserve
 	if planned > 0 { // not an overflowed sum
 		size = min(planned, size)
 	}
-	t := commitTable{rate: rate, sums: make([]float64, 1, size)}
+	if cap(buf) < size {
+		buf = make([]float64, 0, size)
+	}
+	t := commitTable{rate: rate, sums: append(buf[:0], 0)}
 	t.extend(planned)
 	return t
 }

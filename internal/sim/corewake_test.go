@@ -52,7 +52,7 @@ func TestCommitTableIsRepeatedAddition(t *testing.T) {
 	const planned = 3*commitChunk + 17
 	ties := 0
 	for _, rate := range tableRates(t) {
-		tab := newCommitTable(rate, planned)
+		tab := newCommitTable(rate, planned, nil)
 		for len(tab.sums) < planned+commitChunk {
 			tab.extend(planned)
 			if l := len(tab.sums); l != planned && l != planned+commitChunk && l%commitChunk != 1 {
@@ -82,7 +82,7 @@ func TestCommitTableIsRepeatedAddition(t *testing.T) {
 // them.
 func TestCommitTableIgnoresHugePlan(t *testing.T) {
 	for _, planned := range []int{math.MaxInt, 1 << 62, 10_000_000_000, math.MinInt} {
-		tab := newCommitTable(0.5, planned)
+		tab := newCommitTable(0.5, planned, nil)
 		if len(tab.sums) != commitChunk+1 || cap(tab.sums) != commitReserve {
 			t.Fatalf("planned %d: table has %d entries (capacity %d), want %d (capacity %d)", planned, len(tab.sums), cap(tab.sums), commitChunk+1, commitReserve)
 		}
@@ -101,7 +101,7 @@ func TestCommitTableIgnoresHugePlan(t *testing.T) {
 // exactly planned entries of capacity, and stays repeated addition.
 func TestCommitTableGrowsToLongPlan(t *testing.T) {
 	const planned = 2*commitReserve + 5
-	tab := newCommitTable(tieRate, planned)
+	tab := newCommitTable(tieRate, planned, nil)
 	for len(tab.sums) < planned {
 		tab.extend(planned)
 	}
@@ -135,7 +135,7 @@ func firstCrossing(sums []float64, n int, e float64) (int, bool) {
 func TestWakeAfterMatchesFirstCrossing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, rate := range tableRates(t) {
-		tab := newCommitTable(rate, 4096)
+		tab := newCommitTable(rate, 4096, nil)
 		last := len(tab.sums) - 1
 		for trial := 0; trial < 40; trial++ {
 			n := rng.Intn(last + 1)

@@ -554,7 +554,9 @@ const cancelCheckCycles = 1024
 // spinning forever. If the config carries a context (Config.WithContext)
 // the run aborts between cycles once that context is done, so canceled
 // callers stop burning CPU mid-simulation rather than at the end.
+// Every exit resets the System's scratch for the next simulation.
 func (s *System) Run() (Result, error) {
+	defer s.release()
 	ctx := s.cfg.Context()
 	done := ctx.Done()
 	wd := watchdogState{cfg: s.cfg.Watchdog.withDefaults()}

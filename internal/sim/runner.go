@@ -65,14 +65,39 @@ func (sp LaneSpec) fingerprint() string {
 	return fmt.Sprintf("%#v|%#v|%#v|%v|%#v", sp.Design, sp.Profile, cfg, hasFault, fc)
 }
 
-// run simulates the spec alone through System.Run.
-func (sp LaneSpec) run() (Result, error) {
-	s, err := New(sp.Design, sp.Profile, sp.Config)
+// run simulates the spec alone through System.Run, on a scratch from
+// free that it returns there once Run has reset it.
+func (sp LaneSpec) run(free scratches) (Result, error) {
+	scr := free.get()
+	s, err := newOn(scr, sp.Design, sp.Profile, sp.Config)
 	if err != nil {
+		free.put(scr)
 		return Result{}, err
 	}
-	return s.Run()
+	res, err := s.Run()
+	free.put(scr)
+	return res, err
 }
+
+// scratches holds the scratches of one BatchRunner call that no
+// simulation is using. A simulation takes one (a new one when none is
+// free) and puts it back when it ends, so the call builds no more
+// scratches than it runs simulations at once, its worker count, and
+// each worker's next spec reuses one. The channel holds that many, so
+// put never blocks. A simulation that panics drops its scratch. Nothing
+// outlives the call.
+type scratches chan *scratch
+
+func (c scratches) get() *scratch {
+	select {
+	case scr := <-c:
+		return scr
+	default:
+		return newScratch()
+	}
+}
+
+func (c scratches) put(scr *scratch) { c <- scr }
 
 // ResultCache memoizes completed simulations by spec fingerprint, so a
 // sweep that revisits a configuration (experiments share rows; DSE
@@ -105,9 +130,9 @@ func NewResultCache() *ResultCache {
 // in-flight one, or by running it. simulated reports whether this call
 // ran the simulation. A nil cache always runs. A waiter whose ctx ends
 // first returns ctx's error.
-func (c *ResultCache) do(ctx context.Context, key string, sp LaneSpec) (res Result, simulated bool, err error) {
+func (c *ResultCache) do(ctx context.Context, key string, sp LaneSpec, free scratches) (res Result, simulated bool, err error) {
 	if c == nil {
-		res, err = sp.run()
+		res, err = sp.run(free)
 		return res, true, err
 	}
 	for {
@@ -117,7 +142,7 @@ func (c *ResultCache) do(ctx context.Context, key string, sp LaneSpec) (res Resu
 			e = &cacheEntry{done: make(chan struct{})}
 			c.m[key] = e
 			c.mu.Unlock()
-			res, err = c.own(key, e, sp)
+			res, err = c.own(key, e, sp, free)
 			return res, true, err
 		}
 		c.mu.Unlock()
@@ -136,7 +161,7 @@ func (c *ResultCache) do(ctx context.Context, key string, sp LaneSpec) (res Resu
 // own runs the spec for the entry this caller installed. A failed (or
 // panicking) run drops the entry before waking the waiters, so one of
 // them claims the fingerprint afresh instead of finding it failed.
-func (c *ResultCache) own(key string, e *cacheEntry, sp LaneSpec) (Result, error) {
+func (c *ResultCache) own(key string, e *cacheEntry, sp LaneSpec, free scratches) (Result, error) {
 	defer func() {
 		if !e.ok {
 			c.mu.Lock()
@@ -145,7 +170,7 @@ func (c *ResultCache) own(key string, e *cacheEntry, sp LaneSpec) (Result, error
 		}
 		close(e.done)
 	}()
-	res, err := sp.run()
+	res, err := sp.run(free)
 	if err == nil {
 		e.res, e.ok = res, true
 	}
@@ -155,9 +180,12 @@ func (c *ResultCache) own(key string, e *cacheEntry, sp LaneSpec) (Result, error
 // BatchRunner runs a slice of LaneSpecs: it dedups identical specs
 // (within the call and, with Cache, across calls), then runs each
 // unique spec alone through System.Run on a pool of Workers goroutines
-// that pull the next spec as they free up. Results are index-aligned
-// with the submitted specs and bit-identical to running each spec
-// alone, at any worker count.
+// that pull the next spec as they free up. Each simulation runs on a
+// scratch an earlier one of the call left reset, so the call allocates
+// the event wheel, commit table and line table once per worker rather
+// than once per spec. Results are index-aligned with the submitted
+// specs and bit-identical to running each spec alone through New and
+// Run, at any worker count.
 type BatchRunner struct {
 	// Lanes is ignored.
 	//
@@ -200,6 +228,7 @@ func (r *BatchRunner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, [
 	uerrs := make([]error, len(keys))
 	ran := make([]bool, len(keys))
 	var simulated atomic.Bool
+	free := make(scratches, par.Normalize(r.Workers, len(keys)))
 	// Specs the pool never started are found through ran below.
 	par.ForCtx(ctx, len(keys), r.Workers, func(u int) {
 		ran[u] = true
@@ -207,7 +236,7 @@ func (r *BatchRunner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, [
 		if sp.Config.ctx == nil {
 			sp.Config = sp.Config.WithContext(ctx)
 		}
-		res, fresh, err := r.Cache.do(ctx, keys[u], sp)
+		res, fresh, err := r.Cache.do(ctx, keys[u], sp, free)
 		switch {
 		case fresh:
 			simulated.Store(true)

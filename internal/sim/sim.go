@@ -255,7 +255,8 @@ type txn struct {
 // state — each has its own seeded RNG, wheel and free lists — so runs
 // on different goroutines are independent and every Result is a pure
 // function of its spec. A System must not be copied after New: the
-// network delivery hooks capture its address.
+// network delivery hooks capture its address. A System runs once: Run
+// resets its scratch (below) for whichever simulation uses it next.
 type System struct {
 	design Design
 	prof   workload.Profile
@@ -278,9 +279,13 @@ type System struct {
 	latSum    int64
 	msgCount  int64
 
+	// scr is the working memory the System borrows for one run; wheel,
+	// the commit table's storage and the protocol's line table live in
+	// it.
+	scr *scratch
 	// wheel is the event schedule: injection retries and service
 	// completions, bucketed by cycle (see wheel.go).
-	wheel eventWheel
+	wheel *eventWheel
 	// slots is the in-flight packet table. Each injected packet carries
 	// its slot index (+1, so the zero Packet is "unreferenced") in
 	// Packet.Slot; delivery resolves the owning transaction with one
@@ -379,8 +384,46 @@ type coreState struct {
 	mlpCap       int // hard MSHR/load-queue window
 }
 
+// scratch is the working memory a simulation can hand on to the next
+// one: the event wheel (its 4096 bucket headers alone are ~100 KB), the
+// commit table's storage (160 KB at CLI run lengths) and the coherence
+// line table (about 2 MB once full). New builds a fresh one for each
+// System; a BatchRunner call keeps one per worker and passes it from
+// each spec the worker runs to the next, so a batch allocates this
+// memory once per worker instead of once per simulation. Run resets it
+// on every exit, so the next simulation finds it as New built it and
+// its Result is bit-equal to a fresh System's.
+type scratch struct {
+	wheel   eventWheel
+	commits []float64
+	lines   *coherence.LineTable
+}
+
+// trackedLines bounds the coherence line table, mimicking finite
+// L3/directory capacity.
+const trackedLines = 1 << 15
+
+func newScratch() *scratch {
+	return &scratch{lines: coherence.NewLineTable(trackedLines)}
+}
+
+// release resets the scratch for the next simulation, handing back the
+// commit table's storage as this run grew it.
+func (s *System) release() {
+	s.scr.wheel.reset()
+	s.scr.commits = s.commits.sums[:0]
+	s.scr.lines.Reset()
+}
+
 // New builds a system for the design × workload pair.
 func New(d Design, p workload.Profile, cfg Config) (*System, error) {
+	return newOn(newScratch(), d, p, cfg)
+}
+
+// newOn builds a system that runs on scr, which must be fresh or reset
+// by the Run of the System that used it last. A failed build leaves scr
+// untouched.
+func newOn(scr *scratch, d Design, p workload.Profile, cfg Config) (*System, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -403,10 +446,11 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 	} else {
 		s.dram = dram.NewMemory(dram.DDR4(), dramChannels, dramBanks)
 	}
+	s.scr, s.wheel = scr, &scr.wheel
 	if d.Net.Snooping() {
-		s.proto = coherence.NewSnoop(1 << 15)
+		s.proto = scr.lines.Snoop()
 	} else {
-		s.proto = coherence.NewDirectory(1 << 15)
+		s.proto = scr.lines.Directory()
 	}
 	s.cores = make([]coreState, d.Cores)
 	for i := range s.cores {
@@ -424,7 +468,7 @@ func New(d Design, p workload.Profile, cfg Config) (*System, error) {
 	s.lockIntv = s.lockInterval()
 	s.barrierIntv = s.barrierInterval()
 	s.l3Cyc = s.l3CyclesDerive()
-	s.commits = newCommitTable(s.unstalledRate(), cfg.WarmupCycles+cfg.MeasureCycles+1)
+	s.commits = newCommitTable(s.unstalledRate(), cfg.WarmupCycles+cfg.MeasureCycles+1, scr.commits)
 	words := (d.Cores + 63) / 64
 	s.stalled = make([]uint64, words)
 	s.due = make([]uint64, words)

@@ -28,9 +28,13 @@ package sim
 //     global schedule order.
 
 // wheelSize is the ring span in cycles. Healthy service delays (L3,
-// banked DRAM, retry backoff) are at most a few hundred cycles; 4096
-// keeps even heavily fault-degraded memory paths on the fast path while
-// costing ~100 KB of bucket headers per System.
+// banked DRAM, retry backoff) are mostly a few hundred cycles, but the
+// DRAM queues of memory-bound SPEC and CloudSuite runs at CLI lengths
+// reach 3,305 cycles on the shared bus and 3,562 on the mesh; 4096 keeps
+// those and most fault-degraded memory paths on the fast path while
+// costing ~100 KB of bucket headers per worker (the wheel is part of
+// the scratch a BatchRunner worker reuses from one simulation to the
+// next).
 const (
 	wheelSize = 1 << 12
 	wheelMask = wheelSize - 1
@@ -47,10 +51,10 @@ type farEvent struct {
 type eventWheel struct {
 	buckets [wheelSize][]*injEvent
 	far     []farEvent
-	// scratch is the merge buffer for the rare drain that combines
-	// overflow and bucket events; reused so the slow path allocates
-	// only on first use.
-	scratch []*injEvent
+	// merged is the buffer for the rare drain that combines overflow
+	// and bucket events; reused so the slow path allocates only on
+	// first use.
+	merged []*injEvent
 }
 
 // schedule queues ev for the given absolute cycle. The caller must
@@ -84,7 +88,7 @@ func (w *eventWheel) drain(now int64) []*injEvent {
 		return b
 	}
 	// Slow path: pull due overflow events in front of the bucket.
-	out := w.scratch[:0]
+	out := w.merged[:0]
 	keep := w.far[:0]
 	for _, fe := range w.far {
 		if fe.at == now {
@@ -98,8 +102,24 @@ func (w *eventWheel) drain(now int64) []*injEvent {
 		return b
 	}
 	out = append(out, b...)
-	w.scratch = out
+	w.merged = out
 	return out
+}
+
+// reset empties the wheel in place for the next simulation, keeping
+// the buckets' storage. It clears every stored pointer, live or stale
+// past a bucket's length, so the wheel keeps no finished run's events
+// reachable.
+func (w *eventWheel) reset() {
+	for i := range w.buckets {
+		b := w.buckets[i]
+		clear(b[:cap(b)])
+		w.buckets[i] = b[:0]
+	}
+	clear(w.far[:cap(w.far)])
+	w.far = w.far[:0]
+	clear(w.merged[:cap(w.merged)])
+	w.merged = w.merged[:0]
 }
 
 // pending reports whether any event is still queued (test/watchdog
