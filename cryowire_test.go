@@ -270,6 +270,20 @@ func TestWireClassesAllDocumented(t *testing.T) {
 	}
 }
 
+// TestWireSpeedupExtremeTemperatures: temperatures the device model
+// cannot price (infinite, or finite but so large or small that the
+// derivation overflows) are errors, never a NaN with a nil error.
+func TestWireSpeedupExtremeTemperatures(t *testing.T) {
+	for _, temp := range []float64{math.Inf(1), 1e308, 1e-300} {
+		for _, repeated := range []bool{false, true} {
+			v, err := WireSpeedupAt("global", 1, temp, repeated)
+			if err == nil {
+				t.Errorf("WireSpeedupAt(global, 1, %g, repeated=%v) = %v with a nil error", temp, repeated, v)
+			}
+		}
+	}
+}
+
 // TestNoCDesignNamesDriveLoadLatency confirms the advertised design
 // list and the sweep entry point share one factory: every listed name
 // sweeps successfully.

@@ -1,21 +1,16 @@
 // Package core composes the CryoWire system: it derives the paper's
 // two proposed microarchitectures (CryoSP, the frontend-superpipelined
 // 77 K core, and CryoBus, the H-tree snooping bus) from the device
-// models, assembles the five evaluation designs of Table 4, and runs
-// the full-system comparison of §6.
+// models and assembles the five evaluation designs of Table 4.
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"cryowire/internal/noc"
 	"cryowire/internal/phys"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/platform"
 	"cryowire/internal/power"
 	"cryowire/internal/sim"
-	"cryowire/internal/workload"
 )
 
 // CryoWire is the top-level model suite. All its models are views onto
@@ -91,66 +86,4 @@ func (c *CryoWire) DesignCryoBus() CryoBusReport {
 		SerpentineHops:  noc.NewSerpentine(64).BroadcastHops(),
 		ZeroLoadCycles:  bus.ZeroLoadLatency(),
 	}
-}
-
-// Evaluation is the full Fig 23-style comparison.
-type Evaluation struct {
-	Workloads []string
-	Designs   []string
-	// Perf[w][d] is absolute performance (instructions/ns).
-	Perf [][]float64
-	// MeanSpeedup[d] is the geometric-mean speed-up of design d over
-	// the reference design (index RefIndex).
-	MeanSpeedup []float64
-	RefIndex    int
-}
-
-// EvaluateWith runs every design × workload pair through run. ref
-// selects the normalization design index (the paper normalizes Fig 23
-// to CHP-core(77K, Mesh), index 1). run receives the whole grid as
-// LaneSpecs (row-major, wi*len(designs)+di) and returns index-aligned
-// results and per-spec errors; the experiment layer passes its
-// dedup-aware runner here. Each cell is a pure function of its spec,
-// so any runner produces the same evaluation.
-func (c *CryoWire) EvaluateWith(run func([]sim.LaneSpec) ([]sim.Result, []error), designs []sim.Design, profiles []workload.Profile, ref int, cfg sim.Config) (Evaluation, error) {
-	if ref < 0 || ref >= len(designs) {
-		return Evaluation{}, fmt.Errorf("core: reference index %d out of range", ref)
-	}
-	ev := Evaluation{RefIndex: ref}
-	for _, d := range designs {
-		ev.Designs = append(ev.Designs, d.Name)
-	}
-	for _, p := range profiles {
-		ev.Workloads = append(ev.Workloads, p.Name)
-	}
-	nd, nw := len(designs), len(profiles)
-	ev.Perf = make([][]float64, nw)
-	for wi := range ev.Perf {
-		ev.Perf[wi] = make([]float64, nd)
-	}
-	specs := make([]sim.LaneSpec, nw*nd)
-	for i := range specs {
-		specs[i] = sim.LaneSpec{Design: designs[i%nd], Profile: profiles[i/nd], Config: cfg}
-	}
-	results, errs := run(specs)
-	// Report the first error in grid order — the same one a serial loop
-	// would have stopped on.
-	for _, err := range errs {
-		if err != nil {
-			return Evaluation{}, err
-		}
-	}
-	for i, res := range results {
-		ev.Perf[i/nd][i%nd] = res.Performance
-	}
-	geo := make([]float64, nd)
-	for di := range designs {
-		prod := 1.0
-		for wi := range ev.Workloads {
-			prod *= ev.Perf[wi][di] / ev.Perf[wi][ev.RefIndex]
-		}
-		geo[di] = math.Pow(prod, 1/float64(len(ev.Workloads)))
-	}
-	ev.MeanSpeedup = geo
-	return ev, nil
 }

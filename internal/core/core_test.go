@@ -1,11 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"cryowire/internal/sim"
-	"cryowire/internal/workload"
-)
+import "testing"
 
 func TestDeriveCryoSP(t *testing.T) {
 	c := New()
@@ -36,41 +31,5 @@ func TestDesignCryoBus(t *testing.T) {
 	}
 	if r.ZeroLoadCycles <= 0 || r.ZeroLoadCycles > 10 {
 		t.Errorf("CryoBus zero-load = %v cycles, want a handful", r.ZeroLoadCycles)
-	}
-}
-
-func TestEvaluate(t *testing.T) {
-	c := New()
-	designs := []sim.Design{
-		c.Factory.CHPMesh(),
-		c.Factory.CryoSPCryoBus(),
-	}
-	var profiles []workload.Profile
-	for _, n := range []string{"streamcluster", "vips"} {
-		p, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles = append(profiles, p)
-	}
-	cfg := sim.Config{WarmupCycles: 1500, MeasureCycles: 6000, Seed: 1}
-	br := &sim.BatchRunner{}
-	run := func(specs []sim.LaneSpec) ([]sim.Result, []error) { return br.RunCtx(cfg.Context(), specs) }
-	ev, err := c.EvaluateWith(run, designs, profiles, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev.Perf) != 2 || len(ev.Perf[0]) != 2 {
-		t.Fatalf("evaluation shape wrong: %+v", ev)
-	}
-	if ev.MeanSpeedup[0] != 1.0 {
-		t.Errorf("reference mean speedup = %v, want 1", ev.MeanSpeedup[0])
-	}
-	if ev.MeanSpeedup[1] <= 1.2 {
-		t.Errorf("CryoSP+CryoBus mean speedup = %v, want a clear win on this subset", ev.MeanSpeedup[1])
-	}
-	// Bad reference index rejected.
-	if _, err := c.EvaluateWith(run, designs, profiles, 5, cfg); err == nil {
-		t.Error("out-of-range reference should error")
 	}
 }

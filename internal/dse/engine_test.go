@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -86,5 +88,98 @@ func TestEvalErrorsSurface(t *testing.T) {
 	}
 	if n := evaluations.Load() - before; n != 0 {
 		t.Errorf("pre-canceled search evaluated %d candidates, want 0", n)
+	}
+}
+
+// TestDSEEvalsMatchStandalone: every Eval a search records — its whole
+// history, read back from the journal, and its frontier — is bit-equal
+// to pricing a standalone sim.New+Run of the same candidate, at one and
+// two workers, flat and staged. A pre-canceled search hands nothing to
+// the runner.
+func TestDSEEvalsMatchStandalone(t *testing.T) {
+	pf := platform.New()
+	standalone := func(s Space, i int) Eval {
+		t.Helper()
+		pt := s.At(i)
+		d, core, err := candidateDesign(pf, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := s.profileByName(pt.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := sim.New(d, prof, quickSim())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := finishEval(pf, pt, core, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	bits := func(e Eval) string { return fmt.Sprintf("%#v", e) }
+	spaces := map[string]Space{
+		"flat":   DefaultSpace(true),
+		"staged": DefaultSpace(true).WithStages([]float64{77, 4}),
+	}
+	for name, s := range spaces {
+		want := make(map[int]string)
+		for _, workers := range []int{1, 2} {
+			cfg := Config{
+				Space:    s,
+				Strategy: StrategyRandom,
+				Budget:   12,
+				Seed:     1,
+				Sim:      quickSim(),
+				Workers:  workers,
+				Platform: pf,
+				Journal:  filepath.Join(t.TempDir(), "dse.jsonl"),
+			}
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			hist, err := ReadJournal(cfg.Journal, s, cfg.Sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hist) != res.Evaluated || res.Evaluated != cfg.Budget {
+				t.Fatalf("%s, %d workers: journal holds %d evaluations, result says %d, budget %d",
+					name, workers, len(hist), res.Evaluated, cfg.Budget)
+			}
+			for _, h := range hist {
+				if _, ok := want[h.Index]; !ok {
+					want[h.Index] = bits(standalone(s, h.Index))
+				}
+				if got := bits(h.Eval); got != want[h.Index] {
+					t.Errorf("%s, %d workers: history point %d = %s, standalone %s", name, workers, h.Index, got, want[h.Index])
+				}
+			}
+			if len(res.Frontier) == 0 {
+				t.Fatalf("%s, %d workers: empty frontier", name, workers)
+			}
+			for _, c := range res.Frontier {
+				if got, ok := want[c.Index]; !ok || bits(c.Eval) != got {
+					t.Errorf("%s, %d workers: frontier point %d = %s, standalone %s", name, workers, c.Index, bits(c.Eval), got)
+				}
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := evaluations.Load()
+	_, err := Run(ctx, Config{Space: DefaultSpace(true), Strategy: StrategyRandom, Budget: 12, Seed: 1, Sim: quickSim(), Workers: 2, Platform: pf})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled search: err = %v, want context.Canceled", err)
+	}
+	if n := evaluations.Load() - before; n != 0 {
+		t.Errorf("pre-canceled search handed %d candidates to the runner, want 0", n)
 	}
 }

@@ -6,14 +6,11 @@ import (
 	"sync/atomic"
 
 	"cryowire/internal/mem"
-	"cryowire/internal/par"
 	"cryowire/internal/phys"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/platform"
-	"cryowire/internal/power"
 	"cryowire/internal/sim"
 	"cryowire/internal/stage"
-	"cryowire/internal/workload"
 )
 
 // Eval is the measured outcome of one candidate: the simulator's
@@ -70,29 +67,6 @@ func DefaultObjectives() []Objective {
 	return []Objective{PerformanceObjective, TotalPowerObjective, EnergyObjective}
 }
 
-// nocPowerShare scales the relative NoC power (normalized to the 300 K
-// mesh) into core-relative units when composing system device power:
-// the uncore interconnect is a minority share of the 300 K system
-// budget (Fig 22 discussion).
-const nocPowerShare = 0.15
-
-// nocPowerKind maps a candidate's interconnect and temperature onto the
-// Fig 22 power-model design whose voltage/activity recipe it runs.
-func nocPowerKind(pt Point) power.NoCKind {
-	cold := pt.TempK < float64(phys.T300)
-	switch pt.Net {
-	case NetSharedBus:
-		return power.SharedBus77
-	case NetCryoBus, NetCryoBus2Way:
-		return power.CryoBus77
-	default:
-		if cold {
-			return power.Mesh77
-		}
-		return power.Mesh300
-	}
-}
-
 // evalCores is the evaluated system size (the paper's 64-core target).
 const evalCores = 64
 
@@ -140,6 +114,10 @@ func candidateDesign(pf *platform.Platform, pt Point) (sim.Design, pipeline.Core
 // finishEval attaches the cooling-inclusive power metrics to a
 // candidate's simulation result.
 func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim.Result) (Eval, error) {
+	kind, err := netKindByName(pt.Net)
+	if err != nil {
+		return Eval{}, err
+	}
 	pw := pf.PowerModel()
 	e := Eval{
 		FreqGHz:         core.FreqGHz,
@@ -147,7 +125,7 @@ func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim
 		Performance:     res.Performance,
 		CoolingOverhead: pw.Cooling.Overhead(phys.Kelvin(pt.TempK)),
 	}
-	e.DevicePower = pw.CorePower(core) + nocPowerShare*pw.NoCPower(nocPowerKind(pt))
+	e.DevicePower = stage.TierDevicePower(pw, core, pt.TempK, kind)
 	e.TotalPower = e.DevicePower * (1 + e.CoolingOverhead)
 	if pt.StageK > 0 {
 		// Multi-stage candidate: lift the tier's device power through
@@ -170,49 +148,59 @@ func finishEval(pf *platform.Platform, pt Point, core pipeline.CoreSpec, res sim
 	return e, nil
 }
 
-// evaluations counts the candidates evaluate has started, so tests can
-// see that a journal replay or a canceled search simulated nothing.
+// evaluations counts the candidates handed to the simulation runner,
+// so tests can see that a journal replay or a canceled search simulated
+// nothing.
 var evaluations atomic.Int64
 
-// evaluate runs one candidate end to end: candidateDesign → System.Run
-// → finishEval. Deterministic: the simulator seeds from cfg alone, so
-// equal (point, cfg) pairs produce bit-equal Evals at any worker count.
-func evaluate(ctx context.Context, pf *platform.Platform, pt Point, prof workload.Profile, cfg sim.Config) (Eval, error) {
-	evaluations.Add(1)
-	d, core, err := candidateDesign(pf, pt)
-	if err != nil {
-		return Eval{}, err
-	}
-	if ctx != nil {
-		cfg = cfg.WithContext(ctx)
-	}
-	s, err := sim.New(d, prof, cfg)
-	if err != nil {
-		return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		return Eval{}, fmt.Errorf("dse: point %s: %w", pt, err)
-	}
-	return finishEval(pf, pt, core, res)
-}
-
 // evaluateFresh evaluates the non-served candidates of one strategy
-// batch into evals/errs (index-aligned with fresh) on a pool of
-// cfg.Workers goroutines, each pulling the next candidate as it frees
-// up. It returns ctx's error when the search was canceled, in which
-// case unstarted slots are left empty.
+// batch into evals/errs (index-aligned with fresh): it derives each
+// candidate's design, simulates them all in one sim.BatchRunner call on
+// cfg.Workers goroutines, and prices each result with finishEval.
+// Deterministic: the simulator seeds from cfg.Sim alone, so equal
+// (point, cfg) pairs produce bit-equal Evals at any worker count. It
+// returns ctx's error when the search was canceled, in which case
+// evals and errs are not valid.
 func evaluateFresh(ctx context.Context, cfg Config, fresh []int, served []bool, evals []Eval, errs []error) error {
-	return par.ForCtx(ctx, len(fresh), cfg.Workers, func(k int) {
+	var (
+		specs []sim.LaneSpec
+		cores []pipeline.CoreSpec
+		slot  []int // slot[j] is spec j's index into fresh
+	)
+	simCfg := cfg.Sim.WithContext(ctx)
+	for k, i := range fresh {
 		if served[k] {
-			return
+			continue
 		}
-		pt := cfg.Space.At(fresh[k])
+		pt := cfg.Space.At(i)
 		prof, err := cfg.Space.profileByName(pt.Workload)
 		if err != nil {
 			errs[k] = err
-			return
+			continue
 		}
-		evals[k], errs[k] = evaluate(ctx, cfg.Platform, pt, prof, cfg.Sim)
-	})
+		d, core, err := candidateDesign(cfg.Platform, pt)
+		if err != nil {
+			errs[k] = err
+			continue
+		}
+		specs = append(specs, sim.LaneSpec{Design: d, Profile: prof, Config: simCfg})
+		cores = append(cores, core)
+		slot = append(slot, k)
+	}
+	evaluations.Add(int64(len(specs)))
+	results, runErrs := (&sim.BatchRunner{Workers: cfg.Workers}).RunCtx(ctx, specs)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for j, k := range slot {
+		pt := cfg.Space.At(fresh[k])
+		if runErrs[j] != nil {
+			// RunCtx's failures are *sim.LaneErrors; name the point
+			// instead of the lane.
+			errs[k] = fmt.Errorf("dse: point %s: %w", pt, runErrs[j].(*sim.LaneError).Err)
+			continue
+		}
+		evals[k], errs[k] = finishEval(cfg.Platform, pt, cores[j], results[j])
+	}
+	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cryowire/internal/sim"
+	"cryowire/internal/workload"
 )
 
 // runQuick executes an experiment in quick mode and sanity-checks the
@@ -339,5 +342,36 @@ func TestRenderContainsAllRows(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestEvaluate(t *testing.T) {
+	f := sim.NewFactory()
+	designs := []sim.Design{f.CHPMesh(), f.CryoSPCryoBus()}
+	var profiles []workload.Profile
+	for _, n := range []string{"streamcluster", "vips"} {
+		p, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	opt := Options{Sim: sim.Config{WarmupCycles: 1500, MeasureCycles: 6000, Seed: 1}}
+	ev, err := evaluate(opt, designs, profiles, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.Perf) != 2 || len(ev.Perf[0]) != 2 {
+		t.Fatalf("evaluation shape wrong: %+v", ev)
+	}
+	if ev.MeanSpeedup[0] != 1.0 {
+		t.Errorf("reference mean speedup = %v, want 1", ev.MeanSpeedup[0])
+	}
+	if ev.MeanSpeedup[1] <= 1.2 {
+		t.Errorf("CryoSP+CryoBus mean speedup = %v, want a clear win on this subset", ev.MeanSpeedup[1])
+	}
+	// Bad reference index rejected.
+	if _, err := evaluate(opt, designs, profiles, 5); err == nil {
+		t.Error("out-of-range reference should error")
 	}
 }

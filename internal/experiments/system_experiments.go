@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
-	"cryowire/internal/core"
 	"cryowire/internal/pipeline"
 	"cryowire/internal/power"
 	"cryowire/internal/sim"
@@ -139,6 +139,60 @@ func Fig22(opt Options) (*Report, error) {
 	return r, nil
 }
 
+// evaluation is a Fig 23-style design × workload comparison.
+type evaluation struct {
+	Workloads []string
+	Designs   []string
+	// Perf[w][d] is absolute performance (instructions/ns).
+	Perf [][]float64
+	// MeanSpeedup[d] is the geometric-mean speed-up of design d over
+	// the reference design (index RefIndex).
+	MeanSpeedup []float64
+	RefIndex    int
+}
+
+// evaluate runs every design × workload pair in one opt.runSims call
+// (row-major, wi*len(designs)+di) and normalizes to design ref (the
+// paper normalizes Fig 23 to CHP-core(77K, Mesh), index 1).
+func evaluate(opt Options, designs []sim.Design, profiles []workload.Profile, ref int) (evaluation, error) {
+	if ref < 0 || ref >= len(designs) {
+		return evaluation{}, fmt.Errorf("experiments: reference index %d out of range", ref)
+	}
+	ev := evaluation{RefIndex: ref}
+	for _, d := range designs {
+		ev.Designs = append(ev.Designs, d.Name)
+	}
+	for _, p := range profiles {
+		ev.Workloads = append(ev.Workloads, p.Name)
+	}
+	nd, nw := len(designs), len(profiles)
+	cfg := opt.simCfg()
+	specs := make([]sim.LaneSpec, nw*nd)
+	for i := range specs {
+		specs[i] = sim.LaneSpec{Design: designs[i%nd], Profile: profiles[i/nd], Config: cfg}
+	}
+	results, errs := opt.runSims(specs)
+	if err := firstErr(errs); err != nil {
+		return evaluation{}, err
+	}
+	ev.Perf = make([][]float64, nw)
+	for wi := range ev.Perf {
+		ev.Perf[wi] = make([]float64, nd)
+	}
+	for i, res := range results {
+		ev.Perf[i/nd][i%nd] = res.Performance
+	}
+	ev.MeanSpeedup = make([]float64, nd)
+	for di := range designs {
+		prod := 1.0
+		for wi := range ev.Workloads {
+			prod *= ev.Perf[wi][di] / ev.Perf[wi][ref]
+		}
+		ev.MeanSpeedup[di] = math.Pow(prod, 1/float64(nw))
+	}
+	return ev, nil
+}
+
 // evaluationDesigns returns the five Table 4 systems built on the
 // options' platform.
 func evaluationDesigns(opt Options) []sim.Design {
@@ -157,8 +211,7 @@ func Fig23(opt Options) (*Report, error) {
 			"this model: lower average magnitude, same ordering and same outliers (see EXPERIMENTS.md)",
 		},
 	}
-	c := core.NewWith(opt.platform())
-	ev, err := c.EvaluateWith(opt.runSims, evaluationDesigns(opt), parsecSubset(opt), 1, opt.simCfg())
+	ev, err := evaluate(opt, evaluationDesigns(opt), parsecSubset(opt), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -204,8 +257,7 @@ func Fig24(opt Options) (*Report, error) {
 	if opt.Quick {
 		profiles = profiles[:3]
 	}
-	c := core.NewWith(opt.platform())
-	ev, err := c.EvaluateWith(opt.runSims, designs, profiles, 1, opt.simCfg())
+	ev, err := evaluate(opt, designs, profiles, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -202,20 +202,14 @@ type BusConfig struct {
 	// on the source→destination path (data responses); without it every
 	// transfer drives the whole bus.
 	DynamicLinks bool
-	// QueueCap bounds each node's outstanding request queue.
-	QueueCap int
-	// Injector, when set and active, injects faults: dead layout
-	// segments (degrading the broadcast span), corrupted transfers
-	// (NACK + backoff retransmit), and lost grant pulses.
-	Injector *fault.Injector
-	// FaultDomain namespaces this bus's fault pattern so e.g. request
-	// and data buses fail independently. Defaults to Name.
-	FaultDomain string
 }
+
+// busQueueCap bounds each node's outstanding request queue.
+const busQueueCap = 16
 
 // pktq is a ring-deque packet FIFO. Node queues used to be plain slices
 // advanced with q = q[1:], which leaks capacity and forces a fresh
-// backing array every QueueCap injections; the ring reaches the queue
+// backing array every busQueueCap injections; the ring reaches the queue
 // cap once and never allocates again. pushFront exists for the NACK
 // path, which re-heads a corrupted transfer for retransmission.
 type pktq struct {
@@ -309,9 +303,6 @@ type retryState struct {
 
 // NewBus builds the bus.
 func NewBus(cfg BusConfig) *Bus {
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 16
-	}
 	b := &Bus{
 		cfg:     cfg,
 		arb:     NewMatrixArbiter(cfg.Nodes),
@@ -320,9 +311,6 @@ func NewBus(cfg BusConfig) *Bus {
 		reqMask: make([]uint64, maskWords(cfg.Nodes)),
 	}
 	b.tabulateReqCycles()
-	if cfg.Injector != nil {
-		b.AttachInjector(cfg.Injector, cfg.FaultDomain)
-	}
 	return b
 }
 
@@ -393,7 +381,7 @@ func (b *Bus) TryInject(p *Packet) bool {
 		panic(fmt.Sprintf("noc: %s has no node %d", b.cfg.Name, p.Dst))
 	}
 	q := &b.queues[p.Src]
-	if q.n >= b.cfg.QueueCap {
+	if q.n >= busQueueCap {
 		return false
 	}
 	// InjectedAt is owned by the caller.

@@ -24,7 +24,7 @@ func newBusRig(rate float64, warm int) *busRig {
 	b := NewCryoBus(64, bus77())
 	// Every queued packet holds a queue slot and at most a few more are
 	// in flight, so the pool never runs dry.
-	pool := make([]Packet, b.cfg.Nodes*b.cfg.QueueCap+64)
+	pool := make([]Packet, b.cfg.Nodes*busQueueCap+64)
 	g := &busRig{b: b, rng: rand.New(rand.NewSource(1)), rate: rate}
 	g.free = make([]*Packet, 0, len(pool))
 	for i := range pool {

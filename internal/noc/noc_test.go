@@ -507,15 +507,14 @@ func TestHybridDelivers(t *testing.T) {
 }
 
 func TestBusRejectsWhenFull(t *testing.T) {
-	b := NewBus(BusConfig{Name: "tiny", Nodes: 4, Layout: NewSerpentine(4), Timing: bus300(), QueueCap: 2})
-	ok1 := b.TryInject(&Packet{ID: 1, Src: 0, Dst: Broadcast, Flits: 1})
-	ok2 := b.TryInject(&Packet{ID: 2, Src: 0, Dst: Broadcast, Flits: 1})
-	ok3 := b.TryInject(&Packet{ID: 3, Src: 0, Dst: Broadcast, Flits: 1})
-	if !ok1 || !ok2 {
-		t.Error("first two injections should fit")
+	b := NewBus(BusConfig{Name: "tiny", Nodes: 4, Layout: NewSerpentine(4), Timing: bus300()})
+	for i := 0; i < busQueueCap; i++ {
+		if !b.TryInject(&Packet{ID: int64(i), Src: 0, Dst: Broadcast, Flits: 1}) {
+			t.Fatalf("injection %d of %d should fit", i+1, busQueueCap)
+		}
 	}
-	if ok3 {
-		t.Error("third injection should be rejected by the queue cap")
+	if b.TryInject(&Packet{ID: busQueueCap, Src: 0, Dst: Broadcast, Flits: 1}) {
+		t.Error("injection past the queue cap should be rejected")
 	}
 }
 

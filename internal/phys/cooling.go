@@ -6,13 +6,16 @@ import (
 )
 
 // ValidTemperature reports whether t is a physically meaningful
-// operating temperature — the cooling-model mirror of
-// OperatingPoint.Valid. Public entry points (cryowire.TemperatureSweep)
+// operating temperature, positive and finite — the cooling-model mirror
+// of OperatingPoint.Valid. Public entry points (cryowire.TemperatureSweep)
 // validate user-supplied temperatures through this before computing
 // overheads.
 func ValidTemperature(t Kelvin) error {
-	if math.IsNaN(float64(t)) || t <= 0 {
+	switch {
+	case math.IsNaN(float64(t)) || t <= 0:
 		return fmt.Errorf("phys: non-positive temperature %v", t)
+	case math.IsInf(float64(t), 1):
+		return fmt.Errorf("phys: infinite temperature %v", t)
 	}
 	return nil
 }

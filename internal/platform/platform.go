@@ -12,6 +12,8 @@
 package platform
 
 import (
+	"fmt"
+	"math"
 	"sync"
 
 	"cryowire/internal/noc"
@@ -107,9 +109,10 @@ func (p *Platform) WireSpeedup(spec wire.Spec, lengthMM, driverSize float64, op 
 }
 
 // WireSpeedupByClass is WireSpeedup keyed by the public class name
-// ("local", "semi-global", "global", "forwarding"); unknown classes and
-// invalid temperatures are errors. Unrepeated lines use the
-// length-proportional driver sizing of the Fig 5 study.
+// ("local", "semi-global", "global", "forwarding"); unknown classes,
+// invalid temperatures and a speed-up that is not finite are errors.
+// Unrepeated lines use the length-proportional driver sizing of the
+// Fig 5 study.
 func (p *Platform) WireSpeedupByClass(class string, lengthMM, tempK float64, repeated bool) (float64, error) {
 	spec, err := wire.SpecByName(class)
 	if err != nil {
@@ -123,7 +126,13 @@ func (p *Platform) WireSpeedupByClass(class string, lengthMM, tempK float64, rep
 	if repeated {
 		drv = 1
 	}
-	return p.WireSpeedup(spec, lengthMM, drv, op, repeated), nil
+	s := p.WireSpeedup(spec, lengthMM, drv, op, repeated)
+	if math.IsNaN(s) || math.IsInf(s, 0) {
+		// Valid but extreme temperatures (1e308 K, 1e-300 K) overflow
+		// the device model.
+		return 0, fmt.Errorf("platform: %s wire speed-up at %g K is not finite", class, tempK)
+	}
+	return s, nil
 }
 
 // --- core frequency targets (Table 3 columns) -------------------------------

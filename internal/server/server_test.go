@@ -122,6 +122,20 @@ func TestEndpointStatuses(t *testing.T) {
 	}
 }
 
+// TestWireSpeedupExtremeTemperatureIs400: a temp_k the device model
+// cannot price is the client's error, never a 5xx from encoding a NaN.
+func TestWireSpeedupExtremeTemperatureIs400(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	for _, temp := range []string{"%2BInf", "1e308", "1e-300"} {
+		for _, repeated := range []string{"false", "true"} {
+			target := "/v1/wire/speedup?class=global&length_mm=1&temp_k=" + temp + "&repeated=" + repeated
+			if rec := do(t, h, "GET", target, ""); rec.Code != http.StatusBadRequest {
+				t.Errorf("GET %s: status = %d, want 400; body: %s", target, rec.Code, rec.Body)
+			}
+		}
+	}
+}
+
 // TestReadyzBeforeServe: a freshly built server must not report ready.
 func TestReadyzBeforeServe(t *testing.T) {
 	s := newTestServer(t, Config{})

@@ -12,8 +12,8 @@ import (
 )
 
 // LaneSpec names one simulation to run: the design × workload × config
-// triple a System is built from. It is the unit the BatchRunner dedups
-// and schedules.
+// triple a System is built from. It is the unit the BatchRunner
+// schedules and the ResultCache dedups.
 type LaneSpec struct {
 	Design  Design
 	Profile workload.Profile
@@ -128,13 +128,14 @@ func NewResultCache() *ResultCache {
 
 // do returns the spec's result: from a finished entry, by waiting on an
 // in-flight one, or by running it. simulated reports whether this call
-// ran the simulation. A nil cache always runs. A waiter whose ctx ends
-// first returns ctx's error.
-func (c *ResultCache) do(ctx context.Context, key string, sp LaneSpec, free scratches) (res Result, simulated bool, err error) {
+// ran the simulation. A nil cache always runs and fingerprints
+// nothing. A waiter whose ctx ends first returns ctx's error.
+func (c *ResultCache) do(ctx context.Context, sp LaneSpec, free scratches) (res Result, simulated bool, err error) {
 	if c == nil {
 		res, err = sp.run(free)
 		return res, true, err
 	}
+	key := sp.fingerprint()
 	for {
 		c.mu.Lock()
 		e, ok := c.m[key]
@@ -177,15 +178,16 @@ func (c *ResultCache) own(key string, e *cacheEntry, sp LaneSpec, free scratches
 	return res, err
 }
 
-// BatchRunner runs a slice of LaneSpecs: it dedups identical specs
-// (within the call and, with Cache, across calls), then runs each
-// unique spec alone through System.Run on a pool of Workers goroutines
-// that pull the next spec as they free up. Each simulation runs on a
-// scratch an earlier one of the call left reset, so the call allocates
-// the event wheel, commit table and line table once per worker rather
-// than once per spec. Results are index-aligned with the submitted
-// specs and bit-identical to running each spec alone through New and
-// Run, at any worker count.
+// BatchRunner runs a slice of LaneSpecs, each alone through System.Run,
+// on a pool of Workers goroutines that pull the next spec as they free
+// up. It dedups only through Cache: with one attached, a spec equal to
+// one already run or running (in this call or another) shares its
+// result; without one, every spec is simulated. Each simulation runs
+// on a scratch an earlier one of the call left reset, so the call
+// allocates the event wheel, commit table and line table once per
+// worker rather than once per spec. Results are index-aligned with the
+// submitted specs and bit-identical to running each spec alone through
+// New and Run, at any worker count.
 type BatchRunner struct {
 	// Lanes is ignored.
 	//
@@ -213,30 +215,19 @@ func (r *BatchRunner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, [
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Group the specs by fingerprint, in order of first occurrence.
-	var keys []string
-	slots := make(map[string][]int, len(specs))
-	for i, sp := range specs {
-		k := sp.fingerprint()
-		if _, ok := slots[k]; !ok {
-			keys = append(keys, k)
-		}
-		slots[k] = append(slots[k], i)
-	}
-
-	ures := make([]Result, len(keys))
-	uerrs := make([]error, len(keys))
-	ran := make([]bool, len(keys))
+	results := make([]Result, len(specs))
+	errs := make([]error, len(specs))
+	ran := make([]bool, len(specs))
 	var simulated atomic.Bool
-	free := make(scratches, par.Normalize(r.Workers, len(keys)))
+	free := make(scratches, par.Normalize(r.Workers, len(specs)))
 	// Specs the pool never started are found through ran below.
-	par.ForCtx(ctx, len(keys), r.Workers, func(u int) {
-		ran[u] = true
-		sp := specs[slots[keys[u]][0]]
+	par.ForCtx(ctx, len(specs), r.Workers, func(i int) {
+		ran[i] = true
+		sp := specs[i]
 		if sp.Config.ctx == nil {
 			sp.Config = sp.Config.WithContext(ctx)
 		}
-		res, fresh, err := r.Cache.do(ctx, keys[u], sp, free)
+		res, fresh, err := r.Cache.do(ctx, sp, free)
 		switch {
 		case fresh:
 			simulated.Store(true)
@@ -244,32 +235,22 @@ func (r *BatchRunner) RunCtx(ctx context.Context, specs []LaneSpec) ([]Result, [
 		case err == nil:
 			bstats.cacheHits.Add(1)
 		}
-		ures[u], uerrs[u] = res, err
+		if err == nil {
+			results[i] = res
+		}
+		errs[i] = err
 	})
 	if simulated.Load() {
 		bstats.batches.Add(1)
 	}
-
-	results := make([]Result, len(specs))
-	errs := make([]error, len(specs))
-	for u, k := range keys {
-		idxs := slots[k]
-		err := uerrs[u]
-		if !ran[u] {
+	for i, err := range errs {
+		if !ran[i] {
 			// Skipped by cancellation.
 			err = ctx.Err()
 		}
-		if err == nil {
-			// In-call duplicates share the first occurrence's result.
-			bstats.cacheHits.Add(uint64(len(idxs) - 1))
-		}
-		for _, i := range idxs {
-			if err != nil {
-				errs[i] = &LaneError{Lane: i, Design: specs[i].Design.Name, Workload: specs[i].Profile.Name, Err: err}
-				bstats.laneFailures.Add(1)
-				continue
-			}
-			results[i] = ures[u]
+		if err != nil {
+			errs[i] = &LaneError{Lane: i, Design: specs[i].Design.Name, Workload: specs[i].Profile.Name, Err: err}
+			bstats.laneFailures.Add(1)
 		}
 	}
 	return results, errs
@@ -284,8 +265,8 @@ type BatchStats struct {
 	// of simulations per call. It always equals CacheMisses; it stays
 	// because bench/simlong.go reads it.
 	Lanes uint64
-	// CacheHits counts specs served by dedup (result cache, a
-	// concurrent caller's in-flight run, or an in-call duplicate);
+	// CacheHits counts specs served by the result cache (a finished
+	// entry or another run's in-flight simulation);
 	// CacheMisses counts specs actually simulated.
 	CacheHits   uint64
 	CacheMisses uint64

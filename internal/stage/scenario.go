@@ -17,24 +17,28 @@ import (
 )
 
 // nocPowerShare scales relative NoC power into core-relative units
-// when composing tier device power — the same minority-share weighting
-// the DSE evaluator uses (Fig 22 discussion).
+// when composing tier device power: the uncore interconnect is a
+// minority share of the 300 K system budget (Fig 22 discussion).
 const nocPowerShare = 0.15
 
-// nocPowerKind maps the tier's interconnect onto the Fig 22 power
-// design whose voltage/activity recipe it runs.
-func nocPowerKind(tierK float64, net sim.NetKind) power.NoCKind {
-	switch net {
-	case sim.SharedBus:
-		return power.SharedBus77
-	case sim.CryoBus, sim.CryoBus2Way:
-		return power.CryoBus77
+// TierDevicePower is the device power of a tier of cores on net at
+// tierK, relative to the 300 K baseline core: the core's power plus the
+// NoC's share, the NoC priced as the Fig 22 power-model design whose
+// voltage/activity recipe it runs. Sweep and the DSE evaluator both
+// compose tier power here.
+func TierDevicePower(pw *power.Model, core pipeline.CoreSpec, tierK float64, net sim.NetKind) float64 {
+	var kind power.NoCKind
+	switch {
+	case net == sim.SharedBus:
+		kind = power.SharedBus77
+	case net == sim.CryoBus || net == sim.CryoBus2Way:
+		kind = power.CryoBus77
+	case tierK < float64(phys.T300):
+		kind = power.Mesh77
 	default:
-		if tierK < 300 {
-			return power.Mesh77
-		}
-		return power.Mesh300
+		kind = power.Mesh300
 	}
+	return pw.CorePower(core) + nocPowerShare*pw.NoCPower(kind)
 }
 
 // Assignment places the movable components of the target system onto
@@ -352,7 +356,7 @@ func Sweep(ctx context.Context, assigns []Assignment, opt SweepOptions) (*SweepR
 	pw := pf.PowerModel()
 	out := &SweepResult{Workload: wname, WattsPerUnit: wpu}
 	for i, a := range assigns {
-		tierUnits := pw.CorePower(cores[i]) + nocPowerShare*pw.NoCPower(nocPowerKind(a.TierK, specs[i].Design.Net))
+		tierUnits := TierDevicePower(pw, cores[i], a.TierK, specs[i].Design.Net)
 		sys, err := BuildSystem(a, tierUnits*wpu, wpu)
 		if err != nil {
 			return nil, err
