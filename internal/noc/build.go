@@ -144,10 +144,8 @@ func (rn *RouterNet) ApplyFaults(inj *fault.Injector, domain string) {
 // queued reports whether any input port holds a packet.
 func (rn *RouterNet) queued() bool {
 	for ri := range rn.routers {
-		for pi := range rn.routers[ri].ports {
-			if rn.routers[ri].ports[pi].n > 0 {
-				return true
-			}
+		if rn.routers[ri].occ != 0 {
+			return true
 		}
 	}
 	return false

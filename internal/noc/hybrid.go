@@ -13,21 +13,12 @@ type HybridCryoBus struct {
 	global   *RouterNet
 	now      int64
 	stats    Stats
-	// retry queues for phase transitions that hit back-pressure.
-	toGlobal  []*hop2
-	toCluster []*hop3
+	// Leg packets that hit back-pressure wait here in arrival order:
+	// toGlobal[ci] for gateway router ci's injection port, toCluster[cj]
+	// for the gateway node's queue on cluster cj's bus.
+	toGlobal, toCluster [4]pktq
 	// phase1 maps in-flight leg packets back to their originals.
-	phase1 pendingMap
-}
-
-type hop2 struct {
-	orig *Packet
-	pkt  *Packet
-}
-
-type hop3 struct {
-	orig *Packet
-	pkt  *Packet
+	phase1 map[*Packet]*Packet
 }
 
 // clusterSize is the CryoBus scalability unit.
@@ -40,7 +31,7 @@ const gatewayNode = 27 // center-adjacent tile of the 8×8 grid
 // NewHybridCryoBus builds the 4-cluster, 256-node hybrid with the
 // given bus and mesh timing (normally both 77 K).
 func NewHybridCryoBus(busTiming, meshTiming Timing) *HybridCryoBus {
-	h := &HybridCryoBus{name: "Hybrid CryoBus-256"}
+	h := &HybridCryoBus{name: "Hybrid CryoBus-256", phase1: make(map[*Packet]*Packet)}
 	for i := 0; i < 4; i++ {
 		h.clusters = append(h.clusters, NewCryoBus(clusterSize, busTiming))
 	}
@@ -88,9 +79,6 @@ func NewHybridCryoBus(busTiming, meshTiming Timing) *HybridCryoBus {
 	return h
 }
 
-// pendingMap is the phase-packet registry: leg packet → original.
-type pendingMap map[*Packet]*Packet
-
 func (h *HybridCryoBus) cluster(node int) int { return node / clusterSize }
 func (h *HybridCryoBus) local(node int) int   { return node % clusterSize }
 
@@ -106,7 +94,6 @@ func (h *HybridCryoBus) TryInject(p *Packet) bool {
 	if p.Dst < 0 || p.Dst >= h.Nodes() {
 		panic(fmt.Sprintf("noc: %s has no node %d", h.name, p.Dst))
 	}
-	h.ensureMaps()
 	ci, cj := h.cluster(p.Src), h.cluster(p.Dst)
 	if ci == cj {
 		local := &Packet{ID: p.ID, Src: h.local(p.Src), Dst: h.local(p.Dst), Flits: p.Flits, InjectedAt: p.InjectedAt}
@@ -127,12 +114,6 @@ func (h *HybridCryoBus) TryInject(p *Packet) bool {
 	return true
 }
 
-func (h *HybridCryoBus) ensureMaps() {
-	if h.phase1 == nil {
-		h.phase1 = make(pendingMap)
-	}
-}
-
 // clusterDelivered handles a completed bus leg.
 func (h *HybridCryoBus) clusterDelivered(ci int, leg *Packet, now int64) {
 	orig := h.phase1[leg]
@@ -149,7 +130,7 @@ func (h *HybridCryoBus) clusterDelivered(ci int, leg *Packet, now int64) {
 	g := &Packet{ID: orig.ID, Src: ci, Dst: h.cluster(orig.Dst), Flits: orig.Flits, InjectedAt: orig.InjectedAt}
 	h.phase1[g] = orig
 	if !h.global.TryInject(g) {
-		h.toGlobal = append(h.toGlobal, &hop2{orig: orig, pkt: g})
+		h.toGlobal[ci].pushBack(g)
 	}
 }
 
@@ -164,29 +145,28 @@ func (h *HybridCryoBus) globalDelivered(g *Packet, now int64) {
 	leg := &Packet{ID: orig.ID, Src: gatewayNode, Dst: h.local(orig.Dst), Flits: orig.Flits, InjectedAt: orig.InjectedAt}
 	h.phase1[leg] = orig
 	if !h.clusters[cj].TryInject(leg) {
-		h.toCluster = append(h.toCluster, &hop3{orig: orig, pkt: leg})
+		h.toCluster[cj].pushBack(leg)
 	}
 }
 
-// Step implements Network.
+// Step implements Network. It first retries each waiting queue up to
+// its first refusal. That accepts what a retry of every waiting leg
+// would: a refused TryInject changes nothing and depends only on the
+// queue at the leg's source, which nothing in the retry loop shrinks,
+// so every later leg from that source is refused too.
 func (h *HybridCryoBus) Step() {
-	h.ensureMaps()
-	// Retry stalled phase transitions first.
-	keepG := h.toGlobal[:0]
-	for _, e := range h.toGlobal {
-		if !h.global.TryInject(e.pkt) {
-			keepG = append(keepG, e)
+	for ci := range h.toGlobal {
+		q := &h.toGlobal[ci]
+		for q.n > 0 && h.global.TryInject(q.front()) {
+			q.popFront()
 		}
 	}
-	h.toGlobal = keepG
-	keepC := h.toCluster[:0]
-	for _, e := range h.toCluster {
-		cj := h.cluster(e.orig.Dst)
-		if !h.clusters[cj].TryInject(e.pkt) {
-			keepC = append(keepC, e)
+	for cj := range h.toCluster {
+		q := &h.toCluster[cj]
+		for q.n > 0 && h.clusters[cj].TryInject(q.front()) {
+			q.popFront()
 		}
 	}
-	h.toCluster = keepC
 	for _, c := range h.clusters {
 		c.Step()
 	}

@@ -192,7 +192,10 @@ func walk(mk func() Network, rates []float64, cfg SweepConfig) []SweepPoint {
 // every pollEvery cycles and, once stop reports true, abandons the rate
 // and returns ok == false.
 func measureRate(n Network, rate float64, cfg SweepConfig, stop func() bool) (pt SweepPoint, ok bool) {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(rate*1e7)))
+	// The Bernoulli draw, one per node per cycle, reads the stream
+	// directly; the rarer draws go through rng, on the same sequence.
+	src := newStream(cfg.Seed + int64(rate*1e7))
+	rng := rand.New(src)
 	nodes := n.Nodes()
 	total := cfg.WarmupCycles + cfg.MeasureCycles
 	if nodes > maxSweepNodes || total > maxSweepCycles {
@@ -238,11 +241,17 @@ func measureRate(n Network, rate float64, cfg SweepConfig, stop func() bool) (pt
 					genRate = rate / p
 				}
 			}
-			if genRate > 0 && rng.Float64() < genRate {
-				q := queued{id: id, at: int32(now - start), dst: uint16(cfg.Pattern.Dest(s, nodes, rng))}
-				id++
-				q.data = cfg.DataFlits > 1 && rng.Float64() < cfg.DataFraction
-				st.push(q)
+			if genRate > 0 {
+				f, ok := src.float64Fast()
+				if !ok {
+					f = src.Float64()
+				}
+				if f < genRate {
+					q := queued{id: id, at: int32(now - start), dst: uint16(cfg.Pattern.Dest(s, nodes, rng))}
+					id++
+					q.data = cfg.DataFlits > 1 && rng.Float64() < cfg.DataFraction
+					st.push(q)
+				}
 			}
 			// Drain the source queue into the network.
 			for st.n > 0 && n.TryInject(st.front(s, start, &cfg)) {

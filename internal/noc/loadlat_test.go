@@ -260,6 +260,7 @@ func BenchmarkSaturationRate(b *testing.B) {
 	}{
 		{"Mesh-256", func() Network { return NewMesh(256, timing77(1)) }},
 		{"CryoBus-64", func() Network { return NewCryoBus(64, bus77()) }},
+		{"Hybrid-256", func() Network { return NewHybridCryoBus(bus77(), timing77(1)) }},
 	} {
 		for _, workers := range []int{1, runtime.NumCPU()} {
 			b.Run(fmt.Sprintf("%s/workers=%d", nc.name, workers), func(b *testing.B) {

@@ -77,13 +77,15 @@ func (pt *port) grow() {
 type router struct {
 	links   []rlink
 	ports   []port
-	rr      []int // round-robin arbiter state per output link
+	occ     uint64 // bit pi is set while ports[pi] holds a packet
+	rr      []int  // round-robin arbiter state per output link
 	outBusy []int64
 }
 
-// maxPorts bounds a router's input ports: Step's switch allocator keeps
-// one requester bit per input port in a uint64.
-const maxPorts = 64
+// maxPorts bounds a router's input ports and maxLinks its output links:
+// Step keeps one bit per input port, and one per output link, in a
+// uint64.
+const maxPorts, maxLinks = 64, 64
 
 // ejectHop marks the router-local destination in RouterNet.nextHop.
 const ejectHop = 0xFF
@@ -104,8 +106,10 @@ type RouterNet struct {
 	// when cur == dst.
 	nextHop []uint8
 	// want is Step's switch-allocation scratch: bit pi of want[li] is
-	// set while input port pi's head is ready and bound for link li.
-	want []uint64
+	// set while input port pi's head is ready and bound for link li,
+	// and bit li of wantLinks while want[li] is non-zero.
+	want      []uint64
+	wantLinks uint64
 	// due is Step's schedule, a timing wheel of router bitsets: bit ri
 	// of slot t&dueMask (dueWords words from index slot*dueWords) is
 	// set when router ri must be visited at cycle t. Every input-port
@@ -163,8 +167,8 @@ func (rn *RouterNet) addLink(from, to, wireCycles, tileHops int) {
 		panic(fmt.Sprintf("noc: %s router %d would get more than %d input ports (one switch-allocation mask bit each)", rn.name, to, maxPorts))
 	}
 	src := &rn.routers[from]
-	if len(src.links) == ejectHop {
-		panic(fmt.Sprintf("noc: %s router %d would get more than %d output links", rn.name, from, ejectHop))
+	if len(src.links) == maxLinks {
+		panic(fmt.Sprintf("noc: %s router %d would get more than %d output links (one switch-allocation mask bit each)", rn.name, from, maxLinks))
 	}
 	dst.ports = append(dst.ports, port{})
 	src.links = append(src.links, rlink{to: to, wireCycles: wireCycles, tileHops: tileHops, dstPort: len(dst.ports) - 1})
@@ -214,11 +218,13 @@ func (rn *RouterNet) TryInject(p *Packet) bool {
 			at++
 			if ri == rn.cur && out >= 0 {
 				rn.want[out] |= 1
+				rn.wantLinks |= 1 << out
 			}
 		}
 		rn.wake(ri, at)
 	}
 	inj.push(arrival{p: p, readyAt: rn.now, dst: dst, out: out})
+	r.occ |= 1
 	return true
 }
 
@@ -262,11 +268,14 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 	r := &rn.routers[ri]
 	// Ejection first: deliver any head packet destined here. The
 	// ejection port is modeled with infinite sink bandwidth per router
-	// cycle for each input port. The head left behind requests its
-	// output link, or is woken when it becomes ready. A delivery hook
-	// that injects into an empty port 0 here has TryInject request for
-	// it, as a gather after all ejections would have.
-	for pi := range r.ports {
+	// cycle for each input port. The occupied ports are visited in
+	// ascending order. The head left behind requests its output link,
+	// or is woken when it becomes ready. A delivery hook can inject
+	// only into port 0, visited first; when it injects into an empty
+	// port 0 here, TryInject requests for it, as a gather after all
+	// ejections would have.
+	for occ := r.occ; occ != 0; occ &= occ - 1 {
+		pi := bits.TrailingZeros64(occ)
 		pt := &r.ports[pi]
 		for pt.n > 0 {
 			h := pt.front()
@@ -276,29 +285,35 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 			}
 			if h.out >= 0 {
 				want[h.out] |= 1 << pi
+				rn.wantLinks |= 1 << h.out
 				break
 			}
 			rn.deliver(h.p, now)
 			pt.pop()
 		}
+		if pt.n == 0 {
+			r.occ &^= 1 << pi
+		}
 	}
 	// Switch allocation: one grant per output link per cycle, in link
-	// order, round-robin over the requesting input ports. A ready head
-	// left without a grant is due again next cycle.
+	// order, round-robin over the requesting input ports. The requested
+	// links are taken lowest first, and a request made here is for a
+	// higher link, so the order is ascending. A ready head left without
+	// a grant is due again next cycle.
 	again := false
 	n := len(r.ports)
-	for li := range r.links {
+	for rn.wantLinks != 0 {
+		li := bits.TrailingZeros64(rn.wantLinks)
+		rn.wantLinks &= rn.wantLinks - 1
 		m := want[li]
-		if m == 0 {
-			continue
-		}
 		want[li] = 0
 		if r.outBusy[li] > now {
 			again = true
 			continue
 		}
 		lnk := r.links[li]
-		dpt := &rn.routers[lnk.to].ports[lnk.dstPort]
+		down := &rn.routers[lnk.to]
+		dpt := &down.ports[lnk.dstPort]
 		if dpt.occupancy() >= rn.inCap {
 			again = true
 			continue // no credit downstream
@@ -319,13 +334,16 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 		}
 		// The port's new head competes for a later link this cycle;
 		// links up to li have had their turn.
-		if pt.n > 0 {
+		if pt.n == 0 {
+			r.occ &^= 1 << granted
+		} else {
 			h := pt.front()
 			switch {
 			case h.readyAt > now:
 				rn.wake(ri, h.readyAt)
 			case int(h.out) > li:
 				want[h.out] |= 1 << granted
+				rn.wantLinks |= 1 << h.out
 			default:
 				again = true
 			}
@@ -348,6 +366,7 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 		a.readyAt = now + lat
 		a.out = rn.outFor(lnk.to, a.dst)
 		dpt.push(a)
+		down.occ |= 1 << lnk.dstPort
 	}
 	if again {
 		rn.wake(ri, now+1)
@@ -411,15 +430,31 @@ func (rn *RouterNet) sizeSchedule() {
 // path cost, from its next hop's cost (memoized), so the whole table
 // takes O(routers²) instead of a walk per pair. Path costs are small
 // integers, so the integer total equals the per-pair float sum exactly.
+// The walks toward one destination read a destination-major copy of
+// nextHop, one contiguous row, rather than a column strided by the
+// router count. The copy is made in square tiles, so that the rows it
+// reads and the rows it writes both stay in cache.
 func (rn *RouterNet) computeZeroLoad() {
 	nr := len(rn.routers)
 	if nr < 2 {
 		return
 	}
+	toward := make([]uint8, nr*nr) // toward[d*nr+r] = nextHop[r*nr+d]
+	const tile = 32
+	for r0 := 0; r0 < nr; r0 += tile {
+		for d0 := 0; d0 < nr; d0 += tile {
+			for r := r0; r < min(r0+tile, nr); r++ {
+				for d := d0; d < min(d0+tile, nr); d++ {
+					toward[d*nr+r] = rn.nextHop[r*nr+d]
+				}
+			}
+		}
+	}
 	cost := make([]int, nr)
 	path := make([]int, 0, nr)
 	total := 0
 	for d := 0; d < nr; d++ {
+		next := toward[d*nr : (d+1)*nr]
 		for r := range cost {
 			cost[r] = -1
 		}
@@ -433,11 +468,11 @@ func (rn *RouterNet) computeZeroLoad() {
 					panic(fmt.Sprintf("noc: routing loop in %s toward router %d", rn.name, d))
 				}
 				path = append(path, cur)
-				cur = rn.routers[cur].links[rn.nextHop[cur*nr+d]].to
+				cur = rn.routers[cur].links[next[cur]].to
 			}
 			for k := len(path) - 1; k >= 0; k-- {
 				r := path[k]
-				lnk := rn.routers[r].links[rn.nextHop[r*nr+d]]
+				lnk := rn.routers[r].links[next[r]]
 				cost[r] = cost[lnk.to] + max(1, rn.timing.RouterCycles+lnk.wireCycles)
 			}
 			path = path[:0]

@@ -148,8 +148,8 @@ func TestApplyFaultsRejectsLateCalls(t *testing.T) {
 }
 
 // TestAddLinkRejectsOversizedRouters checks the guards that keep a
-// router within Step's 64-bit request masks and the uint8 next-hop
-// table: the last link that fits is accepted, the next one panics.
+// router within Step's 64-bit port and link masks: the last link that
+// fits is accepted, the next one panics.
 func TestAddLinkRejectsOversizedRouters(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -159,9 +159,9 @@ func TestAddLinkRejectsOversizedRouters(t *testing.T) {
 	}{
 		// Router 0 starts with its injection port; links 1..63 fill it.
 		{"input ports", maxPorts - 1, func(rn *RouterNet, i int) { rn.addLink(i+1, 0, 1, 1) }, "input ports"},
-		{"output links", ejectHop, func(rn *RouterNet, i int) { rn.addLink(0, i+1, 1, 1) }, "output links"},
+		{"output links", maxLinks, func(rn *RouterNet, i int) { rn.addLink(0, i+1, 1, 1) }, "output links"},
 	} {
-		rn := newRouterNet("star", ejectHop+2, 1, timing77(1))
+		rn := newRouterNet("star", maxLinks+2, 1, timing77(1))
 		for i := 0; i < tc.fits; i++ {
 			tc.add(rn, i)
 		}
