@@ -25,13 +25,19 @@
 #   make bench-smoke - run every Go micro-benchmark for one iteration,
 #                      so the benchmarks keep building and running
 #                      (BenchmarkSystemStep steps past its run length)
+#   make mutate      - mutation score of the NoC and simulator cycle
+#                      loops: ~30 one-operator mutants of noc/router.go,
+#                      bus.go, hybrid.go, loadlat.go and sim/engine.go,
+#                      each run through `go test -overlay` on its package
+#                      and the root golden tests (the tree is never
+#                      written; ~15 min; kept out of `make check`)
 #   make bench       - Go micro-benchmarks only (no unit tests); the
 #                      end-to-end benchmark is `bash bench/run.sh run
 #                      -all` (see bench/README.md)
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race check chaos bench bench-module bench-smoke serve-smoke surrogate-smoke
+.PHONY: all build test vet staticcheck race check chaos mutate bench bench-module bench-smoke serve-smoke surrogate-smoke
 
 all: check
 
@@ -77,6 +83,11 @@ surrogate-smoke: build
 # -race gate.
 chaos:
 	$(GO) test -tags chaos -run TestChaos -v ./cmd/cryowire/
+
+# Mutation testing runs the suites once per mutant, so it stays out of
+# `make check` and CI.
+mutate:
+	$(GO) run ./scripts/mutate
 
 check: vet staticcheck build race bench-module bench-smoke serve-smoke
 

@@ -89,7 +89,7 @@ func BenchmarkMeshCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%8 == 0 {
-			p := &noc.Packet{ID: id, Src: int(id) % 64, Dst: int(id+31) % 64, Flits: 1, InjectedAt: m.Cycle()}
+			p := noc.Packet{ID: id, Src: int(id) % 64, Dst: int(id+31) % 64, Flits: 1, InjectedAt: m.Cycle()}
 			id++
 			m.TryInject(p)
 		}
@@ -104,7 +104,7 @@ func BenchmarkCryoBusCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%8 == 0 {
-			p := &noc.Packet{ID: id, Src: int(id) % 64, Dst: noc.Broadcast, Flits: 1, InjectedAt: bus.Cycle()}
+			p := noc.Packet{ID: id, Src: int(id) % 64, Dst: noc.Broadcast, Flits: 1, InjectedAt: bus.Cycle()}
 			id++
 			bus.TryInject(p)
 		}

@@ -195,7 +195,8 @@ func NoCDesignNames() []string { return noc.DesignNames() }
 // given temperature under a named traffic pattern ("uniform",
 // "transpose", "hotspot", "bitreverse", "burst"). Designs are resolved
 // by the shared noc factory (see NoCDesignNames); timings are derived
-// on the shared Platform.
+// on the shared Platform. Every rate must lie in (0, 1] packets per
+// node per cycle: a node offers at most one packet a cycle.
 func NoCLoadLatency(design, pattern string, tempK float64, rates []float64) ([]LoadLatencyPoint, error) {
 	return NoCLoadLatencyCtx(context.Background(), design, pattern, tempK, rates)
 }
@@ -204,6 +205,12 @@ func NoCLoadLatency(design, pattern string, tempK float64, rates []float64) ([]L
 // done no further rate starts, the rate in progress stops within 64
 // cycles, and the call returns ctx's error.
 func NoCLoadLatencyCtx(ctx context.Context, design, pattern string, tempK float64, rates []float64) ([]LoadLatencyPoint, error) {
+	for _, r := range rates {
+		// The negated test also rejects NaN.
+		if !(r > 0 && r <= 1) {
+			return nil, fmt.Errorf("cryowire: injection rate %v is outside (0, 1] packets per node per cycle", r)
+		}
+	}
 	pf := platform.Default()
 	op, err := pf.OpAt(tempK)
 	if err != nil {

@@ -110,6 +110,22 @@ func TestFacadeNoCLoadLatency(t *testing.T) {
 	}
 }
 
+// TestNoCLoadLatencyRejectsBadRates: a rate outside (0, 1] is not an
+// offered load a node can make, and NaN or an infinity would come back
+// in points JSON cannot encode, so every such rate is an error naming
+// the range, even beside valid rates.
+func TestNoCLoadLatencyRejectsBadRates(t *testing.T) {
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.1, 1.5, 1e300} {
+		pts, err := NoCLoadLatency("mesh", "uniform", 77, []float64{0.01, r})
+		if err == nil || !strings.Contains(err.Error(), "(0, 1]") {
+			t.Errorf("rate %v: got points %+v and error %v, want an error naming (0, 1]", r, pts, err)
+		}
+	}
+	if pts, err := NoCLoadLatency("cryobus", "uniform", 77, []float64{1}); err != nil || len(pts) != 1 {
+		t.Errorf("rate 1: got %+v, %v; want one point", pts, err)
+	}
+}
+
 func TestFacadeTemperatureSweep(t *testing.T) {
 	pts, err := TemperatureSweep([]float64{300, 100, 77})
 	if err != nil {

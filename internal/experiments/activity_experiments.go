@@ -84,7 +84,7 @@ func Fig22Activity(opt Options) (*Report, error) {
 					if c.bcast && rng.Float64() < 0.5 {
 						dst = noc.Broadcast
 					}
-					n.TryInject(&noc.Packet{ID: id, Src: s, Dst: dst, Flits: 1, InjectedAt: n.Cycle()})
+					n.TryInject(noc.Packet{ID: id, Src: s, Dst: dst, Flits: 1, InjectedAt: n.Cycle()})
 					id++
 				}
 			}

@@ -119,7 +119,7 @@ func TestTryInjectRejectsUnknownNodes(t *testing.T) {
 						t.Errorf("panic %q, want it to say %q", msg, tc.want)
 					}
 				}()
-				net.TryInject(&Packet{Src: tc.src, Dst: tc.dst, Flits: 1})
+				net.TryInject(Packet{Src: tc.src, Dst: tc.dst, Flits: 1})
 			})
 		}
 	}

@@ -207,55 +207,15 @@ type BusConfig struct {
 // busQueueCap bounds each node's outstanding request queue.
 const busQueueCap = 16
 
-// pktq is a ring-deque packet FIFO. Node queues used to be plain slices
-// advanced with q = q[1:], which leaks capacity and forces a fresh
-// backing array every busQueueCap injections; the ring reaches the queue
-// cap once and never allocates again. pushFront exists for the NACK
-// path, which re-heads a corrupted transfer for retransmission.
-type pktq struct {
-	buf  []*Packet // ring storage; len is always a power of two
-	head int
-	n    int
-}
-
-func (q *pktq) front() *Packet { return q.buf[q.head] }
-
-func (q *pktq) pushBack(p *Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
-	q.n++
-}
-
-func (q *pktq) pushFront(p *Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = p
-	q.n++
-}
-
-func (q *pktq) popFront() *Packet {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return p
-}
-
-func (q *pktq) grow() {
-	size := 2 * len(q.buf)
-	if size < 4 {
-		size = 4
-	}
-	nb := make([]*Packet, size)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nb
-	q.head = 0
+// queuedPkt is a packet in a node's bus queue: its slab index, how many
+// of its transfers arrived corrupted so far (its NACK state), and the
+// first cycle the arbiter sees its request: once the request has
+// crossed the request wires and, after a NACK, once the retransmit
+// backoff has elapsed.
+type queuedPkt struct {
+	visibleAt int64
+	pkt       int32
+	attempts  int32
 }
 
 // Bus is a cycle-level snooping-bus simulator: requests travel on
@@ -266,7 +226,7 @@ func (q *pktq) grow() {
 type Bus struct {
 	cfg    BusConfig
 	arb    *MatrixArbiter
-	queues []pktq
+	queues []ring[queuedPkt]
 	queued int // packets across all queues; Step idles at 0
 	// waiting has bit i of word i/64 set while node i's queue is
 	// non-empty, so arbitration visits only the nodes with a request.
@@ -280,25 +240,20 @@ type Bus struct {
 	now       int64
 	busFree   int64
 	inflight  []busInflight
-	stats     Stats
-	energy    Energy
-	inj       *fault.Injector
-	domain    string
-	retry     map[*Packet]*retryState
+	// pkts holds every queued and in-flight packet.
+	pkts   slab
+	stats  Stats
+	energy Energy
+	inj    *fault.Injector
+	domain string
 	// OnDeliver, when set, receives delivered packets instead of the
 	// internal stats (used by composite networks such as the hybrid).
-	OnDeliver func(p *Packet, now int64)
+	OnDeliver func(p Packet, now int64)
 }
 
 type busInflight struct {
-	p         *Packet
 	deliverAt int64
-}
-
-// retryState tracks a NACKed packet waiting out its backoff.
-type retryState struct {
-	attempts   int
-	eligibleAt int64
+	pkt       int32
 }
 
 // NewBus builds the bus.
@@ -306,7 +261,7 @@ func NewBus(cfg BusConfig) *Bus {
 	b := &Bus{
 		cfg:     cfg,
 		arb:     NewMatrixArbiter(cfg.Nodes),
-		queues:  make([]pktq, cfg.Nodes),
+		queues:  make([]ring[queuedPkt], cfg.Nodes),
 		waiting: make([]uint64, maskWords(cfg.Nodes)),
 		reqMask: make([]uint64, maskWords(cfg.Nodes)),
 	}
@@ -327,9 +282,14 @@ func (b *Bus) tabulateReqCycles() {
 // the surviving topology, degrading broadcast timing), which transfers
 // arrive corrupted, and which grant pulses are lost. The domain string
 // namespaces this bus's fault pattern (defaults to the bus name). Must
-// be called before traffic starts. A nil or inactive injector leaves
-// the bus — and its cycle-exact behavior — untouched.
+// be called before traffic starts: it panics once a packet was injected
+// or a cycle stepped, because a queued request's arrival at the
+// arbiter is fixed at injection. A nil or inactive injector leaves the
+// bus — and its cycle-exact behavior — untouched.
 func (b *Bus) AttachInjector(inj *fault.Injector, domain string) {
+	if b.now > 0 || b.queued > 0 {
+		panic(fmt.Sprintf("noc: %s: AttachInjector after traffic started (cycle %d); attach faults before the first TryInject or Step", b.cfg.Name, b.now))
+	}
 	if inj == nil || !inj.Config().Active() {
 		return
 	}
@@ -338,7 +298,6 @@ func (b *Bus) AttachInjector(inj *fault.Injector, domain string) {
 	}
 	b.inj = inj
 	b.domain = domain
-	b.retry = make(map[*Packet]*retryState)
 	switch l := b.cfg.Layout.(type) {
 	case HTreeLayout:
 		if d := degradeHTreeWith(l, inj, domain); d != nil {
@@ -373,7 +332,7 @@ func (b *Bus) Timing() Timing { return b.cfg.Timing }
 // TryInject implements Network. A source outside the bus, or a
 // destination outside it other than Broadcast, is a wiring bug and
 // panics.
-func (b *Bus) TryInject(p *Packet) bool {
+func (b *Bus) TryInject(p Packet) bool {
 	if p.Src < 0 || p.Src >= b.cfg.Nodes {
 		panic(fmt.Sprintf("noc: %s has no source node %d", b.cfg.Name, p.Src))
 	}
@@ -385,14 +344,14 @@ func (b *Bus) TryInject(p *Packet) bool {
 		return false
 	}
 	// InjectedAt is owned by the caller.
-	q.pushBack(p)
+	*q.pushBack() = queuedPkt{visibleAt: p.InjectedAt + int64(b.reqCycles[p.Src]), pkt: b.pkts.hold(p)}
 	b.queued++
 	b.waiting[p.Src/64] |= 1 << (p.Src % 64)
 	return true
 }
 
 // transferHops returns the wire span one transaction activates.
-func (b *Bus) transferHops(p *Packet) int {
+func (b *Bus) transferHops(p Packet) int {
 	hops := b.cfg.Layout.BroadcastHops()
 	if b.cfg.DynamicLinks && p.Dst != Broadcast {
 		hops = b.cfg.Layout.PathHops(p.Src, p.Dst)
@@ -404,7 +363,7 @@ func (b *Bus) transferHops(p *Packet) int {
 }
 
 // transferCycles returns the bus occupancy of one transaction.
-func (b *Bus) transferCycles(p *Packet) int {
+func (b *Bus) transferCycles(p Packet) int {
 	c := b.cfg.Timing.WireCycles(b.transferHops(p))
 	flits := p.Flits
 	if flits < 1 {
@@ -434,18 +393,18 @@ func (b *Bus) Step() {
 	for _, f := range b.inflight {
 		if f.deliverAt <= now {
 			if b.OnDeliver != nil {
-				b.OnDeliver(f.p, now)
+				b.OnDeliver(b.pkts.at[f.pkt], now)
 			} else {
-				b.stats.Record(f.p, now)
+				b.stats.Record(b.pkts.at[f.pkt], now)
 			}
+			b.pkts.release(f.pkt)
 		} else {
 			keep = append(keep, f)
 		}
 	}
 	b.inflight = keep
-	// Arbitration: one new owner whenever the bus is free. A request is
-	// visible at the arbiter after its request-wire flight time (and,
-	// for a NACKed packet, after its retransmit backoff has elapsed).
+	// Arbitration: one new owner whenever the bus is free, among the
+	// requests visible at the arbiter.
 	if b.busFree <= now {
 		if b.inj.StallGrant(b.domain, now) {
 			// The grant pulse is lost this cycle: requesters keep
@@ -460,14 +419,8 @@ func (b *Bus) Step() {
 				bit := word & -word
 				word &^= bit
 				i := w*64 + bits.TrailingZeros64(bit)
-				head := b.queues[i].front()
-				if head.InjectedAt+int64(b.reqCycles[i]) > now {
+				if b.queues[i].front().visibleAt > now {
 					continue
-				}
-				if len(b.retry) > 0 {
-					if rs, ok := b.retry[head]; ok && rs.eligibleAt > now {
-						continue
-					}
 				}
 				vis |= bit
 			}
@@ -477,7 +430,8 @@ func (b *Bus) Step() {
 		// construction, so Grant cannot fail.
 		g, _ := b.arb.Grant(b.reqMask)
 		if g >= 0 {
-			p := b.queues[g].popFront()
+			e := b.queues[g].popFront()
+			p := b.pkts.at[e.pkt]
 			b.queued--
 			if b.queues[g].n == 0 {
 				b.waiting[g/64] &^= 1 << (g % 64)
@@ -497,26 +451,25 @@ func (b *Bus) Step() {
 			grantLat := int64(1 + b.cfg.ControlCycles + b.reqCycles[g])
 			start := now + grantLat
 			b.busFree = now + tc
-			attempts := 0
-			if rs, ok := b.retry[p]; ok {
-				attempts = rs.attempts
-			}
+			attempts := int(e.attempts)
 			if b.inj.CorruptTransfer(b.domain, p.ID, attempts) && attempts < b.inj.MaxRetries() {
 				// The transfer arrived corrupted: the receivers NACK it
 				// and the source retransmits after an exponential
 				// backoff. The corrupted attempt still occupied the bus
 				// and drove the wires.
 				b.stats.Retransmits++
-				b.queues[g].pushFront(p)
+				// The backoff ends after the request-wire flight the
+				// packet has already made, so it alone sets visibility.
+				e.attempts++
+				e.visibleAt = now + tc + b.inj.Backoff(attempts+1)
+				b.queues[g].pushFront(e)
 				b.queued++
 				b.waiting[g/64] |= 1 << (g % 64)
-				b.retry[p] = &retryState{attempts: attempts + 1, eligibleAt: now + tc + b.inj.Backoff(attempts+1)}
 			} else {
 				// Clean transfer — or the retry budget is exhausted and
 				// the ECC layer is assumed to correct the residue, so
 				// the packet is delivered rather than hanging forever.
-				delete(b.retry, p)
-				b.inflight = append(b.inflight, busInflight{p: p, deliverAt: start + tc})
+				b.inflight = append(b.inflight, busInflight{deliverAt: start + tc, pkt: e.pkt})
 			}
 		}
 	}
@@ -528,7 +481,7 @@ func (b *Bus) Step() {
 func (b *Bus) ZeroLoadLatency() float64 {
 	total := 0.0
 	for n := 0; n < b.cfg.Nodes; n++ {
-		p := &Packet{Src: n, Dst: Broadcast, Flits: 1}
+		p := Packet{Src: n, Dst: Broadcast, Flits: 1}
 		total += float64(b.grantLatency(n)) + float64(b.transferCycles(p))
 	}
 	return total / float64(b.cfg.Nodes)
@@ -616,7 +569,7 @@ func (ib *InterleavedBus) Stats() *Stats {
 
 // TryInject implements Network: the packet's address (ID at this
 // abstraction) picks the stripe.
-func (ib *InterleavedBus) TryInject(p *Packet) bool {
+func (ib *InterleavedBus) TryInject(p Packet) bool {
 	idx := int(p.ID) % len(ib.buses)
 	if idx < 0 {
 		idx = -idx
@@ -632,7 +585,7 @@ func (ib *InterleavedBus) Step() {
 }
 
 // SetOnDeliver installs a delivery hook on every stripe.
-func (ib *InterleavedBus) SetOnDeliver(f func(p *Packet, now int64)) {
+func (ib *InterleavedBus) SetOnDeliver(f func(p Packet, now int64)) {
 	for _, b := range ib.buses {
 		b.OnDeliver = f
 	}

@@ -99,10 +99,11 @@ func (b *Bus) refStep(arb *refMatrix) {
 	for _, f := range b.inflight {
 		if f.deliverAt <= now {
 			if b.OnDeliver != nil {
-				b.OnDeliver(f.p, now)
+				b.OnDeliver(b.pkts.at[f.pkt], now)
 			} else {
-				b.stats.Record(f.p, now)
+				b.stats.Record(b.pkts.at[f.pkt], now)
 			}
+			b.pkts.release(f.pkt)
 		} else {
 			keep = append(keep, f)
 		}
@@ -124,10 +125,10 @@ func (b *Bus) refStep(arb *refMatrix) {
 			if b.queues[i].n > 0 {
 				head := b.queues[i].front()
 				reqWire := int64(b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(i)))
-				if head.InjectedAt+reqWire > now {
+				if b.pkts.at[head.pkt].InjectedAt+reqWire > now {
 					continue
 				}
-				if rs, ok := b.retry[head]; ok && rs.eligibleAt > now {
+				if head.attempts > 0 && head.visibleAt > now {
 					continue
 				}
 				reqs[i] = true
@@ -135,7 +136,8 @@ func (b *Bus) refStep(arb *refMatrix) {
 		}
 		g := arb.refGrant(reqs)
 		if g >= 0 {
-			p := b.queues[g].popFront()
+			e := b.queues[g].popFront()
+			p := b.pkts.at[e.pkt]
 			tc := int64(b.transferCycles(p))
 			flits := p.Flits
 			if flits < 1 {
@@ -151,24 +153,19 @@ func (b *Bus) refStep(arb *refMatrix) {
 			grantLat := int64(1+b.cfg.ControlCycles) + int64(b.cfg.Timing.WireCycles(b.cfg.Layout.ReqHops(g)))
 			start := now + grantLat
 			b.busFree = now + tc
-			attempts := 0
-			if rs, ok := b.retry[p]; ok {
-				attempts = rs.attempts
-			}
+			attempts := int(e.attempts)
 			if b.inj.CorruptTransfer(b.domain, p.ID, attempts) && attempts < b.inj.MaxRetries() {
 				// The transfer arrived corrupted: the receivers NACK it
 				// and the source retransmits after an exponential
 				// backoff. The corrupted attempt still occupied the bus
 				// and drove the wires.
 				b.stats.Retransmits++
-				b.queues[g].pushFront(p)
-				b.retry[p] = &retryState{attempts: attempts + 1, eligibleAt: now + tc + b.inj.Backoff(attempts+1)}
+				b.queues[g].pushFront(queuedPkt{visibleAt: now + tc + b.inj.Backoff(attempts+1), pkt: e.pkt, attempts: e.attempts + 1})
 			} else {
 				// Clean transfer — or the retry budget is exhausted and
 				// the ECC layer is assumed to correct the residue, so
 				// the packet is delivered rather than hanging forever.
-				delete(b.retry, p)
-				b.inflight = append(b.inflight, busInflight{p: p, deliverAt: start + tc})
+				b.inflight = append(b.inflight, busInflight{deliverAt: start + tc, pkt: e.pkt})
 			}
 		}
 	}
@@ -194,7 +191,7 @@ func newBusTwin(net Network, ref bool) *busTwin {
 		tw.stripe = n.Stripes()
 	}
 	for _, b := range tw.stripe {
-		b.OnDeliver = func(p *Packet, now int64) {
+		b.OnDeliver = func(p Packet, now int64) {
 			b.stats.Record(p, now)
 			tw.log = append(tw.log, delivery{id: p.ID, at: now})
 		}
@@ -308,8 +305,7 @@ func runBusTwins(t *testing.T, mk func() Network, multi bool, rate float64) (Net
 	fast, ref := newBusTwin(mk(), false), newBusTwin(mk(), true)
 	nodes := fast.net.Nodes()
 	rng := rand.New(rand.NewSource(int64(rate*1e6) + 1))
-	type pair struct{ fast, ref *Packet }
-	pending := make([][]pair, nodes)
+	pending := make([][]Packet, nodes)
 	var id int64
 	const total = 2 * (burstCycles + drainCycles)
 	for cyc := 0; cyc < total; cyc++ {
@@ -327,12 +323,11 @@ func runBusTwins(t *testing.T, mk func() Network, multi bool, rate float64) (Net
 			if multi && rng.Float64() < 0.3 {
 				pk.Flits = 4
 			}
-			a, b := pk, pk
-			pending[s] = append(pending[s], pair{&a, &b})
+			pending[s] = append(pending[s], pk)
 		}
 		for s := range pending {
 			for len(pending[s]) > 0 {
-				okF, okR := fast.net.TryInject(pending[s][0].fast), ref.net.TryInject(pending[s][0].ref)
+				okF, okR := fast.net.TryInject(pending[s][0]), ref.net.TryInject(pending[s][0])
 				if okF != okR {
 					t.Fatalf("rate %g cycle %d: TryInject at node %d = %v, reference %v", rate, cyc, s, okF, okR)
 				}
@@ -385,32 +380,29 @@ func compareBusTwins(fast, ref *busTwin) error {
 				return fmt.Errorf("stripe %d queue %d: %d packets, reference %d", si, q, qa.n, qb.n)
 			}
 			for k := 0; k < qa.n; k++ {
-				pa := qa.buf[(qa.head+k)&(len(qa.buf)-1)]
-				pb := qb.buf[(qb.head+k)&(len(qb.buf)-1)]
-				if pa.ID != pb.ID {
-					return fmt.Errorf("stripe %d queue %d entry %d: packet %d, reference %d", si, q, k, pa.ID, pb.ID)
+				ea, eb := qa.at(k), qb.at(k)
+				ida, idb := a.pkts.at[ea.pkt].ID, b.pkts.at[eb.pkt].ID
+				if ida != idb {
+					return fmt.Errorf("stripe %d queue %d entry %d: packet %d, reference %d", si, q, k, ida, idb)
 				}
-				ra, oka := a.retry[pa]
-				rb, okb := b.retry[pb]
-				if oka != okb || (oka && *ra != *rb) {
-					return fmt.Errorf("stripe %d packet %d: retry state %v %+v, reference %v %+v", si, pa.ID, oka, ra, okb, rb)
+				if ea.attempts != eb.attempts || (ea.attempts > 0 && ea.visibleAt != eb.visibleAt) {
+					return fmt.Errorf("stripe %d packet %d: %d attempts visible at %d, reference %d attempts visible at %d",
+						si, ida, ea.attempts, ea.visibleAt, eb.attempts, eb.visibleAt)
 				}
 			}
 		}
 		if a.queued != queued {
 			return fmt.Errorf("stripe %d: queued count %d, %d packets queued", si, a.queued, queued)
 		}
-		if len(a.retry) != len(b.retry) {
-			return fmt.Errorf("stripe %d: %d packets awaiting retransmit, reference %d", si, len(a.retry), len(b.retry))
-		}
 		if len(a.inflight) != len(b.inflight) {
 			return fmt.Errorf("stripe %d: %d in flight, reference %d", si, len(a.inflight), len(b.inflight))
 		}
 		for k := range a.inflight {
 			fa, fb := a.inflight[k], b.inflight[k]
-			if fa.p.ID != fb.p.ID || fa.deliverAt != fb.deliverAt {
+			ida, idb := a.pkts.at[fa.pkt].ID, b.pkts.at[fb.pkt].ID
+			if ida != idb || fa.deliverAt != fb.deliverAt {
 				return fmt.Errorf("stripe %d in-flight %d: packet %d at %d, reference packet %d at %d",
-					si, k, fa.p.ID, fa.deliverAt, fb.p.ID, fb.deliverAt)
+					si, k, ida, fa.deliverAt, idb, fb.deliverAt)
 			}
 		}
 		got, want := a.arb.stampOrder(), ref.arbs[si].order()
@@ -470,7 +462,7 @@ func TestBusNACKReheadsEmptiedQueue(t *testing.T) {
 	fast, ref := newBusTwin(mk(), false), newBusTwin(mk(), true)
 	for _, tw := range []*busTwin{fast, ref} {
 		for _, src := range []int{3, 99} {
-			if !tw.net.TryInject(&Packet{ID: int64(src), Src: src, Dst: Broadcast, Flits: 1}) {
+			if !tw.net.TryInject(Packet{ID: int64(src), Src: src, Dst: Broadcast, Flits: 1}) {
 				t.Fatalf("node %d: injection into an empty queue refused", src)
 			}
 		}

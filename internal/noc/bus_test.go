@@ -6,34 +6,19 @@ import (
 	"testing"
 )
 
-// busRig drives one CryoBus with uniform open-loop traffic without
-// allocating: packets come from a fixed pool through a free list that
-// the delivery hook refills, and a packet the full queue refuses goes
-// straight back to the list.
+// busRig drives one CryoBus with uniform open-loop traffic; a packet
+// the full queue refuses is dropped.
 type busRig struct {
 	b    *Bus
 	rng  *rand.Rand
 	rate float64
-	free []*Packet
 	id   int64
 }
 
 // newBusRig builds the rig and runs warm cycles so every queue ring
 // and the in-flight list have grown before anything is measured.
 func newBusRig(rate float64, warm int) *busRig {
-	b := NewCryoBus(64, bus77())
-	// Every queued packet holds a queue slot and at most a few more are
-	// in flight, so the pool never runs dry.
-	pool := make([]Packet, b.cfg.Nodes*busQueueCap+64)
-	g := &busRig{b: b, rng: rand.New(rand.NewSource(1)), rate: rate}
-	g.free = make([]*Packet, 0, len(pool))
-	for i := range pool {
-		g.free = append(g.free, &pool[i])
-	}
-	b.OnDeliver = func(p *Packet, now int64) {
-		b.stats.Record(p, now)
-		g.free = append(g.free, p)
-	}
+	g := &busRig{b: NewCryoBus(64, bus77()), rng: rand.New(rand.NewSource(1)), rate: rate}
 	for i := 0; i < warm; i++ {
 		g.cycle()
 	}
@@ -45,16 +30,11 @@ func (g *busRig) cycle() {
 	now := g.b.Cycle()
 	nodes := g.b.Nodes()
 	for s := 0; s < nodes; s++ {
-		if g.rng.Float64() >= g.rate || len(g.free) == 0 {
+		if g.rng.Float64() >= g.rate {
 			continue
 		}
-		p := g.free[len(g.free)-1]
-		g.free = g.free[:len(g.free)-1]
-		*p = Packet{ID: g.id, Src: s, Dst: Uniform{}.Dest(s, nodes, g.rng), Flits: 1, InjectedAt: now}
+		g.b.TryInject(Packet{ID: g.id, Src: s, Dst: Uniform{}.Dest(s, nodes, g.rng), Flits: 1, InjectedAt: now})
 		g.id++
-		if !g.b.TryInject(p) {
-			g.free = append(g.free, p)
-		}
 	}
 	g.b.Step()
 }

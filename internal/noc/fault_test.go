@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cryowire/internal/fault"
@@ -91,7 +93,7 @@ func runBusTraffic(b *Bus, cycles int, seed int64) Stats {
 	for cyc := 0; cyc < cycles; cyc++ {
 		for s := 0; s < b.Nodes(); s++ {
 			if rng.Float64() < 0.005 {
-				p := &Packet{ID: id, Src: s, Dst: Broadcast, Flits: 1, InjectedAt: b.Cycle()}
+				p := Packet{ID: id, Src: s, Dst: Broadcast, Flits: 1, InjectedAt: b.Cycle()}
 				id++
 				b.TryInject(p)
 			}
@@ -141,7 +143,7 @@ func TestFlitCorruptionForcesBoundedRetransmits(t *testing.T) {
 	b := NewCryoBus(64, bus77())
 	in := mustInjector(t, fault.Config{Seed: 1, FlitCorruptionRate: 1, MaxRetries: 4})
 	b.AttachInjector(in, "data")
-	p := &Packet{ID: 42, Src: 0, Dst: Broadcast, Flits: 1, InjectedAt: 0}
+	p := Packet{ID: 42, Src: 0, Dst: Broadcast, Flits: 1, InjectedAt: 0}
 	if !b.TryInject(p) {
 		t.Fatal("inject failed")
 	}
@@ -158,13 +160,51 @@ func TestFlitCorruptionForcesBoundedRetransmits(t *testing.T) {
 		t.Errorf("retransmits = %d, want %d", st.Retransmits, in.MaxRetries())
 	}
 	healthy := NewCryoBus(64, bus77())
-	hp := &Packet{ID: 42, Src: 0, Dst: Broadcast, Flits: 1, InjectedAt: 0}
+	hp := Packet{ID: 42, Src: 0, Dst: Broadcast, Flits: 1, InjectedAt: 0}
 	healthy.TryInject(hp)
 	for i := 0; i < 2000 && healthy.Stats().Delivered == 0; i++ {
 		healthy.Step()
 	}
 	if st.MaxLatency <= healthy.Stats().MaxLatency {
 		t.Errorf("retransmitted latency %d not worse than healthy %d", st.MaxLatency, healthy.Stats().MaxLatency)
+	}
+}
+
+// TestAttachInjectorRejectsLateCalls: a queued request's arrival at
+// the arbiter is fixed at injection from the request-wire timing that
+// faults degrade, so attaching faults once a packet was injected, or a
+// cycle stepped, panics instead of mixing the two timings. An
+// interleaved bus forwards the call to every stripe.
+func TestAttachInjectorRejectsLateCalls(t *testing.T) {
+	type faultable interface {
+		Network
+		AttachInjector(*fault.Injector, string)
+	}
+	inj := mustInjector(t, fault.Config{Seed: 2, LinkFailureRate: 0.2})
+	bus := func() faultable { return NewCryoBus(64, bus77()) }
+	striped := func() faultable { return NewInterleavedBus(2, func() *Bus { return NewCryoBus(64, bus77()) }) }
+	inject := func(n faultable) { n.TryInject(Packet{ID: 1, Src: 0, Dst: Broadcast, Flits: 1}) }
+	step := func(n faultable) { n.Step() }
+	for _, tc := range []struct {
+		name  string
+		net   func() faultable
+		start func(n faultable)
+	}{
+		{"bus after an injection", bus, inject},
+		{"bus after a step", bus, step},
+		{"interleaved bus after an injection", striped, inject},
+		{"interleaved bus after a step", striped, step},
+	} {
+		n := tc.net()
+		tc.start(n)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "after traffic started") {
+					t.Errorf("%s: AttachInjector panicked with %v, want a message that traffic started", tc.name, r)
+				}
+			}()
+			n.AttachInjector(inj, "bus")
+		}()
 	}
 }
 
@@ -200,7 +240,7 @@ func TestRouterNetApplyFaults(t *testing.T) {
 		if cyc < 1000 {
 			for s := 0; s < 64; s++ {
 				if rng.Float64() < 0.01 {
-					p := &Packet{ID: id, Src: s, Dst: Uniform{}.Dest(s, 64, rng), Flits: 1, InjectedAt: faulted.Cycle()}
+					p := Packet{ID: id, Src: s, Dst: Uniform{}.Dest(s, 64, rng), Flits: 1, InjectedAt: faulted.Cycle()}
 					id++
 					if faulted.TryInject(p) {
 						injected++

@@ -16,9 +16,10 @@ type HybridCryoBus struct {
 	// Leg packets that hit back-pressure wait here in arrival order:
 	// toGlobal[ci] for gateway router ci's injection port, toCluster[cj]
 	// for the gateway node's queue on cluster cj's bus.
-	toGlobal, toCluster [4]pktq
-	// phase1 maps in-flight leg packets back to their originals.
-	phase1 map[*Packet]*Packet
+	toGlobal, toCluster [4]ring[Packet]
+	// origs holds every packet in flight as it was injected; each of its
+	// legs carries the packet's index + 1 in Slot.
+	origs slab
 }
 
 // clusterSize is the CryoBus scalability unit.
@@ -31,13 +32,13 @@ const gatewayNode = 27 // center-adjacent tile of the 8×8 grid
 // NewHybridCryoBus builds the 4-cluster, 256-node hybrid with the
 // given bus and mesh timing (normally both 77 K).
 func NewHybridCryoBus(busTiming, meshTiming Timing) *HybridCryoBus {
-	h := &HybridCryoBus{name: "Hybrid CryoBus-256", phase1: make(map[*Packet]*Packet)}
+	h := &HybridCryoBus{name: "Hybrid CryoBus-256"}
 	for i := 0; i < 4; i++ {
 		h.clusters = append(h.clusters, NewCryoBus(clusterSize, busTiming))
 	}
 	// Global mesh: 2×2 gateway routers, one per cluster, spaced a full
 	// cluster die apart (8 tiles).
-	g := newRouterNet("global-mesh", 4, 1, meshTiming)
+	g := newRouterNet("global-mesh", 4, 1, 2, meshTiming)
 	hopCyc := meshTiming.WireCycles(8)
 	link := make([]map[int]int, 4)
 	for r := 0; r < 4; r++ {
@@ -73,9 +74,9 @@ func NewHybridCryoBus(busTiming, meshTiming Timing) *HybridCryoBus {
 	// Phase hand-offs.
 	for ci, c := range h.clusters {
 		ci := ci
-		c.OnDeliver = func(p *Packet, now int64) { h.clusterDelivered(ci, p, now) }
+		c.OnDeliver = func(p Packet, now int64) { h.clusterDelivered(ci, p, now) }
 	}
-	g.OnDeliver = func(p *Packet, now int64) { h.globalDelivered(p, now) }
+	g.OnDeliver = h.globalDelivered
 	return h
 }
 
@@ -84,7 +85,7 @@ func (h *HybridCryoBus) local(node int) int   { return node % clusterSize }
 
 // TryInject implements Network. Like every network, it panics on a
 // source or destination it does not have.
-func (h *HybridCryoBus) TryInject(p *Packet) bool {
+func (h *HybridCryoBus) TryInject(p Packet) bool {
 	if p.Dst == Broadcast {
 		panic("noc: hybrid CryoBus is directory-based; broadcasts unsupported (§7.3)")
 	}
@@ -94,58 +95,52 @@ func (h *HybridCryoBus) TryInject(p *Packet) bool {
 	if p.Dst < 0 || p.Dst >= h.Nodes() {
 		panic(fmt.Sprintf("noc: %s has no node %d", h.name, p.Dst))
 	}
+	// Intra-cluster packets ride their cluster's bus to the destination,
+	// the rest first ride the source cluster's bus to the gateway.
 	ci, cj := h.cluster(p.Src), h.cluster(p.Dst)
+	dst := gatewayNode
 	if ci == cj {
-		local := &Packet{ID: p.ID, Src: h.local(p.Src), Dst: h.local(p.Dst), Flits: p.Flits, InjectedAt: p.InjectedAt}
-		h.phase1[local] = p
-		if !h.clusters[ci].TryInject(local) {
-			delete(h.phase1, local)
-			return false
-		}
-		return true
+		dst = h.local(p.Dst)
 	}
-	// Inter-cluster: first ride the source cluster bus to the gateway.
-	leg := &Packet{ID: p.ID, Src: h.local(p.Src), Dst: gatewayNode, Flits: p.Flits, InjectedAt: p.InjectedAt}
-	h.phase1[leg] = p
-	if !h.clusters[ci].TryInject(leg) {
-		delete(h.phase1, leg)
+	idx := h.origs.hold(p)
+	if !h.clusters[ci].TryInject(h.leg(idx, h.local(p.Src), dst)) {
+		h.origs.release(idx)
 		return false
 	}
 	return true
 }
 
+// leg builds the src→dst leg of in-flight packet idx.
+func (h *HybridCryoBus) leg(idx int32, src, dst int) Packet {
+	o := &h.origs.at[idx]
+	return Packet{ID: o.ID, Src: src, Dst: dst, Flits: o.Flits, InjectedAt: o.InjectedAt, Slot: idx + 1}
+}
+
 // clusterDelivered handles a completed bus leg.
-func (h *HybridCryoBus) clusterDelivered(ci int, leg *Packet, now int64) {
-	orig := h.phase1[leg]
-	delete(h.phase1, leg)
-	if orig == nil {
-		return // stray; should not happen
-	}
-	if h.cluster(orig.Dst) == ci && h.local(orig.Dst) == leg.Dst {
+func (h *HybridCryoBus) clusterDelivered(ci int, leg Packet, now int64) {
+	idx := leg.Slot - 1
+	dst := h.origs.at[idx].Dst
+	if h.cluster(dst) == ci && h.local(dst) == leg.Dst {
 		// Final leg complete.
-		h.stats.Record(orig, now)
+		h.stats.Record(h.origs.at[idx], now)
+		h.origs.release(idx)
 		return
 	}
 	// Leg 1 complete at the gateway: cross the global mesh.
-	g := &Packet{ID: orig.ID, Src: ci, Dst: h.cluster(orig.Dst), Flits: orig.Flits, InjectedAt: orig.InjectedAt}
-	h.phase1[g] = orig
+	g := h.leg(idx, ci, h.cluster(dst))
 	if !h.global.TryInject(g) {
-		h.toGlobal[ci].pushBack(g)
+		*h.toGlobal[ci].pushBack() = g
 	}
 }
 
 // globalDelivered handles a completed mesh crossing.
-func (h *HybridCryoBus) globalDelivered(g *Packet, now int64) {
-	orig := h.phase1[g]
-	delete(h.phase1, g)
-	if orig == nil {
-		return
-	}
-	cj := h.cluster(orig.Dst)
-	leg := &Packet{ID: orig.ID, Src: gatewayNode, Dst: h.local(orig.Dst), Flits: orig.Flits, InjectedAt: orig.InjectedAt}
-	h.phase1[leg] = orig
+func (h *HybridCryoBus) globalDelivered(g Packet, now int64) {
+	idx := g.Slot - 1
+	dst := h.origs.at[idx].Dst
+	cj := h.cluster(dst)
+	leg := h.leg(idx, gatewayNode, h.local(dst))
 	if !h.clusters[cj].TryInject(leg) {
-		h.toCluster[cj].pushBack(leg)
+		*h.toCluster[cj].pushBack() = leg
 	}
 }
 
@@ -157,13 +152,13 @@ func (h *HybridCryoBus) globalDelivered(g *Packet, now int64) {
 func (h *HybridCryoBus) Step() {
 	for ci := range h.toGlobal {
 		q := &h.toGlobal[ci]
-		for q.n > 0 && h.global.TryInject(q.front()) {
+		for q.n > 0 && h.global.TryInject(*q.front()) {
 			q.popFront()
 		}
 	}
 	for cj := range h.toCluster {
 		q := &h.toCluster[cj]
-		for q.n > 0 && h.clusters[cj].TryInject(q.front()) {
+		for q.n > 0 && h.clusters[cj].TryInject(*q.front()) {
 			q.popFront()
 		}
 	}

@@ -20,59 +20,56 @@ type refHybrid struct {
 	stats     Stats
 	toGlobal  []refHop
 	toCluster []refHop
-	phase1    map[*Packet]*Packet
+	// phase1 holds the in-flight originals by packet ID.
+	phase1 map[int64]Packet
 }
 
 type refHop struct {
-	orig *Packet
-	pkt  *Packet
+	orig Packet
+	pkt  Packet
 }
 
 func newRefHybrid(meshTiming Timing) *refHybrid {
 	shell := NewHybridCryoBus(bus77(), meshTiming)
-	h := &refHybrid{clusters: shell.clusters, global: shell.global, phase1: make(map[*Packet]*Packet)}
+	h := &refHybrid{clusters: shell.clusters, global: shell.global, phase1: make(map[int64]Packet)}
 	for ci, c := range h.clusters {
 		ci := ci
-		c.OnDeliver = func(p *Packet, now int64) { h.clusterDelivered(ci, p, now) }
+		c.OnDeliver = func(p Packet, now int64) { h.clusterDelivered(ci, p, now) }
 	}
 	h.global.OnDeliver = h.globalDelivered
 	return h
 }
 
-func (h *refHybrid) TryInject(p *Packet) bool {
+func (h *refHybrid) TryInject(p Packet) bool {
 	ci, cj := p.Src/clusterSize, p.Dst/clusterSize
 	dst := gatewayNode
 	if ci == cj {
 		dst = p.Dst % clusterSize
 	}
-	leg := &Packet{ID: p.ID, Src: p.Src % clusterSize, Dst: dst, Flits: p.Flits, InjectedAt: p.InjectedAt}
-	h.phase1[leg] = p
+	leg := Packet{ID: p.ID, Src: p.Src % clusterSize, Dst: dst, Flits: p.Flits, InjectedAt: p.InjectedAt}
 	if !h.clusters[ci].TryInject(leg) {
-		delete(h.phase1, leg)
 		return false
 	}
+	h.phase1[p.ID] = p
 	return true
 }
 
-func (h *refHybrid) clusterDelivered(ci int, leg *Packet, now int64) {
-	orig := h.phase1[leg]
-	delete(h.phase1, leg)
+func (h *refHybrid) clusterDelivered(ci int, leg Packet, now int64) {
+	orig := h.phase1[leg.ID]
 	if orig.Dst/clusterSize == ci && orig.Dst%clusterSize == leg.Dst {
+		delete(h.phase1, leg.ID)
 		h.stats.Record(orig, now)
 		return
 	}
-	g := &Packet{ID: orig.ID, Src: ci, Dst: orig.Dst / clusterSize, Flits: orig.Flits, InjectedAt: orig.InjectedAt}
-	h.phase1[g] = orig
+	g := Packet{ID: orig.ID, Src: ci, Dst: orig.Dst / clusterSize, Flits: orig.Flits, InjectedAt: orig.InjectedAt}
 	if !h.global.TryInject(g) {
 		h.toGlobal = append(h.toGlobal, refHop{orig: orig, pkt: g})
 	}
 }
 
-func (h *refHybrid) globalDelivered(g *Packet, now int64) {
-	orig := h.phase1[g]
-	delete(h.phase1, g)
-	leg := &Packet{ID: orig.ID, Src: gatewayNode, Dst: orig.Dst % clusterSize, Flits: orig.Flits, InjectedAt: orig.InjectedAt}
-	h.phase1[leg] = orig
+func (h *refHybrid) globalDelivered(g Packet, now int64) {
+	orig := h.phase1[g.ID]
+	leg := Packet{ID: orig.ID, Src: gatewayNode, Dst: orig.Dst % clusterSize, Flits: orig.Flits, InjectedAt: orig.InjectedAt}
 	if !h.clusters[orig.Dst/clusterSize].TryInject(leg) {
 		h.toCluster = append(h.toCluster, refHop{orig: orig, pkt: leg})
 	}
@@ -122,7 +119,7 @@ func compareHybrids(h *HybridCryoBus, ref *refHybrid) error {
 			}
 		}
 	}
-	backlog := func(name string, qs *[4]pktq, hops []refHop, target func(refHop) int) error {
+	backlog := func(name string, qs *[4]ring[Packet], hops []refHop, target func(refHop) int) error {
 		for t := range qs {
 			var want []int64
 			for _, e := range hops {
@@ -133,7 +130,7 @@ func compareHybrids(h *HybridCryoBus, ref *refHybrid) error {
 			q := &qs[t]
 			got := make([]int64, q.n)
 			for k := range got {
-				got[k] = q.buf[(q.head+k)&(len(q.buf)-1)].ID
+				got[k] = q.at(k).ID
 			}
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("%s[%d] holds packets %v, reference %v", name, t, got, want)
@@ -182,8 +179,7 @@ func runHybridTwins(t *testing.T, meshTiming Timing, pat Pattern, flits, cycles 
 	rng := rand.New(rand.NewSource(int64(flits)))
 	burst, bursty := pat.(Burst)
 	burstOn := make([]bool, nodes)
-	type pair struct{ fast, ref *Packet }
-	pending := make([][]pair, nodes)
+	pending := make([][]Packet, nodes)
 	var id int64
 	var maxGlobal, maxCluster int
 	for cyc := 0; cyc < cycles; cyc++ {
@@ -210,11 +206,10 @@ func runHybridTwins(t *testing.T, meshTiming Timing, pat Pattern, flits, cycles 
 			if rng.Float64() < genRate && len(pending[s]) < 64 {
 				pk := Packet{ID: id, Src: s, Dst: pat.Dest(s, nodes, rng), Flits: flits, InjectedAt: h.now}
 				id++
-				a, b := pk, pk
-				pending[s] = append(pending[s], pair{&a, &b})
+				pending[s] = append(pending[s], pk)
 			}
 			for len(pending[s]) > 0 {
-				okF, okR := h.TryInject(pending[s][0].fast), ref.TryInject(pending[s][0].ref)
+				okF, okR := h.TryInject(pending[s][0]), ref.TryInject(pending[s][0])
 				if okF != okR {
 					t.Fatalf("cycle %d: TryInject at node %d = %v, reference %v", cyc, s, okF, okR)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -61,10 +62,9 @@ func (c *SweepConfig) defaults() {
 	}
 }
 
-// queued is a generated packet waiting in its source queue. It stays a
-// 16-byte value until it reaches the queue head: a saturated rung can
-// queue tens of thousands of packets, and the walk runs rungs side by
-// side.
+// queued is a generated packet waiting in its source queue, a 16-byte
+// value until it is offered to the network: a saturated rung can queue
+// tens of thousands of packets, and the walk runs rungs side by side.
 type queued struct {
 	id   int64
 	at   int32 // generation cycle, counted from the rung's first cycle
@@ -81,52 +81,9 @@ const (
 // sourceState is the open-loop per-node generator with a source queue:
 // generated packets wait here when the network exerts back-pressure, so
 // saturation shows up as unbounded latency rather than lost packets.
-// The queue is a ring (len(buf) is zero or a power of two); head is the
-// Packet built for the queue front, kept until TryInject accepts it.
 type sourceState struct {
-	buf     []queued
-	first   int // index of the queue front in buf
-	n       int // queued packets
-	head    *Packet
+	q       ring[queued]
 	burstOn bool
-}
-
-func (st *sourceState) push(q queued) {
-	if st.n == len(st.buf) {
-		st.grow()
-	}
-	st.buf[(st.first+st.n)&(len(st.buf)-1)] = q
-	st.n++
-}
-
-// grow doubles the ring (minimum 4 slots), unwrapping entries to the
-// front so the mask arithmetic stays valid.
-func (st *sourceState) grow() {
-	nb := make([]queued, max(4, 2*len(st.buf)))
-	for i := 0; i < st.n; i++ {
-		nb[i] = st.buf[(st.first+i)&(len(st.buf)-1)]
-	}
-	st.buf, st.first = nb, 0
-}
-
-// front returns the Packet for the queue front, building it on first
-// use; valid only when n > 0. start is the rung's first cycle.
-func (st *sourceState) front(src int, start int64, cfg *SweepConfig) *Packet {
-	if st.head == nil {
-		q := st.buf[st.first]
-		flits := 1
-		if q.data {
-			flits = cfg.DataFlits
-		}
-		st.head = &Packet{ID: q.id, Src: src, Dst: int(q.dst), Flits: flits, InjectedAt: start + int64(q.at)}
-	}
-	return st.head
-}
-
-func (st *sourceState) pop() {
-	st.head = nil
-	st.first = (st.first + 1) & (len(st.buf) - 1)
-	st.n--
 }
 
 // pollEvery is how many cycles a rate runs between cancellation polls.
@@ -192,7 +149,7 @@ func walk(mk func() Network, rates []float64, cfg SweepConfig) []SweepPoint {
 // every pollEvery cycles and, once stop reports true, abandons the rate
 // and returns ok == false.
 func measureRate(n Network, rate float64, cfg SweepConfig, stop func() bool) (pt SweepPoint, ok bool) {
-	// The Bernoulli draw, one per node per cycle, reads the stream
+	// The Bernoulli draws, one per node per cycle, read the stream
 	// directly; the rarer draws go through rng, on the same sequence.
 	src := newStream(cfg.Seed + int64(rate*1e7))
 	rng := rand.New(src)
@@ -202,6 +159,9 @@ func measureRate(n Network, rate float64, cfg SweepConfig, stop func() bool) (pt
 		panic(fmt.Sprintf("noc: sweeps support up to %d nodes and %d cycles, got %d and %d", maxSweepNodes, maxSweepCycles, nodes, total))
 	}
 	srcs := make([]sourceState, nodes)
+	// waiting has bit s set while node s's source queue is non-empty.
+	waiting := make([]uint64, maskWords(nodes))
+	miss := missFrom(rate)
 	burst, bursty := cfg.Pattern.(Burst)
 	satLat := SaturationLatency(n)
 	saturated := SweepPoint{InjectionRate: rate, AvgLatency: satLat, Saturated: true}
@@ -219,15 +179,25 @@ func measureRate(n Network, rate float64, cfg SweepConfig, stop func() bool) (pt
 			baseLat = n.Stats().TotalLatency
 		}
 		now := n.Cycle()
-		for s := 0; s < nodes; s++ {
-			st := &srcs[s]
-			// Generation: Bernoulli at the offered rate; bursty sources
-			// concentrate the same offered load into on-periods.
-			genRate := rate
-			if bursty {
-				p := burst.onProb()
-				// Two-state Markov chain with mean on-fraction p and
-				// geometric dwell times.
+		// Generation draws for every node in node order, then every
+		// non-empty source queue drains in node order. This is the order
+		// of a loop that generates and drains node by node: the draws
+		// never read the network and the drains never draw.
+		gen := func(s int) {
+			q := queued{id: id, at: int32(now - start), dst: uint16(cfg.Pattern.Dest(s, nodes, rng))}
+			id++
+			q.data = cfg.DataFlits > 1 && rng.Float64() < cfg.DataFraction
+			*srcs[s].q.pushBack() = q
+			waiting[s>>6] |= 1 << (s & 63)
+		}
+		switch {
+		case bursty:
+			// Bursty sources concentrate the offered load into
+			// on-periods: a two-state Markov chain with mean on-fraction
+			// p and geometric dwell times.
+			p := burst.onProb()
+			for s := 0; s < nodes; s++ {
+				st := &srcs[s]
 				if st.burstOn {
 					if rng.Float64() < (1-p)/10 {
 						st.burstOn = false
@@ -235,32 +205,48 @@ func measureRate(n Network, rate float64, cfg SweepConfig, stop func() bool) (pt
 				} else if rng.Float64() < p/10 {
 					st.burstOn = true
 				}
-				if !st.burstOn {
-					genRate = 0
-				} else {
-					genRate = rate / p
+				if genRate := rate / p; st.burstOn && genRate > 0 && src.bernoulli(genRate) {
+					gen(s)
 				}
 			}
-			if genRate > 0 {
-				f, ok := src.float64Fast()
-				if !ok {
-					f = src.Float64()
+		case rate > 0:
+			// Every node makes one Bernoulli draw at the offered rate.
+			// skipMisses consumes the runs of draws that miss at a
+			// compare each; the others take the general path.
+			for s := 0; s < nodes; s++ {
+				if s += src.skipMisses(nodes-s, miss); s == nodes {
+					break
 				}
-				if f < genRate {
-					q := queued{id: id, at: int32(now - start), dst: uint16(cfg.Pattern.Dest(s, nodes, rng))}
-					id++
-					q.data = cfg.DataFlits > 1 && rng.Float64() < cfg.DataFraction
-					st.push(q)
+				if src.bernoulli(rate) {
+					gen(s)
 				}
 			}
-			// Drain the source queue into the network.
-			for st.n > 0 && n.TryInject(st.front(s, start, &cfg)) {
-				st.pop()
-			}
-			// A source queue exploding past any reasonable bound is
-			// saturation; bail early to keep sweeps fast.
-			if st.n > 512 {
-				return saturated, true
+		}
+		// Drain the source queues into the network, building each
+		// packet from its queued entry as it is offered.
+		for w, word := range waiting {
+			for ; word != 0; word &= word - 1 {
+				s := w<<6 | bits.TrailingZeros64(word)
+				st := &srcs[s]
+				for st.q.n > 0 {
+					q := st.q.front()
+					p := Packet{ID: q.id, Src: s, Dst: int(q.dst), Flits: 1, InjectedAt: start + int64(q.at)}
+					if q.data {
+						p.Flits = cfg.DataFlits
+					}
+					if !n.TryInject(p) {
+						break
+					}
+					st.q.popFront()
+				}
+				if st.q.n == 0 {
+					waiting[w] &^= 1 << (s & 63)
+				}
+				// A source queue exploding past any reasonable bound is
+				// saturation; bail early to keep sweeps fast.
+				if st.q.n > 512 {
+					return saturated, true
+				}
 			}
 		}
 		n.Step()

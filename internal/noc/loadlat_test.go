@@ -10,12 +10,12 @@ import (
 )
 
 // refMeasureRate is measureRate as it was before source queues held
-// packets by value and rates could be abandoned mid-run: every
-// generated packet is allocated at once and queued by pointer.
+// compact entries and rates could be abandoned mid-run: every generated
+// packet is built at once and queued whole.
 func refMeasureRate(n Network, rate float64, cfg SweepConfig) SweepPoint {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(rate*1e7)))
 	nodes := n.Nodes()
-	pending := make([][]*Packet, nodes)
+	pending := make([][]Packet, nodes)
 	burstOn := make([]bool, nodes)
 	burst, bursty := cfg.Pattern.(Burst)
 	satLat := SaturationLatency(n)
@@ -48,7 +48,7 @@ func refMeasureRate(n Network, rate float64, cfg SweepConfig) SweepPoint {
 				}
 			}
 			if genRate > 0 && rng.Float64() < genRate {
-				pk := &Packet{ID: id, Src: s, Flits: 1, InjectedAt: now}
+				pk := Packet{ID: id, Src: s, Flits: 1, InjectedAt: now}
 				id++
 				pk.Dst = cfg.Pattern.Dest(s, nodes, rng)
 				if cfg.DataFlits > 1 && rng.Float64() < cfg.DataFraction {
@@ -276,3 +276,37 @@ func BenchmarkSaturationRate(b *testing.B) {
 
 // benchRate keeps BenchmarkSaturationRate's result live.
 var benchRate float64
+
+// TestWalkAllocsDoNotScaleWithTraffic: a rung allocates its network and
+// grows its queues, rings and packet slabs, but allocates nothing per
+// packet, so a rung offering ten times the packets of another allocates
+// the same to within a small constant, on a router network and on the
+// hybrid. The constant covers queue growth: at the higher load more of
+// the hybrid's 256 bus queues and source queues grow past their first
+// four slots, a bounded number of doublings each.
+func TestWalkAllocsDoNotScaleWithTraffic(t *testing.T) {
+	const slack = 128
+	for _, tc := range []struct {
+		name   string
+		mk     func() Network
+		lo, hi float64
+	}{
+		{"Mesh-64", func() Network { return NewMesh(64, timing77(1)) }, 0.003, 0.03},
+		{"Hybrid-256", func() Network { return NewHybridCryoBus(bus77(), timing77(1)) }, 0.001, 0.01},
+	} {
+		allocs := func(rate float64) float64 {
+			cfg := SweepConfig{Pattern: Uniform{}, Rates: []float64{rate}, Seed: 1, WarmupCycles: 600, MeasureCycles: 2000}
+			var pts []SweepPoint
+			a := testing.AllocsPerRun(3, func() { pts = LoadLatency(tc.mk, cfg) })
+			if len(pts) != 1 || pts[0].Saturated {
+				t.Fatalf("%s rate %g: %+v, want one unsaturated point", tc.name, rate, pts)
+			}
+			return a
+		}
+		lo, hi := allocs(tc.lo), allocs(tc.hi)
+		t.Logf("%s: %v allocations at rate %g, %v at rate %g", tc.name, lo, tc.lo, hi, tc.hi)
+		if hi > lo+slack {
+			t.Errorf("%s: %v allocations at rate %g but %v at ten times the rate; want at most %d more", tc.name, lo, tc.lo, hi, slack)
+		}
+	}
+}

@@ -18,6 +18,11 @@ import (
 
 // Packet is the unit of transfer. A broadcast packet (snoop) has
 // Dst == Broadcast.
+//
+// Packets are values. A network copies the packet TryInject accepts and
+// owns that copy until it delivers it; a delivery hook receives the
+// delivered copy by value. Nothing the caller holds is referenced by a
+// network, and nothing a network holds is referenced by a caller.
 type Packet struct {
 	ID       int64
 	Src, Dst int
@@ -25,10 +30,10 @@ type Packet struct {
 	// snoop packets, more for data).
 	Flits      int
 	InjectedAt int64
-	// Slot is simulator-owned scratch: an intrusive reference (slot
-	// index + 1; 0 means unreferenced) that lets the owning simulator
-	// find its bookkeeping for this packet without a map lookup.
-	// Networks must carry it untouched.
+	// Slot is the injecting side's scratch: a reference (table index +
+	// 1; 0 means unreferenced) that lets it find its bookkeeping for a
+	// delivered packet without a map lookup. Networks carry it
+	// untouched.
 	Slot int32
 }
 
@@ -39,8 +44,9 @@ const Broadcast = -1
 type Network interface {
 	Nodes() int
 	// TryInject offers a packet at its source this cycle; it reports
-	// false when the source queue is full (back-pressure).
-	TryInject(p *Packet) bool
+	// false when the source queue is full (back-pressure). An accepted
+	// packet is copied; a refused one leaves the network unchanged.
+	TryInject(p Packet) bool
 	// Step advances one NoC cycle.
 	Step()
 	// Cycle returns the current cycle number.
@@ -66,7 +72,7 @@ type Stats struct {
 }
 
 // Record notes a delivery.
-func (s *Stats) Record(p *Packet, now int64) {
+func (s *Stats) Record(p Packet, now int64) {
 	lat := now - p.InjectedAt
 	s.Delivered++
 	s.TotalLatency += lat

@@ -94,7 +94,7 @@ func TestMeshDeliversUnderLightLoad(t *testing.T) {
 		if cyc < 1000 {
 			for s := 0; s < 64; s++ {
 				if rng.Float64() < 0.01 {
-					p := &Packet{ID: id, Src: s, Dst: Uniform{}.Dest(s, 64, rng), Flits: 1, InjectedAt: m.Cycle()}
+					p := Packet{ID: id, Src: s, Dst: Uniform{}.Dest(s, 64, rng), Flits: 1, InjectedAt: m.Cycle()}
 					id++
 					if m.TryInject(p) {
 						injected++
@@ -124,7 +124,7 @@ func TestRouterNetRejectsBroadcast(t *testing.T) {
 		}
 	}()
 	m := NewMesh(64, timing300(1))
-	m.TryInject(&Packet{Src: 0, Dst: Broadcast, Flits: 1})
+	m.TryInject(Packet{Src: 0, Dst: Broadcast, Flits: 1})
 }
 
 func TestMatrixArbiterFairness(t *testing.T) {
@@ -356,7 +356,7 @@ func TestHTreePathSymmetryProperty(t *testing.T) {
 
 func TestBusDeliversBroadcasts(t *testing.T) {
 	cb := NewCryoBus(64, bus77())
-	p := &Packet{ID: 1, Src: 10, Dst: Broadcast, Flits: 1, InjectedAt: 0}
+	p := Packet{ID: 1, Src: 10, Dst: Broadcast, Flits: 1, InjectedAt: 0}
 	if !cb.TryInject(p) {
 		t.Fatal("inject failed on idle bus")
 	}
@@ -487,7 +487,7 @@ func TestHybridDelivers(t *testing.T) {
 		if cyc < 1500 {
 			for s := 0; s < 256; s += 4 {
 				if rng.Float64() < 0.008 {
-					p := &Packet{ID: id, Src: s, Dst: Uniform{}.Dest(s, 256, rng), Flits: 1, InjectedAt: h.Cycle()}
+					p := Packet{ID: id, Src: s, Dst: Uniform{}.Dest(s, 256, rng), Flits: 1, InjectedAt: h.Cycle()}
 					id++
 					if h.TryInject(p) {
 						injected++
@@ -509,11 +509,11 @@ func TestHybridDelivers(t *testing.T) {
 func TestBusRejectsWhenFull(t *testing.T) {
 	b := NewBus(BusConfig{Name: "tiny", Nodes: 4, Layout: NewSerpentine(4), Timing: bus300()})
 	for i := 0; i < busQueueCap; i++ {
-		if !b.TryInject(&Packet{ID: int64(i), Src: 0, Dst: Broadcast, Flits: 1}) {
+		if !b.TryInject(Packet{ID: int64(i), Src: 0, Dst: Broadcast, Flits: 1}) {
 			t.Fatalf("injection %d of %d should fit", i+1, busQueueCap)
 		}
 	}
-	if b.TryInject(&Packet{ID: busQueueCap, Src: 0, Dst: Broadcast, Flits: 1}) {
+	if b.TryInject(Packet{ID: busQueueCap, Src: 0, Dst: Broadcast, Flits: 1}) {
 		t.Error("injection past the queue cap should be rejected")
 	}
 }
@@ -530,7 +530,7 @@ func TestWireCycles(t *testing.T) {
 
 func TestEnergyCountersMesh(t *testing.T) {
 	m := NewMesh(64, timing300(1))
-	p := &Packet{ID: 1, Src: 0, Dst: 63, Flits: 2, InjectedAt: 0}
+	p := Packet{ID: 1, Src: 0, Dst: 63, Flits: 2, InjectedAt: 0}
 	if !m.TryInject(p) {
 		t.Fatal("inject failed")
 	}
@@ -553,7 +553,7 @@ func TestEnergyDynamicLinksSaveWire(t *testing.T) {
 	run := func(dyn bool) float64 {
 		b := NewBus(BusConfig{Name: "e", Nodes: 64, Layout: NewHTree(64),
 			Timing: bus77(), ControlCycles: 1, DynamicLinks: dyn})
-		p := &Packet{ID: 1, Src: 0, Dst: 1, Flits: 1, InjectedAt: 0}
+		p := Packet{ID: 1, Src: 0, Dst: 1, Flits: 1, InjectedAt: 0}
 		b.TryInject(p)
 		for i := 0; i < 100; i++ {
 			b.Step()
@@ -573,7 +573,7 @@ func TestEnergyDynamicLinksSaveWire(t *testing.T) {
 
 func TestBroadcastAlwaysFullSpan(t *testing.T) {
 	b := NewCryoBus(64, bus77())
-	p := &Packet{ID: 1, Src: 5, Dst: Broadcast, Flits: 1, InjectedAt: 0}
+	p := Packet{ID: 1, Src: 5, Dst: Broadcast, Flits: 1, InjectedAt: 0}
 	b.TryInject(p)
 	for i := 0; i < 100; i++ {
 		b.Step()

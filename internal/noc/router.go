@@ -5,15 +5,19 @@ import (
 	"math/bits"
 )
 
-// arrival is a queued packet with the cycle it becomes visible to the
-// router (covers router pipeline + link traversal) and its next hop
-// there, computed once when the packet is queued. The destination
-// router is resolved once, at injection.
+// arrival is a queued packet: the index of the packet in the
+// network's slab, the cycle it becomes visible to the router (covers
+// router pipeline + link traversal), its destination router, resolved
+// once at injection, its next hop there, computed once when the packet
+// is queued, and its serialization length. Switch allocation reads
+// only the arrival, never the packet, and a port ring holds no
+// pointers for the garbage collector to scan.
 type arrival struct {
-	p       *Packet
 	readyAt int64
+	pkt     int32 // index into RouterNet.pkts
 	dst     int32 // destination router
 	out     int32 // output link at the holding router; -1 ejects here
+	flits   int32 // link cycles the packet occupies, at least 1
 }
 
 // rlink is a directed router-to-router link.
@@ -25,53 +29,11 @@ type rlink struct {
 }
 
 // port is an input buffer (per incoming link, plus one injection port).
-// The queue is a ring deque rather than an appended-and-resliced slice:
-// occupancy is credit-bounded by inCap, so after the ring grows to the
-// credit ceiling once, enqueue/dequeue never allocate again — this was
-// the NoC's dominant steady-state allocation site. A packet holds its
-// slot from the upstream send (see Step), so the queue length is the
-// credit count.
-type port struct {
-	buf  []arrival // ring storage; len is always a power of two
-	head int       // index of the queue front
-	n    int       // live entries
-}
-
-func (pt *port) occupancy() int { return pt.n }
-
-// front returns the queue head; valid only when n > 0.
-func (pt *port) front() *arrival { return &pt.buf[pt.head] }
-
-func (pt *port) push(a arrival) {
-	if pt.n == len(pt.buf) {
-		pt.grow()
-	}
-	pt.buf[(pt.head+pt.n)&(len(pt.buf)-1)] = a
-	pt.n++
-}
-
-func (pt *port) pop() arrival {
-	a := pt.buf[pt.head]
-	pt.buf[pt.head] = arrival{} // drop the packet reference
-	pt.head = (pt.head + 1) & (len(pt.buf) - 1)
-	pt.n--
-	return a
-}
-
-// grow doubles the ring (minimum 4 slots), unwrapping entries to the
-// front so the mask arithmetic stays valid.
-func (pt *port) grow() {
-	size := 2 * len(pt.buf)
-	if size < 4 {
-		size = 4
-	}
-	nb := make([]arrival, size)
-	for i := 0; i < pt.n; i++ {
-		nb[i] = pt.buf[(pt.head+i)&(len(pt.buf)-1)]
-	}
-	pt.buf = nb
-	pt.head = 0
-}
+// Occupancy is credit-bounded by inCap, so once the ring has grown to
+// the credit ceiling enqueue and dequeue never allocate again. A packet
+// holds its slot from the upstream send (see Step), so the queue length
+// is the credit count.
+type port = ring[arrival]
 
 // router is one node of a router-based network.
 type router struct {
@@ -129,19 +91,26 @@ type RouterNet struct {
 	inCap  int
 	// zeroLoad caches the analytic zero-load latency.
 	zeroLoad float64
+	// pkts holds every packet in the network; an arrival names its
+	// packet by index.
+	pkts slab
 	// OnDeliver, when set, receives delivered packets instead of the
 	// internal stats (used by composite networks such as the hybrid).
-	OnDeliver func(p *Packet, now int64)
+	OnDeliver func(p Packet, now int64)
 	energy    Energy
 }
 
-// deliver routes a completed packet to the hook or the stats.
-func (rn *RouterNet) deliver(p *Packet, now int64) {
+// deliver routes a completed packet to the hook or the stats, then
+// frees its slab index. The hook runs while the packet still holds its
+// index and its port slot, so an injection from the hook sees the
+// network as it was before the ejection.
+func (rn *RouterNet) deliver(idx int32, now int64) {
 	if rn.OnDeliver != nil {
-		rn.OnDeliver(p, now)
-		return
+		rn.OnDeliver(rn.pkts.at[idx], now)
+	} else {
+		rn.stats.Record(rn.pkts.at[idx], now)
 	}
-	rn.stats.Record(p, now)
+	rn.pkts.release(idx)
 }
 
 // Nodes implements Network.
@@ -187,7 +156,7 @@ func (rn *RouterNet) outFor(ri int, dst int32) int32 {
 }
 
 // TryInject implements Network.
-func (rn *RouterNet) TryInject(p *Packet) bool {
+func (rn *RouterNet) TryInject(p Packet) bool {
 	if p.Dst == Broadcast {
 		panic("noc: router-based networks carry no broadcasts (directory protocol); use a bus")
 	}
@@ -200,7 +169,7 @@ func (rn *RouterNet) TryInject(p *Packet) bool {
 	ri := rn.nodeRouter(p.Src)
 	r := &rn.routers[ri]
 	inj := &r.ports[0]
-	if inj.occupancy() >= rn.inCap {
+	if inj.n >= rn.inCap {
 		return false
 	}
 	// InjectedAt is owned by the caller (it may predate this cycle when
@@ -223,7 +192,7 @@ func (rn *RouterNet) TryInject(p *Packet) bool {
 		}
 		rn.wake(ri, at)
 	}
-	inj.push(arrival{p: p, readyAt: rn.now, dst: dst, out: out})
+	*inj.pushBack() = arrival{readyAt: rn.now, pkt: rn.pkts.hold(p), dst: dst, out: out, flits: int32(max(p.Flits, 1))}
 	r.occ |= 1
 	return true
 }
@@ -288,8 +257,8 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 				rn.wantLinks |= 1 << h.out
 				break
 			}
-			rn.deliver(h.p, now)
-			pt.pop()
+			rn.deliver(h.pkt, now)
+			pt.popFront()
 		}
 		if pt.n == 0 {
 			r.occ &^= 1 << pi
@@ -314,7 +283,7 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 		lnk := r.links[li]
 		down := &rn.routers[lnk.to]
 		dpt := &down.ports[lnk.dstPort]
-		if dpt.occupancy() >= rn.inCap {
+		if dpt.n >= rn.inCap {
 			again = true
 			continue // no credit downstream
 		}
@@ -327,7 +296,7 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 			again = true // lost arbitration
 		}
 		pt := &r.ports[granted]
-		a := pt.pop()
+		a := pt.popFront()
 		r.rr[li] = granted + 1
 		if r.rr[li] == n {
 			r.rr[li] = 0
@@ -348,7 +317,7 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 				again = true
 			}
 		}
-		flits := max(a.p.Flits, 1)
+		flits := a.flits
 		r.outBusy[li] = now + int64(flits)
 		rn.energy.RouterTraversals++
 		rn.energy.BufferWrites++
@@ -365,7 +334,7 @@ func (rn *RouterNet) visit(ri int, now int64, want []uint64) {
 		}
 		a.readyAt = now + lat
 		a.out = rn.outFor(lnk.to, a.dst)
-		dpt.push(a)
+		*dpt.pushBack() = a
 		down.occ |= 1 << lnk.dstPort
 	}
 	if again {
@@ -489,8 +458,10 @@ func (rn *RouterNet) computeZeroLoad() {
 const defaultInputCap = 12
 
 // newRouterNet allocates the shell; callers add links, set route and
-// call finish.
-func newRouterNet(name string, nodes, conc int, timing Timing) *RouterNet {
+// call finish. degree, the most links a router sends or receives,
+// sizes each router's port and link slices once, so addLink does not
+// regrow them.
+func newRouterNet(name string, nodes, conc, degree int, timing Timing) *RouterNet {
 	nr := nodes / conc
 	rn := &RouterNet{
 		name:   name,
@@ -502,8 +473,12 @@ func newRouterNet(name string, nodes, conc int, timing Timing) *RouterNet {
 	}
 	rn.routers = make([]router, nr)
 	for i := range rn.routers {
+		r := &rn.routers[i]
 		// Port 0 is the injection port (shared by concentrated nodes).
-		rn.routers[i].ports = append(rn.routers[i].ports, port{})
+		r.ports = make([]port, 1, 1+degree)
+		r.links = make([]rlink, 0, degree)
+		r.rr = make([]int, 0, degree)
+		r.outBusy = make([]int64, 0, degree)
 	}
 	return rn
 }

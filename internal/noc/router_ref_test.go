@@ -22,9 +22,9 @@ func (rn *RouterNet) refStep() {
 		// router cycle for each input port.
 		for pi := range r.ports {
 			pt := &r.ports[pi]
-			for pt.n > 0 && pt.front().readyAt <= now && rn.nodeRouter(pt.front().p.Dst) == ri {
-				rn.deliver(pt.front().p, now)
-				pt.pop()
+			for pt.n > 0 && pt.front().readyAt <= now && rn.nodeRouter(rn.pkts.at[pt.front().pkt].Dst) == ri {
+				rn.deliver(pt.front().pkt, now)
+				pt.popFront()
 			}
 		}
 		// Switch allocation: one grant per output link per cycle.
@@ -35,7 +35,7 @@ func (rn *RouterNet) refStep() {
 			lnk := r.links[li]
 			dst := &rn.routers[lnk.to]
 			dpt := &dst.ports[lnk.dstPort]
-			if dpt.occupancy() >= rn.inCap {
+			if dpt.n >= rn.inCap {
 				continue // no credit downstream
 			}
 			// Round-robin over input ports for fairness.
@@ -47,7 +47,7 @@ func (rn *RouterNet) refStep() {
 				if pt.n == 0 || pt.front().readyAt > now {
 					continue
 				}
-				p := pt.front().p
+				p := rn.pkts.at[pt.front().pkt]
 				if rn.nodeRouter(p.Dst) == ri {
 					continue // ejection handles it
 				}
@@ -61,9 +61,9 @@ func (rn *RouterNet) refStep() {
 				continue
 			}
 			pt := &r.ports[granted]
-			a := pt.pop()
+			a := pt.popFront()
 			r.rr[li] = (granted + 1) % n
-			flits := a.p.Flits
+			flits := rn.pkts.at[a.pkt].Flits
 			if flits < 1 {
 				flits = 1
 			}
@@ -78,7 +78,7 @@ func (rn *RouterNet) refStep() {
 			if lat < 1 {
 				lat = 1
 			}
-			dpt.push(arrival{p: a.p, readyAt: now + lat})
+			*dpt.pushBack() = arrival{pkt: a.pkt, readyAt: now + lat}
 		}
 	}
 	rn.now++
@@ -109,7 +109,7 @@ const replyBit = int64(1) << 40
 // visiting, and another third is forwarded from the node half the
 // network away, a router below the current one for deliveries in the
 // upper half and above it for the lower half.
-func (tw *twin) hook(p *Packet, now int64) {
+func (tw *twin) hook(p Packet, now int64) {
 	tw.rn.Stats().Record(p, now)
 	d := delivery{id: p.ID, at: now}
 	if p.ID&replyBit == 0 && p.ID%3 != 2 {
@@ -117,7 +117,7 @@ func (tw *twin) hook(p *Packet, now int64) {
 		if p.ID%3 == 1 {
 			src = (p.Dst + tw.rn.Nodes()/2) % tw.rn.Nodes()
 		}
-		r := &Packet{ID: p.ID | replyBit, Src: src, Dst: p.Src, Flits: 1, InjectedAt: now}
+		r := Packet{ID: p.ID | replyBit, Src: src, Dst: p.Src, Flits: 1, InjectedAt: now}
 		d.replied = 2
 		if tw.rn.TryInject(r) {
 			d.replied = 1
@@ -206,8 +206,7 @@ func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate 
 	nodes := fast.rn.Nodes()
 	rng := rand.New(rand.NewSource(int64(rate * 1e6)))
 	burst, bursty := pat.(Burst)
-	type pair struct{ fast, ref *Packet }
-	pending := make([][]pair, nodes)
+	pending := make([][]Packet, nodes)
 	burstOn := make([]bool, nodes)
 	var id int64
 	waiting := func() bool {
@@ -243,13 +242,12 @@ func runTwins(t *testing.T, mk func() *RouterNet, pat Pattern, multi bool, rate 
 				if multi && rng.Float64() < 0.3 {
 					pk.Flits = 5
 				}
-				a, b := pk, pk
-				pending[s] = append(pending[s], pair{&a, &b})
+				pending[s] = append(pending[s], pk)
 			}
 		}
 		for s := range pending {
 			for len(pending[s]) > 0 {
-				okF, okR := fast.rn.TryInject(pending[s][0].fast), ref.rn.TryInject(pending[s][0].ref)
+				okF, okR := fast.rn.TryInject(pending[s][0]), ref.rn.TryInject(pending[s][0])
 				if okF != okR {
 					t.Fatalf("rate %g cycle %d: TryInject at node %d = %v, reference %v", rate, now, s, okF, okR)
 				}
@@ -322,15 +320,15 @@ func compareTwins(fast, ref *twin, contents bool) error {
 		}
 		for pi := range ra.ports {
 			pa, pb := &ra.ports[pi], &rb.ports[pi]
-			if pa.occupancy() != pb.occupancy() {
-				return fmt.Errorf("router %d port %d: occupancy %d, reference %d", ri, pi, pa.occupancy(), pb.occupancy())
+			if pa.n != pb.n {
+				return fmt.Errorf("router %d port %d: occupancy %d, reference %d", ri, pi, pa.n, pb.n)
 			}
 			for k := 0; contents && k < pa.n; k++ {
-				ea := pa.buf[(pa.head+k)&(len(pa.buf)-1)]
-				eb := pb.buf[(pb.head+k)&(len(pb.buf)-1)]
-				if ea.p.ID != eb.p.ID || ea.readyAt != eb.readyAt {
+				ea, eb := pa.at(k), pb.at(k)
+				ida, idb := a.pkts.at[ea.pkt].ID, b.pkts.at[eb.pkt].ID
+				if ida != idb || ea.readyAt != eb.readyAt {
 					return fmt.Errorf("router %d port %d entry %d: packet %d ready %d, reference packet %d ready %d",
-						ri, pi, k, ea.p.ID, ea.readyAt, eb.p.ID, eb.readyAt)
+						ri, pi, k, ida, ea.readyAt, idb, eb.readyAt)
 				}
 			}
 		}

@@ -9,36 +9,19 @@ import (
 	"cryowire/internal/fault"
 )
 
-// stepRig drives one RouterNet with uniform open-loop traffic without
-// allocating: packets come from a fixed pool through a free list that
-// the delivery hook refills, and a packet the full injection port
-// refuses goes straight back to the list.
+// stepRig drives one RouterNet with uniform open-loop traffic; a
+// packet the full injection port refuses is dropped.
 type stepRig struct {
 	rn   *RouterNet
 	rng  *rand.Rand
 	rate float64
-	free []*Packet
 	id   int64
 }
 
 // newStepRig builds the rig and runs warm cycles so every port ring
-// has grown to its credit ceiling before anything is measured.
+// and the packet slab have grown before anything is measured.
 func newStepRig(rn *RouterNet, rate float64, warm int) *stepRig {
-	slots := 0
-	for ri := range rn.routers {
-		slots += len(rn.routers[ri].ports) * rn.inCap
-	}
 	g := &stepRig{rn: rn, rng: rand.New(rand.NewSource(1)), rate: rate}
-	// Every in-flight packet holds a port slot, so the pool never runs dry.
-	pool := make([]Packet, slots)
-	g.free = make([]*Packet, 0, slots)
-	for i := range pool {
-		g.free = append(g.free, &pool[i])
-	}
-	rn.OnDeliver = func(p *Packet, now int64) {
-		rn.stats.Record(p, now)
-		g.free = append(g.free, p)
-	}
 	for i := 0; i < warm; i++ {
 		g.cycle()
 	}
@@ -53,13 +36,8 @@ func (g *stepRig) cycle() {
 		if g.rng.Float64() >= g.rate {
 			continue
 		}
-		p := g.free[len(g.free)-1]
-		g.free = g.free[:len(g.free)-1]
-		*p = Packet{ID: g.id, Src: s, Dst: Uniform{}.Dest(s, nodes, g.rng), Flits: 1, InjectedAt: now}
+		g.rn.TryInject(Packet{ID: g.id, Src: s, Dst: Uniform{}.Dest(s, nodes, g.rng), Flits: 1, InjectedAt: now})
 		g.id++
-		if !g.rn.TryInject(p) {
-			g.free = append(g.free, p)
-		}
 	}
 	g.rn.Step()
 }
@@ -108,8 +86,8 @@ func BenchmarkRouterNetStep(b *testing.B) {
 }
 
 // TestRouterNetStepAllocs asserts the router cycle's zero-alloc
-// contract on each of stepCases: once the port rings have grown, a Step
-// allocates nothing.
+// contract on each of stepCases: once the port rings and the packet
+// slab have grown, a Step allocates nothing.
 func TestRouterNetStepAllocs(t *testing.T) {
 	for _, tc := range stepCases {
 		g := newStepRig(tc.mk(), tc.rate, 3000)
@@ -131,7 +109,7 @@ func TestApplyFaultsRejectsLateCalls(t *testing.T) {
 		name  string
 		start func(m *RouterNet)
 	}{
-		{"after an injection", func(m *RouterNet) { m.TryInject(&Packet{Src: 0, Dst: 63, Flits: 1}) }},
+		{"after an injection", func(m *RouterNet) { m.TryInject(Packet{Src: 0, Dst: 63, Flits: 1}) }},
 		{"after a step", func(m *RouterNet) { m.Step() }},
 	} {
 		m := NewMesh(64, timing77(1))
@@ -161,7 +139,7 @@ func TestAddLinkRejectsOversizedRouters(t *testing.T) {
 		{"input ports", maxPorts - 1, func(rn *RouterNet, i int) { rn.addLink(i+1, 0, 1, 1) }, "input ports"},
 		{"output links", maxLinks, func(rn *RouterNet, i int) { rn.addLink(0, i+1, 1, 1) }, "output links"},
 	} {
-		rn := newRouterNet("star", maxLinks+2, 1, timing77(1))
+		rn := newRouterNet("star", maxLinks+2, 1, 0, timing77(1))
 		for i := 0; i < tc.fits; i++ {
 			tc.add(rn, i)
 		}
@@ -189,7 +167,7 @@ func TestRouterNetRejectsUnknownDestination(t *testing.T) {
 					t.Errorf("injecting toward node %d did not panic", dst)
 				}
 			}()
-			m.TryInject(&Packet{Src: 0, Dst: dst, Flits: 1})
+			m.TryInject(Packet{Src: 0, Dst: dst, Flits: 1})
 		}()
 	}
 }

@@ -70,6 +70,61 @@ func (s *stream) float64Fast() (float64, bool) {
 	return 0, false
 }
 
+// bernoulli draws a Bernoulli trial at probability r: Float64() < r.
+func (s *stream) bernoulli(r float64) bool {
+	f, ok := s.float64Fast()
+	if !ok {
+		f = s.Float64()
+	}
+	return f < r
+}
+
+// unitFloat is the Float64 value of a 63-bit stream value x before the
+// resample: float64(x) / 2⁶³, non-decreasing in x.
+func unitFloat(x uint64) float64 { return float64(int64(x)) / (1 << 63) }
+
+// firstWhere returns the least x in [0, 2⁶³) for which f holds, or 2⁶³
+// when none does; f must be false up to some x and true from there.
+func firstWhere(f func(x uint64) bool) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if f(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// roundsToOne is the least 63-bit value whose unitFloat is 1, a value
+// Float64 draws again for.
+var roundsToOne = firstWhere(func(x uint64) bool { return unitFloat(x) == 1 })
+
+// missFrom returns the least 63-bit value whose draw misses a Bernoulli
+// trial at probability r: unitFloat(x) < r exactly when x < missFrom(r).
+func missFrom(r float64) uint64 {
+	return firstWhere(func(x uint64) bool { return !(unitFloat(x) < r) })
+}
+
+// skipMisses consumes the values of up to k Bernoulli draws that miss,
+// with miss from missFrom, and returns how many it consumed. It stops
+// early at a value that hits or that rounds to 1, and at the end of
+// the register; the draw there takes bernoulli, which handles all
+// three.
+func (s *stream) skipMisses(k int, miss uint64) int {
+	i, end := s.i, min(s.i+k, streamLen)
+	for i < end {
+		if x := s.buf[i] & (1<<63 - 1); x < miss || x >= roundsToOne {
+			break
+		}
+		i++
+	}
+	k, s.i = i-s.i, i
+	return k
+}
+
 // refill replaces buf's values with the next streamLen of the sequence:
 // y[n+streamLen] = y[n] + y[n+streamLen−streamTap]. The second term
 // still lies in the old values for the first streamTap slots and in the

@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -70,4 +72,57 @@ func TestStreamFloat64RoundsToOne(t *testing.T) {
 	if _, ok := s.float64Fast(); ok || s.i != streamLen {
 		t.Fatalf("float64Fast drew from a spent register")
 	}
+}
+
+// TestSkipMissesMatchesDraws: a row of Bernoulli draws taken as
+// skipMisses plus bernoulli, the way measureRate takes a cycle's draws,
+// hits at the same draws as one rand.Rand Float64 per draw, and leaves
+// the stream where rand.NewSource is after the same draws. Rows run
+// past several refills, at rates from rare to certain, and a register
+// set by hand puts values that round to 1 on both sides of a miss.
+func TestSkipMissesMatchesDraws(t *testing.T) {
+	if unitFloat(roundsToOne) != 1 || unitFloat(roundsToOne-1) == 1 {
+		t.Fatalf("roundsToOne %d is not the first value that rounds to 1", roundsToOne)
+	}
+	const row = 256
+	check := func(name string, s *stream, ref *rand.Rand, rate float64, rows int) {
+		t.Helper()
+		miss := missFrom(rate)
+		for r := 0; r < rows; r++ {
+			var got, want []int
+			for k := 0; k < row; k++ {
+				if ref.Float64() < rate {
+					want = append(want, k)
+				}
+			}
+			for k := 0; k < row; k++ {
+				if k += s.skipMisses(row-k, miss); k == row {
+					break
+				}
+				if s.bernoulli(rate) {
+					got = append(got, k)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s rate %g row %d: hits at %v, Float64 draws hit at %v", name, rate, r, got, want)
+			}
+		}
+		if a, b := s.Int63(), ref.Int63(); a != b {
+			t.Fatalf("%s rate %g: next value %d, rand.NewSource gives %d", name, rate, a, b)
+		}
+	}
+	for _, seed := range streamSeeds {
+		for _, rate := range []float64{0, 1e-4, 0.0005 * 1.35, 0.05, 0.5, 1, 2} {
+			check(fmt.Sprint("seed ", seed), newStream(seed), rand.New(rand.NewSource(seed)), rate, 12)
+		}
+	}
+	// Values that round to 1 are drawn again, on either path.
+	s := newStream(3)
+	for k := range s.buf {
+		if k%5 == 1 || k%5 == 2 {
+			s.buf[k] = roundsToOne + uint64(k)
+		}
+	}
+	ref := *s
+	check("hand-set", s, rand.New(&ref), 0.5, 3)
 }

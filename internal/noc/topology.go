@@ -9,7 +9,7 @@ func NewMesh(nodes int, timing Timing) *RouterNet {
 	if side*side != nodes {
 		panic(fmt.Sprintf("noc: mesh needs a square node count, got %d", nodes))
 	}
-	rn := newRouterNet(fmt.Sprintf("Mesh-%d", nodes), nodes, 1, timing)
+	rn := newRouterNet(fmt.Sprintf("Mesh-%d", nodes), nodes, 1, 4, timing)
 	const pitch = 1 // tile hops between adjacent routers
 	hop := timing.WireCycles(pitch)
 	linkIndex := make([][4]int, nodes) // E, W, N, S link index per router
@@ -65,7 +65,7 @@ func NewCMesh(nodes int, timing Timing) *RouterNet {
 	if side*side != routers {
 		panic(fmt.Sprintf("noc: cmesh router count %d not square", routers))
 	}
-	rn := newRouterNet(fmt.Sprintf("CMesh-%d", nodes), nodes, conc, timing)
+	rn := newRouterNet(fmt.Sprintf("CMesh-%d", nodes), nodes, conc, 4, timing)
 	const pitch = 2 // doubled router pitch
 	hop := timing.WireCycles(pitch)
 	linkIndex := make([][4]int, routers)
@@ -121,7 +121,7 @@ func NewFlattenedButterfly(nodes int, timing Timing) *RouterNet {
 	if side*side != routers || nodes%conc != 0 {
 		panic(fmt.Sprintf("noc: flattened butterfly needs 4·k² nodes, got %d", nodes))
 	}
-	rn := newRouterNet(fmt.Sprintf("FB-%d", nodes), nodes, conc, timing)
+	rn := newRouterNet(fmt.Sprintf("FB-%d", nodes), nodes, conc, 2*(side-1), timing)
 	// links[cur][dst] = output link index at cur (row/col neighbors only).
 	links := make([]map[int]int, routers)
 	for r := range links {

@@ -105,6 +105,10 @@ func TestEndpointStatuses(t *testing.T) {
 		{"noc removed torus", "GET", "/v1/noc/load-latency?design=torus&rates=0.01", "", 400, "cryobus-2way"},
 		{"noc removed ring", "GET", "/v1/noc/load-latency?design=ring&rates=0.01", "", 400, "unknown NoC design"},
 		{"noc removed tornado", "GET", "/v1/noc/load-latency?design=mesh&pattern=tornado&rates=0.01", "", 400, "uniform"},
+		{"noc NaN rate", "GET", "/v1/noc/load-latency?design=mesh&rates=NaN", "", 400, "(0, 1]"},
+		{"noc infinite rate", "GET", "/v1/noc/load-latency?design=mesh&rates=0.01,Inf", "", 400, "(0, 1]"},
+		{"noc zero rate", "GET", "/v1/noc/load-latency?design=mesh&rates=0", "", 400, "(0, 1]"},
+		{"noc rate above one", "GET", "/v1/noc/load-latency?design=mesh&rates=1e300", "", 400, "(0, 1]"},
 		{"temp sweep bad list", "GET", "/v1/temperature-sweep?temps_k=77,", "", 400, "not a number"},
 		{"temp sweep ok", "GET", "/v1/temperature-sweep?temps_k=300,77", "", 200, "\"points\""},
 		{"pprof off", "GET", "/debug/pprof/", "", 404, ""},

@@ -198,22 +198,22 @@ func (s *System) injectLeg(t *txn) {
 	if dst == -1 {
 		dst = noc.Broadcast
 	}
-	p := s.newPacket()
-	p.ID = s.nextPkt
-	p.Src = leg.From
-	p.Dst = dst
-	p.Flits = flits
-	p.InjectedAt = s.now
+	p := noc.Packet{ID: s.nextPkt, Src: leg.From, Dst: dst, Flits: flits, InjectedAt: s.now}
 	s.nextPkt++
 	t.phase = BucketNoC
-	if !s.legNetwork(leg.Kind).TryInject(p) {
-		ev := s.newEvent()
-		ev.pkt = p
-		ev.t = t
-		s.schedule(s.now+1, ev)
-		return
+	if !s.offer(s.legNetwork(leg.Kind), p, t, false) {
+		s.scheduleRetry(p, t, false)
 	}
-	s.trackInflight(p, t, false)
+}
+
+// scheduleRetry offers a refused packet again next cycle.
+func (s *System) scheduleRetry(p noc.Packet, t *txn, inv bool) {
+	ev := s.newEvent()
+	ev.pkt = p
+	ev.t = t
+	ev.inv = inv
+	ev.retry = true
+	s.schedule(s.now+1, ev)
 }
 
 // injectInvalidations launches the parallel fan-out stage: one message
@@ -222,22 +222,11 @@ func (s *System) injectLeg(t *txn) {
 func (s *System) injectInvalidations(t *txn) {
 	t.invRemaining = len(t.invLegs)
 	for _, leg := range t.invLegs {
-		p := s.newPacket()
-		p.ID = s.nextPkt
-		p.Src = leg.From
-		p.Dst = leg.To
-		p.Flits = 1
-		p.InjectedAt = s.now
+		p := noc.Packet{ID: s.nextPkt, Src: leg.From, Dst: leg.To, Flits: 1, InjectedAt: s.now}
 		s.nextPkt++
-		if !s.net.TryInject(p) {
-			ev := s.newEvent()
-			ev.pkt = p
-			ev.t = t
-			ev.inv = true
-			s.schedule(s.now+1, ev)
-			continue
+		if !s.offer(s.net, p, t, true) {
+			s.scheduleRetry(p, t, true)
 		}
-		s.trackInflight(p, t, true)
 	}
 	t.invLegs = nil
 }
@@ -249,23 +238,19 @@ func (s *System) schedule(at int64, ev *injEvent) {
 }
 
 // onDeliver advances a transaction when one of its packets lands. The
-// packet carries its in-flight slot index intrusively (Packet.Slot), so
-// resolving the owning transaction is one bounds-checked load; the
-// packet itself returns to the pool here, the unique point where no
-// network holds a reference anymore.
-func (s *System) onDeliver(p *noc.Packet, now int64) {
+// packet carries its in-flight slot index (Packet.Slot), so resolving
+// the owning transaction is one bounds-checked load and an ID check.
+func (s *System) onDeliver(p noc.Packet, now int64) {
 	idx := p.Slot - 1
-	if idx < 0 || int(idx) >= len(s.slots) || s.slots[idx].pkt != p {
+	if idx < 0 || int(idx) >= len(s.slots) || s.slots[idx].t == nil || s.slots[idx].id != p.ID {
 		return
 	}
 	sl := s.slots[idx]
 	s.releaseSlot(idx)
-	p.Slot = 0
 	if s.measuring {
 		s.latSum += now - p.InjectedAt
 		s.msgCount++
 	}
-	s.freePacket(p)
 	t := sl.t
 	if sl.inv {
 		t.invRemaining--
@@ -461,26 +446,7 @@ func (s *System) retireTxn(t *txn) (rearm, all bool) {
 // float64, so the stack is bit-equal to charging them core by core.
 func (s *System) Step() {
 	// Pending retries / service completions, in schedule order.
-	for _, ev := range s.wheel.drain(s.now) {
-		if ev.pkt != nil {
-			// Injection retry (invalidations always ride the main
-			// request network).
-			net := s.net
-			if !ev.inv {
-				net = s.legNetwork(ev.t.legs[ev.t.leg].Kind)
-			}
-			if !net.TryInject(ev.pkt) {
-				s.schedule(s.now+1, ev)
-				continue
-			}
-			s.trackInflight(ev.pkt, ev.t, ev.inv)
-			s.freeEvent(ev)
-			continue
-		}
-		t := ev.t
-		s.freeEvent(ev)
-		s.injectLeg(t)
-	}
+	s.fireEvents()
 	s.stepCores()
 	// Networks.
 	s.net.Step()
@@ -488,6 +454,29 @@ func (s *System) Step() {
 		s.dataNet.Step()
 	}
 	s.now++
+}
+
+// fireEvents runs the events scheduled for this cycle, in schedule
+// order: injection retries and service completions.
+func (s *System) fireEvents() {
+	for _, ev := range s.wheel.drain(s.now) {
+		if ev.retry {
+			// Invalidations always ride the main request network.
+			net := s.net
+			if !ev.inv {
+				net = s.legNetwork(ev.t.legs[ev.t.leg].Kind)
+			}
+			if !s.offer(net, ev.pkt, ev.t, ev.inv) {
+				s.schedule(s.now+1, ev)
+				continue
+			}
+			s.freeEvent(ev)
+			continue
+		}
+		t := ev.t
+		s.freeEvent(ev)
+		s.injectLeg(t)
+	}
 }
 
 // coreEvents is the slow path of Step's core phase: it issues the
@@ -671,12 +660,12 @@ type idealNet struct {
 	nodes int
 	now   int64
 	stats noc.Stats
-	queue []*noc.Packet
+	queue []noc.Packet
 	// spare is the second buffer of the Step double-buffering: deliveries
 	// can re-inject, so the drained queue and the live queue must be
 	// distinct storage, swapped each cycle to avoid per-cycle allocation.
-	spare     []*noc.Packet
-	OnDeliver func(p *noc.Packet, now int64)
+	spare     []noc.Packet
+	OnDeliver func(p noc.Packet, now int64)
 }
 
 func newIdealNet(nodes int) *idealNet { return &idealNet{nodes: nodes} }
@@ -694,7 +683,7 @@ func (n *idealNet) Stats() *noc.Stats { return &n.stats }
 func (n *idealNet) ZeroLoadLatency() float64 { return 1 }
 
 // TryInject implements noc.Network.
-func (n *idealNet) TryInject(p *noc.Packet) bool {
+func (n *idealNet) TryInject(p noc.Packet) bool {
 	n.queue = append(n.queue, p)
 	return true
 }
@@ -705,8 +694,7 @@ func (n *idealNet) Step() {
 	q := n.queue
 	n.queue = n.spare[:0]
 	n.now++
-	for i, p := range q {
-		q[i] = nil // drop the reference; packets are pooled by the caller
+	for _, p := range q {
 		if n.OnDeliver != nil {
 			n.OnDeliver(p, n.now)
 		} else {

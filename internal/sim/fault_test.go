@@ -113,7 +113,7 @@ func TestWatchdogPacketAge(t *testing.T) {
 	cfg.Watchdog = Watchdog{CheckInterval: 100, MaxPacketAge: 50}
 	s := newSystem(t, cfg)
 	// A packet that was injected at cycle 0 and never delivers.
-	s.trackInflight(&noc.Packet{ID: 999, InjectedAt: 0}, &txn{}, false)
+	s.takeSlot(noc.Packet{ID: 999, InjectedAt: 0}, &txn{}, false)
 	_, err := s.Run()
 	var serr *StallError
 	if !errors.As(err, &serr) {

@@ -286,20 +286,20 @@ type System struct {
 	// wheel is the event schedule: injection retries and service
 	// completions, bucketed by cycle (see wheel.go).
 	wheel *eventWheel
-	// slots is the in-flight packet table. Each injected packet carries
+	// slots is the in-flight packet table. Each offered packet carries
 	// its slot index (+1, so the zero Packet is "unreferenced") in
 	// Packet.Slot; delivery resolves the owning transaction with one
-	// bounds-checked load instead of a pointer-keyed map lookup.
+	// bounds-checked load instead of a map lookup.
 	slots     []inflightSlot
 	freeSlots []int32
 	inflightN int
 
 	// Free lists recycle the per-transaction allocations of the cycle
-	// loop. A steady-state Step allocates nothing: transactions, packets
-	// and schedule events all come from (and return to) these pools.
+	// loop. A steady-state Step allocates nothing: transactions and
+	// schedule events come from (and return to) these pools, and
+	// packets are values the networks copy.
 	txnFree []*txn
 	evFree  []*injEvent
-	pktFree []*noc.Packet
 
 	// Hot-path constants hoisted out of the cycle loop: these are pure
 	// functions of the design × profile pair, precomputed in New so
@@ -335,19 +335,24 @@ type System struct {
 	stackCycl [bucketCount]float64
 }
 
+// injEvent is a scheduled event: an injection retry of pkt when retry
+// is set, else a service completion that injects t's current leg.
 type injEvent struct {
-	pkt *noc.Packet
-	t   *txn
-	inv bool
+	pkt   noc.Packet
+	t     *txn
+	inv   bool
+	retry bool
 }
 
-// inflightSlot ties an in-flight packet to its transaction; inv marks
-// an invalidation fan-out message rather than the main leg chain. The
-// pkt pointer doubles as the liveness check: a freed slot is nil.
+// inflightSlot ties an in-flight packet, named by its ID, to its
+// transaction; inv marks an invalidation fan-out message rather than
+// the main leg chain. injectedAt is the packet's injection cycle, which
+// the watchdog ages. A free slot has a nil t.
 type inflightSlot struct {
-	pkt *noc.Packet
-	t   *txn
-	inv bool
+	id         int64
+	injectedAt int64
+	t          *txn
+	inv        bool
 }
 
 // coreState is one statistical core. A core acts at three committed-
@@ -497,8 +502,8 @@ func (c *coreState) armNextEvent() {
 
 // --- hot-path allocation pools ---------------------------------------------
 //
-// The cycle loop recycles its three per-transaction allocations —
-// transactions, packets and schedule events — through free lists, so a
+// The cycle loop recycles its two per-transaction allocations —
+// transactions and schedule events — through free lists, so a
 // steady-state Step allocates nothing. Pooling is invisible to the
 // simulation: an object is freed only once no queue, slot or schedule
 // references it, and every alloc fully reinitializes the object.
@@ -522,22 +527,6 @@ func (s *System) newTxn() *txn {
 // freeTxn recycles a retired transaction.
 func (s *System) freeTxn(t *txn) { s.txnFree = append(s.txnFree, t) }
 
-// newPacket returns a zeroed packet from the pool.
-func (s *System) newPacket() *noc.Packet {
-	if n := len(s.pktFree); n > 0 {
-		p := s.pktFree[n-1]
-		s.pktFree = s.pktFree[:n-1]
-		*p = noc.Packet{}
-		return p
-	}
-	return &noc.Packet{}
-}
-
-// freePacket recycles a delivered packet. Networks drop their reference
-// the moment the delivery hook returns, so the hook is the unique safe
-// recycling point.
-func (s *System) freePacket(p *noc.Packet) { s.pktFree = append(s.pktFree, p) }
-
 // newEvent returns a zeroed schedule event from the pool.
 func (s *System) newEvent() *injEvent {
 	if n := len(s.evFree); n > 0 {
@@ -552,9 +541,22 @@ func (s *System) newEvent() *injEvent {
 // freeEvent recycles a fired schedule event.
 func (s *System) freeEvent(ev *injEvent) { s.evFree = append(s.evFree, ev) }
 
-// trackInflight registers a successfully injected packet: it takes a
-// slot, stamps the intrusive reference into the packet, and counts it.
-func (s *System) trackInflight(p *noc.Packet, t *txn, inv bool) {
+// offer injects p on net for t, reporting whether net accepted it. The
+// packet takes a slot and carries its reference into the network; a
+// refused packet gives the slot straight back, so the free-slot order
+// is as if it had never been taken.
+func (s *System) offer(net noc.Network, p noc.Packet, t *txn, inv bool) bool {
+	idx := s.takeSlot(p, t, inv)
+	p.Slot = idx + 1
+	if !net.TryInject(p) {
+		s.releaseSlot(idx)
+		return false
+	}
+	return true
+}
+
+// takeSlot records p as in flight for t and returns its slot index.
+func (s *System) takeSlot(p noc.Packet, t *txn, inv bool) int32 {
 	var idx int32
 	if n := len(s.freeSlots); n > 0 {
 		idx = s.freeSlots[n-1]
@@ -563,12 +565,12 @@ func (s *System) trackInflight(p *noc.Packet, t *txn, inv bool) {
 		idx = int32(len(s.slots))
 		s.slots = append(s.slots, inflightSlot{})
 	}
-	s.slots[idx] = inflightSlot{pkt: p, t: t, inv: inv}
-	p.Slot = idx + 1
+	s.slots[idx] = inflightSlot{id: p.ID, injectedAt: p.InjectedAt, t: t, inv: inv}
 	s.inflightN++
+	return idx
 }
 
-// releaseSlot frees a delivered packet's slot.
+// releaseSlot frees a slot.
 func (s *System) releaseSlot(idx int32) {
 	s.slots[idx] = inflightSlot{}
 	s.freeSlots = append(s.freeSlots, idx)

@@ -21,26 +21,7 @@ import (
 // core's committed count from the commit table.
 func (s *System) refStep(committed []float64) {
 	// Pending retries / service completions, in schedule order.
-	for _, ev := range s.wheel.drain(s.now) {
-		if ev.pkt != nil {
-			// Injection retry (invalidations always ride the main
-			// request network).
-			net := s.net
-			if !ev.inv {
-				net = s.legNetwork(ev.t.legs[ev.t.leg].Kind)
-			}
-			if !net.TryInject(ev.pkt) {
-				s.schedule(s.now+1, ev)
-				continue
-			}
-			s.trackInflight(ev.pkt, ev.t, ev.inv)
-			s.freeEvent(ev)
-			continue
-		}
-		t := ev.t
-		s.freeEvent(ev)
-		s.injectLeg(t)
-	}
+	s.fireEvents()
 	s.tick()
 	for len(s.wakes) > 0 && s.wakes[0].at <= s.now {
 		s.wakes.pop()
@@ -287,7 +268,7 @@ func runStepTwins(t *testing.T, d Design, p workload.Profile, cfg Config, nanMis
 			baseFast, baseRef = fast.startMeasuring(), ref.startMeasuring()
 		}
 		for _, ev := range fast.wheel.buckets[fast.now&wheelMask] {
-			if ev.pkt != nil {
+			if ev.retry {
 				retries++
 			}
 		}

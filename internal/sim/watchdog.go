@@ -76,15 +76,15 @@ type watchdogState struct {
 }
 
 // stallError assembles the diagnosis. In-flight packets live in the
-// slot table (free slots have a nil pkt), so the scan skips holes.
+// slot table (free slots have a nil t), so the scan skips holes.
 func (s *System) stallError(reason string) *StallError {
 	oldest := int64(0)
 	for i := range s.slots {
-		p := s.slots[i].pkt
-		if p == nil {
+		sl := &s.slots[i]
+		if sl.t == nil {
 			continue
 		}
-		if age := s.now - p.InjectedAt; age > oldest {
+		if age := s.now - sl.injectedAt; age > oldest {
 			oldest = age
 		}
 	}
@@ -122,12 +122,12 @@ func (s *System) checkWatchdog(w *watchdogState) *StallError {
 	// every CheckInterval cycles, so the slot-table scan stays far off
 	// the cycle loop's profile.
 	for i := range s.slots {
-		p := s.slots[i].pkt
-		if p == nil {
+		sl := &s.slots[i]
+		if sl.t == nil {
 			continue
 		}
-		if age := s.now - p.InjectedAt; age > w.cfg.MaxPacketAge {
-			return s.stallError(fmt.Sprintf("in-flight packet %d aged %d cycles (ceiling %d)", p.ID, age, w.cfg.MaxPacketAge))
+		if age := s.now - sl.injectedAt; age > w.cfg.MaxPacketAge {
+			return s.stallError(fmt.Sprintf("in-flight packet %d aged %d cycles (ceiling %d)", sl.id, age, w.cfg.MaxPacketAge))
 		}
 	}
 	// Credit leak: every outstanding token must be backed by a live
