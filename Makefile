@@ -28,6 +28,7 @@
 #   make mutate      - mutation score of the NoC and simulator cycle
 #                      loops: ~30 one-operator mutants of noc/router.go,
 #                      bus.go, hybrid.go, loadlat.go and sim/engine.go,
+#                      corewake.go and wheel.go,
 #                      each run through `go test -overlay` on its package
 #                      and the root golden tests (the tree is never
 #                      written; ~15 min; kept out of `make check`)

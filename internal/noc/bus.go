@@ -240,6 +240,12 @@ type Bus struct {
 	now       int64
 	busFree   int64
 	inflight  []busInflight
+	// nextDeliver is the earliest in-flight deliverAt (MaxInt64 with
+	// nothing in flight). headAt is the cycle the earliest queue head
+	// becomes visible at the arbiter, or a cycle no later than now when
+	// one already is (MaxInt64 with nothing queued). Step does nothing
+	// but advance the clock before the first of them it can act on.
+	nextDeliver, headAt int64
 	// pkts holds every queued and in-flight packet.
 	pkts   slab
 	stats  Stats
@@ -264,6 +270,9 @@ func NewBus(cfg BusConfig) *Bus {
 		queues:  make([]ring[queuedPkt], cfg.Nodes),
 		waiting: make([]uint64, maskWords(cfg.Nodes)),
 		reqMask: make([]uint64, maskWords(cfg.Nodes)),
+
+		nextDeliver: math.MaxInt64,
+		headAt:      math.MaxInt64,
 	}
 	b.tabulateReqCycles()
 	return b
@@ -344,7 +353,11 @@ func (b *Bus) TryInject(p Packet) bool {
 		return false
 	}
 	// InjectedAt is owned by the caller.
-	*q.pushBack() = queuedPkt{visibleAt: p.InjectedAt + int64(b.reqCycles[p.Src]), pkt: b.pkts.hold(p)}
+	visibleAt := p.InjectedAt + int64(b.reqCycles[p.Src])
+	if q.n == 0 {
+		b.headAt = min(b.headAt, visibleAt)
+	}
+	*q.pushBack() = queuedPkt{visibleAt: visibleAt, pkt: b.pkts.hold(p)}
 	b.queued++
 	b.waiting[p.Src/64] |= 1 << (p.Src % 64)
 	return true
@@ -379,17 +392,41 @@ func (b *Bus) grantLatency(node int) int64 {
 	return int64(req + 1 + req + b.cfg.ControlCycles)
 }
 
-// Step implements Network. A bus with nothing queued, nothing in flight
-// and no fault injector (whose grant stalls fire on idle cycles too)
-// changes no state but the clock, so it only advances the clock.
+// Step implements Network. Without a fault injector (whose grant
+// stalls draw on idle cycles too) a bus changes no state but the clock
+// before its next event: the earliest delivery or, while requests are
+// queued, the first cycle the bus is free and a request is visible.
+// Until then Step only advances the clock, and a cycle that can deliver
+// but not arbitrate skips the arbitration scan.
 func (b *Bus) Step() {
 	now := b.now
-	if b.queued == 0 && len(b.inflight) == 0 && b.inj == nil {
+	if b.inj == nil && now < b.nextDeliver && (b.busFree > now || b.headAt > now) {
 		b.now++
 		return
 	}
-	// Deliveries.
+	if now >= b.nextDeliver {
+		b.deliver(now)
+	}
+	// Arbitration: one new owner whenever the bus is free, among the
+	// requests visible at the arbiter. headAt is read after the
+	// deliveries, whose hooks may inject a request visible at once.
+	if b.busFree <= now && (b.headAt <= now || b.inj != nil) {
+		if b.inj.StallGrant(b.domain, now) {
+			// The grant pulse is lost this cycle: requesters keep
+			// waiting and re-arbitrate next cycle.
+			b.stats.GrantStalls++
+			b.now++
+			return
+		}
+		b.grant(now)
+	}
+	b.now++
+}
+
+// deliver completes the transfers due by now and finds the next one.
+func (b *Bus) deliver(now int64) {
 	keep := b.inflight[:0]
+	next := int64(math.MaxInt64)
 	for _, f := range b.inflight {
 		if f.deliverAt <= now {
 			if b.OnDeliver != nil {
@@ -400,80 +437,85 @@ func (b *Bus) Step() {
 			b.pkts.release(f.pkt)
 		} else {
 			keep = append(keep, f)
+			next = min(next, f.deliverAt)
 		}
 	}
 	b.inflight = keep
-	// Arbitration: one new owner whenever the bus is free, among the
-	// requests visible at the arbiter.
-	if b.busFree <= now {
-		if b.inj.StallGrant(b.domain, now) {
-			// The grant pulse is lost this cycle: requesters keep
-			// waiting and re-arbitrate next cycle.
-			b.stats.GrantStalls++
-			b.now++
-			return
+	b.nextDeliver = next
+}
+
+// grant arbitrates among the visible requests and starts the winner's
+// transfer. Its scan of the queue heads also yields the next headAt.
+func (b *Bus) grant(now int64) {
+	later := int64(math.MaxInt64) // earliest head not yet visible
+	visible := 0
+	for w, word := range b.waiting {
+		var vis uint64
+		for word != 0 {
+			bit := word & -word
+			word &^= bit
+			i := w*64 + bits.TrailingZeros64(bit)
+			if at := b.queues[i].front().visibleAt; at > now {
+				later = min(later, at)
+				continue
+			}
+			vis |= bit
+			visible++
 		}
-		for w, word := range b.waiting {
-			var vis uint64
-			for word != 0 {
-				bit := word & -word
-				word &^= bit
-				i := w*64 + bits.TrailingZeros64(bit)
-				if b.queues[i].front().visibleAt > now {
-					continue
-				}
-				vis |= bit
-			}
-			b.reqMask[w] = vis
-		}
-		// reqMask is sized to the arbiter and holds only node bits by
-		// construction, so Grant cannot fail.
-		g, _ := b.arb.Grant(b.reqMask)
-		if g >= 0 {
-			e := b.queues[g].popFront()
-			p := b.pkts.at[e.pkt]
-			b.queued--
-			if b.queues[g].n == 0 {
-				b.waiting[g/64] &^= 1 << (g % 64)
-			}
-			tc := int64(b.transferCycles(p))
-			flits := p.Flits
-			if flits < 1 {
-				flits = 1
-			}
-			b.energy.Arbitrations++
-			b.energy.WireMMFlits += float64(b.transferHops(p)) * tileMM * float64(flits)
-			// Arbitration and grant/control distribution are pipelined
-			// with the previous transfer ("it does not worsen the
-			// contention", §5.2.3): the bus is occupied for the transfer
-			// time only, while each packet's latency still pays its own
-			// grant path.
-			grantLat := int64(1 + b.cfg.ControlCycles + b.reqCycles[g])
-			start := now + grantLat
-			b.busFree = now + tc
-			attempts := int(e.attempts)
-			if b.inj.CorruptTransfer(b.domain, p.ID, attempts) && attempts < b.inj.MaxRetries() {
-				// The transfer arrived corrupted: the receivers NACK it
-				// and the source retransmits after an exponential
-				// backoff. The corrupted attempt still occupied the bus
-				// and drove the wires.
-				b.stats.Retransmits++
-				// The backoff ends after the request-wire flight the
-				// packet has already made, so it alone sets visibility.
-				e.attempts++
-				e.visibleAt = now + tc + b.inj.Backoff(attempts+1)
-				b.queues[g].pushFront(e)
-				b.queued++
-				b.waiting[g/64] |= 1 << (g % 64)
-			} else {
-				// Clean transfer — or the retry budget is exhausted and
-				// the ECC layer is assumed to correct the residue, so
-				// the packet is delivered rather than hanging forever.
-				b.inflight = append(b.inflight, busInflight{deliverAt: start + tc, pkt: e.pkt})
-			}
-		}
+		b.reqMask[w] = vis
 	}
-	b.now++
+	// reqMask is sized to the arbiter and holds only node bits by
+	// construction, so Grant cannot fail.
+	g, _ := b.arb.Grant(b.reqMask)
+	if g < 0 {
+		b.headAt = later
+		return
+	}
+	if visible > 1 {
+		later = now // a visible request still waits
+	}
+	e := b.queues[g].popFront()
+	p := b.pkts.at[e.pkt]
+	b.queued--
+	if b.queues[g].n == 0 {
+		b.waiting[g/64] &^= 1 << (g % 64)
+	} else {
+		later = min(later, b.queues[g].front().visibleAt)
+	}
+	hops := b.transferHops(p)
+	flits := max(p.Flits, 1)
+	tc := int64(b.cfg.Timing.WireCycles(hops) + flits - 1) // transferCycles(p)
+	b.energy.Arbitrations++
+	b.energy.WireMMFlits += float64(hops) * tileMM * float64(flits)
+	// Arbitration and grant/control distribution are pipelined with the
+	// previous transfer ("it does not worsen the contention", §5.2.3):
+	// the bus is occupied for the transfer time only, while each
+	// packet's latency still pays its own grant path.
+	grantLat := int64(1 + b.cfg.ControlCycles + b.reqCycles[g])
+	start := now + grantLat
+	b.busFree = now + tc
+	attempts := int(e.attempts)
+	if b.inj.CorruptTransfer(b.domain, p.ID, attempts) && attempts < b.inj.MaxRetries() {
+		// The transfer arrived corrupted: the receivers NACK it and the
+		// source retransmits after an exponential backoff. The
+		// corrupted attempt still occupied the bus and drove the wires.
+		b.stats.Retransmits++
+		// The backoff ends after the request-wire flight the packet has
+		// already made, so it alone sets visibility.
+		e.attempts++
+		e.visibleAt = now + tc + b.inj.Backoff(attempts+1)
+		b.queues[g].pushFront(e)
+		b.queued++
+		b.waiting[g/64] |= 1 << (g % 64)
+		later = min(later, e.visibleAt)
+	} else {
+		// Clean transfer — or the retry budget is exhausted and the ECC
+		// layer is assumed to correct the residue, so the packet is
+		// delivered rather than hanging forever.
+		b.inflight = append(b.inflight, busInflight{deliverAt: start + tc, pkt: e.pkt})
+		b.nextDeliver = min(b.nextDeliver, start+tc)
+	}
+	b.headAt = later
 }
 
 // ZeroLoadLatency implements Network: average over nodes of request +

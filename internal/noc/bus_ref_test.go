@@ -481,3 +481,82 @@ func TestBusNACKReheadsEmptiedQueue(t *testing.T) {
 		t.Errorf("%d retransmits, want %d (the full budget for both packets)", got, want)
 	}
 }
+
+// TestBusWakesForQueuedRequests scripts the two waits a bus without a
+// fault injector sleeps through: a request that becomes visible while
+// the bus is busy, and the only queued request becoming visible after
+// a gap with nothing in flight. Step must match the reference every
+// cycle and deliver every packet, and each script must produce the
+// wait it is named for.
+func TestBusWakesForQueuedRequests(t *testing.T) {
+	type inject struct {
+		at  int
+		pkt Packet
+	}
+	cases := []struct {
+		name   string
+		mk     func() Network
+		script []inject
+		// waits reports whether bus b, about to step, shows the wait.
+		waits func(b *Bus) bool
+	}{
+		{
+			// A 16-flit transfer holds the bus while two requests
+			// arrive; both are visible when it frees, and the second
+			// must still be granted after the first.
+			name: "visible-while-busy",
+			mk:   func() Network { return NewCryoBus(64, bus77()) },
+			script: []inject{
+				{0, Packet{ID: 0, Src: 0, Dst: Broadcast, Flits: 16}},
+				{2, Packet{ID: 1, Src: 5, Dst: Broadcast, Flits: 1}},
+				{2, Packet{ID: 2, Src: 9, Dst: 40, Flits: 1}},
+			},
+			waits: func(b *Bus) bool {
+				return b.queued == 2 && b.busFree > b.now && b.queues[5].n == 1 && b.queues[5].front().visibleAt <= b.now
+			},
+		},
+		{
+			// The serpentine's end node is many request-wire cycles from
+			// the mid-bus arbiter; each of its packets is alone on an
+			// idle bus.
+			name: "visible-after-a-gap",
+			mk:   func() Network { return NewSharedBus300(64, bus300()) },
+			script: []inject{
+				{0, Packet{ID: 0, Src: 0, Dst: Broadcast, Flits: 1}},
+				{200, Packet{ID: 1, Src: 63, Dst: 7, Flits: 1}},
+			},
+			waits: func(b *Bus) bool {
+				return b.queued == 1 && len(b.inflight) == 0 && b.queues[63].n == 1 && b.queues[63].front().visibleAt > b.now+1
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fast, ref := newBusTwin(tc.mk(), false), newBusTwin(tc.mk(), true)
+			waited := false
+			for cyc := 0; cyc < 400; cyc++ {
+				for _, in := range tc.script {
+					if in.at != cyc {
+						continue
+					}
+					in.pkt.InjectedAt = fast.net.Cycle()
+					if !fast.net.TryInject(in.pkt) || !ref.net.TryInject(in.pkt) {
+						t.Fatalf("cycle %d: an injection into an empty queue was refused", cyc)
+					}
+				}
+				waited = waited || tc.waits(fast.stripe[0])
+				fast.step()
+				ref.step()
+				if err := compareBusTwins(fast, ref); err != nil {
+					t.Fatalf("cycle %d: %v", cyc, err)
+				}
+			}
+			if !waited {
+				t.Error("the script never produced the wait it is named for")
+			}
+			if len(fast.log) != len(tc.script) {
+				t.Errorf("%d of %d packets delivered", len(fast.log), len(tc.script))
+			}
+		})
+	}
+}

@@ -152,8 +152,13 @@ func compareHybrids(h *HybridCryoBus, ref *refHybrid) error {
 // buses saturate first and legs wait only for a cluster; a mesh with
 // 100-cycle routers holds each link's 12 credits for 100 cycles, so legs
 // also wait for the mesh. Every run must leave legs waiting in the
-// retry queues it is meant to exercise.
+// retry queues it is meant to exercise. A scripted case leaves one leg
+// waiting alone on a cluster bus with room (runHybridLoneLeg).
 func TestHybridRetryMatchesReference(t *testing.T) {
+	t.Run("lone-leg", func(t *testing.T) {
+		t.Parallel()
+		runHybridLoneLeg(t)
+	})
 	const cycles = 800
 	meshes := []struct {
 		name       string
@@ -230,4 +235,55 @@ func runHybridTwins(t *testing.T, meshTiming Timing, pat Pattern, flits, cycles 
 		t.Errorf("retry backlog peaked at %d global and %d cluster legs; the run did not exercise the retry", maxGlobal, maxCluster)
 	}
 	t.Logf("delivered %d; retry backlog peaked at %d global and %d cluster legs", h.stats.Delivered, maxGlobal, maxCluster)
+}
+
+// runHybridLoneLeg is TestHybridRetryMatchesReference's lone-leg case:
+// a leg refused by a cluster bus waits in that cluster's retry queue
+// and must be offered again each cycle even when it waits alone. Two
+// local sources on cluster 1, one of them its gateway node, keep the
+// gateway's bus queue full for 150 cycles while eight packets from
+// cluster 0 cross the global mesh into it, so their last legs back up
+// in toCluster[1]. Once the sources stop, the queue drains one grant at
+// a time and the backlog with it, down to a single leg waiting on a bus
+// that would accept it. The hybrid and the reference must agree every
+// cycle, and every packet must arrive.
+func runHybridLoneLeg(t *testing.T) {
+	h, ref := NewHybridCryoBus(bus77(), timing77(1)), newRefHybrid(timing77(1))
+	inject := func(p Packet) bool {
+		okF, okR := h.TryInject(p), ref.TryInject(p)
+		if okF != okR {
+			t.Fatalf("cycle %d: TryInject of %+v = %v, reference %v", h.now, p, okF, okR)
+		}
+		return okF
+	}
+	const fill = 150
+	var id int64
+	lone := false
+	for cyc := 0; cyc < 600; cyc++ {
+		for _, src := range []int{clusterSize + gatewayNode, clusterSize} {
+			for cyc < fill && inject(Packet{ID: id, Src: src, Dst: clusterSize + 40, Flits: 1, InjectedAt: h.now}) {
+				id++
+			}
+		}
+		if cyc < 8 {
+			if !inject(Packet{ID: id, Src: cyc, Dst: clusterSize + 50, Flits: 1, InjectedAt: h.now}) {
+				t.Fatalf("cycle %d: an idle source was refused", cyc)
+			}
+			id++
+		}
+		if h.toCluster[1].n == 1 && h.clusters[1].queues[gatewayNode].n < busQueueCap {
+			lone = true
+		}
+		h.Step()
+		ref.Step()
+		if err := compareHybrids(h, ref); err != nil {
+			t.Fatalf("cycle %d: %v", cyc, err)
+		}
+	}
+	if !lone {
+		t.Error("no leg ever waited alone on a cluster bus with room; the run did not exercise the retry")
+	}
+	if h.stats.Delivered != id {
+		t.Errorf("delivered %d of %d packets", h.stats.Delivered, id)
+	}
 }

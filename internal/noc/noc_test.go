@@ -335,6 +335,9 @@ func TestHTreeLayoutGeometry(t *testing.T) {
 	if d := h.PathHops(0, 1); d != 2 {
 		t.Errorf("H-tree neighbor path = %d, want 2", d)
 	}
+	if d := h.PathHops(0, 2); d != 6 {
+		t.Errorf("H-tree path across one quadrant's blocks = %d, want 6", d)
+	}
 	if d := h.PathHops(0, 63); d != 12 {
 		t.Errorf("H-tree corner-to-corner = %d, want 12", d)
 	}

@@ -20,17 +20,28 @@ import (
 //     running, so its count is n + ticks − since, and a wake in
 //     System.wakes at the cycle its count first reaches nextEvent.
 //   - stalled: a blocking miss or a full MLP window holds commit; its
-//     count n is fixed. Step walks the stalled bitset every cycle to
-//     charge the CPI stack, and runs coreEvents on a stalled core whose
-//     count already reached its threshold (a miss mlpCap held back),
-//     exactly as the per-cycle loop did.
+//     count n is fixed. Its bit in stalledDue is set while that count
+//     is at or past its threshold (a miss mlpCap held back), so
+//     coreEvents runs on it every cycle, exactly as the per-cycle loop
+//     did.
 //   - barrier: it waits at a barrier; Step only counts it.
 //
-// A core's mode, stalled bit and wake change only in resync, which runs
-// at the end of coreEvents, at the end of completeTxn (for every core
-// after a barrier release) and once per core in New. Those are also the
-// only places a core's state or thresholds change: TryInject never
-// delivers, so inside coreEvents(i) only core i changes.
+// Each core's cycles go to one CPI-stack bucket: base while running,
+// sync at a barrier and, while stalled, the phase of the transaction it
+// waits on (stallBucket). System.charged counts the cores per bucket,
+// and Step adds each count to its bucket once per measured cycle. Every
+// bucket is a sum of whole numbers below 2^53, exact in float64, so the
+// stack is bit-equal to charging core by core. Step visits no core that
+// has no event due.
+//
+// A core's mode, stalledDue bit and wake change only in resync, which
+// runs at the end of coreEvents, at the end of completeTxn (for every
+// core after a barrier release) and once per core in New. Those are
+// also the only places a core's thresholds change: TryInject never
+// delivers, so inside coreEvents(i) only core i changes. A stalled
+// core's bucket follows its blocking or oldest transaction, whose
+// phase also changes between resyncs: injectLeg and advanceLeg re-read
+// it (rebucket) whenever they move a phase.
 
 // coreMode is a core's mode as of its last resync.
 type coreMode uint8
@@ -210,39 +221,73 @@ func (s *System) committed(c *coreState) float64 {
 	return s.commits.sums[s.commitsOf(c)]
 }
 
-// resync brings core i's mode, the mode counts and bitset, and its wake
-// in line with its state. rearm says its thresholds may have moved, so
-// a running core needs a new wake even if its mode did not change.
+// resync brings core i's mode, bucket and charged count, its
+// stalledDue bit and its wake in line with its state. rearm says its
+// thresholds may have moved, so a running core needs a new wake even if
+// its mode did not change.
 func (s *System) resync(i int, rearm bool) {
 	c := &s.cores[i]
 	mode := c.liveMode()
 	if mode == c.mode && (!rearm || mode != modeRunning) {
+		if mode == modeStalled {
+			// The transaction it waits on, and with rearm its
+			// thresholds, may have changed.
+			s.rebucket(c)
+			s.flagDue(i, c)
+		}
 		return
 	}
 	c.n = s.commitsOf(c)
-	word, bit := i>>6, uint64(1)<<(i&63)
 	switch c.mode {
 	case modeRunning:
-		s.nRunning--
 		c.gen++ // drops the pending wake
 	case modeStalled:
-		s.stalled[word] &^= bit
-	case modeBarrier:
-		s.nBarrier--
+		s.stalledDue[i>>6] &^= 1 << (i & 63)
+	}
+	if c.mode != modeUnsynced {
+		s.charged[c.bucket]--
 	}
 	c.mode = mode
 	switch mode {
 	case modeRunning:
-		s.nRunning++
+		c.bucket = uint8(BucketBase)
 		c.since = s.ticks
 		// The next core phase runs at tick ticks+1, in cycle ticks.
 		if k, ok := s.commits.wakeAfter(c.n, c.nextEvent); ok {
 			s.wakes.push(wake{at: s.ticks + int64(k) - 1, core: int32(i), gen: c.gen})
 		}
 	case modeStalled:
-		s.stalled[word] |= bit
+		c.bucket = uint8(stallBucket(c))
+		s.flagDue(i, c)
 	case modeBarrier:
-		s.nBarrier++
+		c.bucket = uint8(BucketSync)
+	}
+	s.charged[c.bucket]++
+}
+
+// flagDue sets stalled core i's stalledDue bit exactly when its count
+// has reached its next-event threshold. A stalled core's count is fixed
+// and its threshold moves only before a resync, so the bit holds until
+// the next one.
+func (s *System) flagDue(i int, c *coreState) {
+	bit := uint64(1) << (i & 63)
+	if s.commits.sums[c.n] >= c.nextEvent {
+		s.stalledDue[i>>6] |= bit
+	} else {
+		s.stalledDue[i>>6] &^= bit
+	}
+}
+
+// rebucket moves a stalled core's count to the bucket its state now
+// charges; it leaves a core in any other mode alone.
+func (s *System) rebucket(c *coreState) {
+	if c.mode != modeStalled {
+		return
+	}
+	if b := uint8(stallBucket(c)); b != c.bucket {
+		s.charged[c.bucket]--
+		s.charged[b]++
+		c.bucket = b
 	}
 }
 
@@ -255,28 +300,15 @@ func (s *System) tick() {
 	}
 }
 
-// stepCores is Step's core phase. Running cores commit implicitly;
-// stalled ones charge their CPI-stack bucket; coreEvents runs, in
-// ascending core index (the rng draw order), on every stalled core at
-// or past its threshold and every running core whose wake is due.
+// stepCores is Step's core phase. Running cores commit implicitly, and
+// each CPI-stack bucket is charged its count of cores. coreEvents runs,
+// in ascending core index (the rng draw order), on every stalled core
+// at or past its threshold and every running core whose wake is due.
 func (s *System) stepCores() {
 	s.tick()
-	measuring := s.measuring
-	if measuring {
-		s.stackCycl[BucketSync] += float64(s.nBarrier)
-		s.stackCycl[BucketBase] += float64(s.nRunning)
-	}
-	sums := s.commits.sums
-	for w, word := range s.stalled {
-		for ; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			c := &s.cores[w<<6|b]
-			if measuring {
-				s.stackCycl[stallBucket(c)]++
-			}
-			if sums[c.n] >= c.nextEvent {
-				s.due[w] |= 1 << b
-			}
+	if s.measuring {
+		for b, n := range s.charged {
+			s.stackCycl[b] += float64(n)
 		}
 	}
 	for len(s.wakes) > 0 && s.wakes[0].at <= s.now {
@@ -286,6 +318,7 @@ func (s *System) stepCores() {
 		}
 	}
 	for w, word := range s.due {
+		word |= s.stalledDue[w]
 		if word == 0 {
 			continue
 		}

@@ -200,7 +200,10 @@ func (s *System) injectLeg(t *txn) {
 	}
 	p := noc.Packet{ID: s.nextPkt, Src: leg.From, Dst: dst, Flits: flits, InjectedAt: s.now}
 	s.nextPkt++
-	t.phase = BucketNoC
+	if t.phase != BucketNoC {
+		t.phase = BucketNoC
+		s.rebucket(&s.cores[t.core])
+	}
 	if !s.offer(s.legNetwork(leg.Kind), p, t, false) {
 		s.scheduleRetry(p, t, false)
 	}
@@ -284,6 +287,7 @@ func (s *System) advanceLeg(t *txn) {
 			delay += s.dramCycles(t.addr, s.now)
 			t.phase = BucketDRAM
 		}
+		s.rebucket(&s.cores[t.core])
 		// Fault scenario: this access may be served from a degraded
 		// (slow) L3/DRAM path.
 		delay = s.inj.SlowMem(t.addr, delay)
@@ -437,13 +441,13 @@ func (s *System) retireTxn(t *txn) (rearm, all bool) {
 // hottest function — one call per cycle, tens of thousands per
 // evaluation — so the schedule is a timing wheel (no map traffic), every
 // object it touches comes from a pool, and the core phase (stepCores,
-// corewake.go) is event-driven: it visits only stalled cores and cores
-// whose events are due. A running core commits without being touched:
-// its committed count is a commit-table entry, and a min-heap wakes it
-// in the cycle that count first reaches its next-event threshold.
-// Barrier and base cycles are charged from the mode counts once per
-// measured cycle; each bucket is a sum of whole cycles, exact in
-// float64, so the stack is bit-equal to charging them core by core.
+// corewake.go) is event-driven: it visits only cores whose events are
+// due. A running core commits without being touched: its committed
+// count is a commit-table entry, and a min-heap wakes it in the cycle
+// that count first reaches its next-event threshold. The CPI stack is
+// charged from per-bucket core counts once per measured cycle; each
+// bucket is a sum of whole cycles, exact in float64, so the stack is
+// bit-equal to charging it core by core.
 func (s *System) Step() {
 	// Pending retries / service completions, in schedule order.
 	s.fireEvents()
@@ -551,6 +555,9 @@ func (s *System) Run() (Result, error) {
 	wd := watchdogState{cfg: s.cfg.Watchdog.withDefaults()}
 	total := s.cfg.WarmupCycles + s.cfg.MeasureCycles
 	var completedBase int64
+	// The polls run on every multiple of their interval; each keeps the
+	// next such cycle instead of dividing every cycle.
+	nextCancel, nextCheck := cancelCheckCycles, wd.cfg.CheckInterval
 	for cycle := 0; ; {
 		if cycle == s.cfg.WarmupCycles {
 			completedBase = s.startMeasuring()
@@ -560,17 +567,23 @@ func (s *System) Run() (Result, error) {
 		}
 		s.Step()
 		cycle++
-		if done != nil && cycle%cancelCheckCycles == 0 {
-			select {
-			case <-done:
-				return Result{}, fmt.Errorf("sim: %s/%s canceled at cycle %d: %w",
-					s.design.Name, s.prof.Name, s.now, ctx.Err())
-			default:
+		if cycle == nextCancel {
+			nextCancel += cancelCheckCycles
+			if done != nil {
+				select {
+				case <-done:
+					return Result{}, fmt.Errorf("sim: %s/%s canceled at cycle %d: %w",
+						s.design.Name, s.prof.Name, s.now, ctx.Err())
+				default:
+				}
 			}
 		}
-		if !s.cfg.Watchdog.Disabled && cycle%wd.cfg.CheckInterval == 0 {
-			if serr := s.checkWatchdog(&wd); serr != nil {
-				return Result{}, serr
+		if cycle == nextCheck {
+			nextCheck += wd.cfg.CheckInterval
+			if !s.cfg.Watchdog.Disabled {
+				if serr := s.checkWatchdog(&wd); serr != nil {
+					return Result{}, serr
+				}
 			}
 		}
 	}

@@ -170,3 +170,36 @@ func TestNonSquareMeshIsError(t *testing.T) {
 		t.Error("non-square mesh accepted")
 	}
 }
+
+// TestFaultedInterleavedBusCountsRetransmits: on a faulted cryobus-2way
+// system, Result.Retransmits is the sum over both networks of every
+// stripe's NACK retransmits, so a striped bus must pass its stripes'
+// counts up through Stats.
+func TestFaultedInterleavedBusCountsRetransmits(t *testing.T) {
+	p, err := workload.ByName("ferret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testCfg()
+	cfg.Fault = &fault.Config{Seed: 5, FlitCorruptionRate: 0.05}
+	s, err := New(With2WayInterleaving(NewFactory().CryoSPCryoBus()), p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for name, n := range map[string]noc.Network{"request": s.net, "data": s.dataNet} {
+		for i, b := range n.(*noc.InterleavedBus).Stripes() {
+			if b.Stats().Retransmits == 0 {
+				t.Errorf("%s network stripe %d retransmitted nothing under 5%% corruption", name, i)
+			}
+			want += b.Stats().Retransmits
+		}
+	}
+	if res.Retransmits != want {
+		t.Errorf("result counts %d retransmits, the stripes %d", res.Retransmits, want)
+	}
+}

@@ -315,14 +315,15 @@ type System struct {
 	// Event-driven core phase (corewake.go). ticks counts the core
 	// phases run so far (s.now between Steps). commits is the committed
 	// count per commit cycle; wakes holds running cores' next event
-	// cycles; stalled is the bitset of stalled cores and due the scratch
-	// bitset of cores whose events run this cycle. nRunning and nBarrier
-	// count the cores in those modes.
-	ticks              int64
-	commits            commitTable
-	wakes              wakeHeap
-	stalled, due       []uint64
-	nRunning, nBarrier int
+	// cycles; stalledDue is the bitset of stalled cores at or past their
+	// threshold and due the scratch bitset of cores whose events run
+	// this cycle. charged counts the cores whose cycles go to each
+	// CPI-stack bucket.
+	ticks           int64
+	commits         commitTable
+	wakes           wakeHeap
+	stalledDue, due []uint64
+	charged         [bucketCount]int
 
 	// hot contended lines: lock hand-offs and the barrier line, each
 	// serializing its transactions (index lockLineCount is the barrier
@@ -368,6 +369,9 @@ type coreState struct {
 	n     int
 	since int64
 	mode  coreMode
+	// bucket is the StallBucket the core's cycles go to, as counted in
+	// System.charged (a byte, so the struct keeps its size).
+	bucket uint8
 	// gen numbers the core's wakes; a resync out of running or a re-arm
 	// bumps it, so a stale heap entry is dropped when it pops.
 	gen uint32
@@ -475,7 +479,7 @@ func newOn(scr *scratch, d Design, p workload.Profile, cfg Config) (*System, err
 	s.l3Cyc = s.l3CyclesDerive()
 	s.commits = newCommitTable(s.unstalledRate(), cfg.WarmupCycles+cfg.MeasureCycles+1, scr.commits)
 	words := (d.Cores + 63) / 64
-	s.stalled = make([]uint64, words)
+	s.stalledDue = make([]uint64, words)
 	s.due = make([]uint64, words)
 	for i := range s.cores {
 		s.resync(i, true)
@@ -488,8 +492,8 @@ func newOn(scr *scratch, d Design, p workload.Profile, cfg Config) (*System, err
 // exponential draw) never fires, since committed >= NaN is false, so it
 // is skipped here: the builtin min would return NaN and silence the
 // other two. nextEvent is what resync schedules a running core's wake
-// from and what Step tests a stalled core against, so every re-arm is
-// followed by a resync.
+// from and tests a stalled core against (stalledDue), so every re-arm
+// is followed by a resync.
 func (c *coreState) armNextEvent() {
 	e := math.Inf(1)
 	for _, t := range [...]float64{c.nextMissAt, c.nextLockAt, c.nextBarrierAt} {

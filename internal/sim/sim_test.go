@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"cryowire/internal/coherence"
 	"cryowire/internal/workload"
 )
 
@@ -344,5 +345,62 @@ func TestRunCanceledContext(t *testing.T) {
 	}
 	if _, err := s2.Run(); err != nil {
 		t.Fatalf("context-free run failed: %v", err)
+	}
+}
+
+// TestDirectoryWriteAwaitsLoneInvalidation: a directory write to a
+// Shared line with exactly one other sharer must send that sharer its
+// invalidation and hold the data leg until the ack is in. Cores 3 and 9
+// read a line into Shared, then core 9's write runs on an otherwise
+// silent mesh; each cycle's in-flight slots show the invalidation, and
+// the data leg only after it has landed.
+func TestDirectoryWriteAwaitsLoneInvalidation(t *testing.T) {
+	p, err := workload.ByName("ferret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Name, p.L2MPKI, p.LockMPKI, p.BarriersPerMI = "silent", 0, 0, 0
+	s, err := New(NewFactory().CHPMesh(), p, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const addr, sharer, writer = uint64(0x5000_0000 + 20*64), 3, 9
+	home := s.home(addr)
+	var read coherence.Transaction
+	s.proto.AccessInto(&read, addr, sharer, home, false, true)
+	s.proto.AccessInto(&read, addr, writer, home, false, true)
+	tx := s.newTxn()
+	s.proto.AccessInto(&tx.ctx, addr, writer, home, true, true)
+	if inv := tx.ctx.Invalidations; len(inv) != 1 || inv[0].To != sharer {
+		t.Fatalf("write to a line shared with core %d invalidates %v", sharer, inv)
+	}
+	// A prefetch-flagged transaction holds no commit token, so the
+	// silent cores stay out of it.
+	tx.core, tx.addr, tx.legs, tx.l3Access = writer, addr, tx.ctx.Legs, tx.ctx.L3Access
+	tx.invLegs, tx.lockLine, tx.prefetch, tx.started = tx.ctx.Invalidations, -1, true, s.now
+	s.injectLeg(tx)
+	invSeen, invDone, dataSeen := false, false, false
+	for cycle := 0; s.completed == 0; cycle++ {
+		if cycle == 1000 {
+			t.Fatal("the write never completed")
+		}
+		s.Step()
+		invLive := false
+		for _, sl := range s.slots {
+			switch {
+			case sl.t != tx:
+			case sl.inv:
+				invLive, invSeen = true, true
+			case tx.leg == len(tx.legs)-1:
+				if !invDone {
+					t.Fatalf("cycle %d: data leg in flight before the invalidation ack", cycle)
+				}
+				dataSeen = true
+			}
+		}
+		invDone = invSeen && !invLive
+	}
+	if !invSeen || !dataSeen {
+		t.Errorf("invalidation in flight %v, data leg in flight %v; want both", invSeen, dataSeen)
 	}
 }

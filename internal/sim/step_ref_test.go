@@ -100,10 +100,8 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // reference's per-cycle committed sums: each core's commit-table value
 // on both sides must be bit-equal to its sum. On the fast side it also
 // checks that nextEvent is the earliest non-NaN threshold and that the
-// mode bookkeeping (mode, stalled bitset, mode counts) matches the
-// cores' state.
+// mode bookkeeping matches the cores' state (checkCharges).
 func compareCores(fast, ref *System, committed []float64) error {
-	var running, barrier int
 	for i := range fast.cores {
 		a, b := &fast.cores[i], &ref.cores[i]
 		if got, refGot := fast.committed(a), ref.committed(b); !sameFloat(got, committed[i]) || !sameFloat(refGot, committed[i]) {
@@ -125,27 +123,48 @@ func compareCores(fast, ref *System, committed []float64) error {
 		if !sameFloat(a.nextEvent, want) {
 			return fmt.Errorf("core %d: next event at %v, earliest threshold %v", i, a.nextEvent, want)
 		}
-		mode := a.liveMode()
-		if a.mode != mode {
-			return fmt.Errorf("core %d: synced mode %d, state says %d", i, a.mode, mode)
-		}
-		if inSet := fast.stalled[i>>6]&(1<<(i&63)) != 0; inSet != (mode == modeStalled) {
-			return fmt.Errorf("core %d: stalled bit %v in mode %d", i, inSet, mode)
-		}
-		switch mode {
-		case modeRunning:
-			running++
-		case modeBarrier:
-			barrier++
-		}
 	}
-	if running != fast.nRunning || barrier != fast.nBarrier {
-		return fmt.Errorf("mode counts running %d barrier %d, cores say %d %d", fast.nRunning, fast.nBarrier, running, barrier)
+	if err := checkCharges(fast); err != nil {
+		return err
 	}
 	for k := range fast.stackCycl {
 		if !sameFloat(fast.stackCycl[k], ref.stackCycl[k]) {
 			return fmt.Errorf("CPI stack %v, reference %v", fast.stackCycl, ref.stackCycl)
 		}
+	}
+	return nil
+}
+
+// checkCharges recounts the core-phase bookkeeping from the cores'
+// state: each core's synced mode, the per-bucket core counts the CPI
+// stack is charged from (base while running, sync at a barrier, the
+// stall bucket while stalled), and the stalledDue bitset, which must
+// hold exactly the stalled cores whose count has reached their
+// threshold.
+func checkCharges(s *System) error {
+	var charged [bucketCount]int
+	for i := range s.cores {
+		c := &s.cores[i]
+		mode := c.liveMode()
+		if c.mode != mode {
+			return fmt.Errorf("core %d: synced mode %d, state says %d", i, c.mode, mode)
+		}
+		bucket := BucketBase
+		switch mode {
+		case modeStalled:
+			bucket = stallBucket(c)
+		case modeBarrier:
+			bucket = BucketSync
+		}
+		charged[bucket]++
+		due := mode == modeStalled && s.committed(c) >= c.nextEvent
+		if inSet := s.stalledDue[i>>6]&(1<<(i&63)) != 0; inSet != due {
+			return fmt.Errorf("core %d: stalledDue bit %v in mode %d (committed %v, next event %v)",
+				i, inSet, mode, s.committed(c), c.nextEvent)
+		}
+	}
+	if charged != s.charged {
+		return fmt.Errorf("bucket core counts %v, cores say %v", s.charged, charged)
 	}
 	return nil
 }
@@ -298,4 +317,60 @@ func runStepTwins(t *testing.T, d Design, p workload.Profile, cfg Config, nanMis
 		t.Fatalf("Run returned\n%s\nthe twin loop\n%s", viaRun, got)
 	}
 	return retries, res.Retransmits
+}
+
+// TestStalledCoreFollowsItsMissThroughMemory runs a directory mesh on
+// a profile whose every miss blocks (CHP's load queue gives MLP 1) and
+// half of them go to DRAM, with no locks or barriers. Every cycle the
+// per-bucket core counts and stalledDue must match a recount over the
+// cores. Each stall on one blocking miss is traced by the bucket its
+// core's cycles go to; among them must be an L3 hit, charged NoC → L3 →
+// NoC, and a DRAM miss, charged NoC → DRAM → NoC (its L3 lookup is part
+// of the DRAM service time), while the core stays stalled throughout.
+// The moves into L3 and DRAM are advanceLeg's re-reads, the move back
+// to NoC injectLeg's.
+func TestStalledCoreFollowsItsMissThroughMemory(t *testing.T) {
+	p, err := workload.ByName("ferret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Name, p.MLP, p.L2MPKI, p.L3MissRatio, p.LockMPKI, p.BarriersPerMI = "memory-walk", 1, 10, 0.5, 0, 0
+	s, err := New(NewFactory().CHPMesh(), p, Config{WarmupCycles: 0, MeasureCycles: 3000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.startMeasuring()
+	type stall struct {
+		on      *txn
+		started int64
+		trace   []StallBucket
+	}
+	open := make([]stall, len(s.cores))
+	seen := map[string]int{}
+	for cycle := 0; cycle < 3000; cycle++ {
+		s.Step()
+		if err := checkCharges(s); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		for i := range s.cores {
+			c, st := &s.cores[i], &open[i]
+			if c.mode != modeStalled || c.blockedOn != st.on || (st.on != nil && st.on.started != st.started) {
+				if len(st.trace) > 0 && c.mode != modeStalled {
+					seen[fmt.Sprint(st.trace)]++ // the stall ended with its miss
+				}
+				*st = stall{}
+				if c.mode == modeStalled && c.blockedOn != nil {
+					*st = stall{on: c.blockedOn, started: c.blockedOn.started}
+				}
+			}
+			if b := StallBucket(c.bucket); st.on != nil && (len(st.trace) == 0 || st.trace[len(st.trace)-1] != b) {
+				st.trace = append(st.trace, b)
+			}
+		}
+	}
+	for _, want := range [][]StallBucket{{BucketNoC, BucketL3, BucketNoC}, {BucketNoC, BucketDRAM, BucketNoC}} {
+		if seen[fmt.Sprint(want)] == 0 {
+			t.Errorf("no blocking miss was charged %v while its core stayed stalled; traces %v", want, seen)
+		}
+	}
 }

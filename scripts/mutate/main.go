@@ -39,6 +39,8 @@ var targets = []struct{ file, pkg string }{
 	{"internal/noc/hybrid.go", "./internal/noc"},
 	{"internal/noc/loadlat.go", "./internal/noc"},
 	{"internal/sim/engine.go", "./internal/sim"},
+	{"internal/sim/corewake.go", "./internal/sim"},
+	{"internal/sim/wheel.go", "./internal/sim"},
 }
 
 const (
